@@ -3,13 +3,10 @@
 The package splits into five layers:
 
     sigmodel   numerology, preamble/frame synthesis, energy template
-    _kernels   hot metric kernels (numba njit with a pure-numpy fallback)
+    _kernels   hot metric kernels (cumsum sliding sums, np.convolve)
     sync       streaming + batch metrics, detection, STO and CFO estimation
     channel    CFO, AWGN, Rician multipath, phase noise, DME interference
     harness    Monte Carlo trials, campaigns, CSV/JSON emitters
-
-Backend selection for the metric kernels is controlled by the environment
-variable LDACS_SYNC_BACKEND (auto | numba | numpy), read at import time.
 """
 
 from .sigmodel import (
@@ -29,8 +26,6 @@ from .sync import (
     SyncPhase,
     SyncState,
     SyncResult,
-    push_sample,
-    detect,
     metrics_direct,
     metric_stream,
     estimate_sto,
@@ -84,8 +79,6 @@ __all__ = [
     "SyncPhase",
     "SyncState",
     "SyncResult",
-    "push_sample",
-    "detect",
     "metrics_direct",
     "metric_stream",
     "estimate_sto",

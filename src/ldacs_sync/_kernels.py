@@ -1,4 +1,4 @@
-"""Hot metric kernels with two interchangeable implementations.
+"""Hot metric kernels: cumsum sliding sums plus np.convolve.
 
 Per stream index n (L = quarter period, window w = 2L, template length D):
 
@@ -10,33 +10,17 @@ Per stream index n (L = quarter period, window w = 2L, template length D):
 Samples before the stream start are treated as zeros, matching a streaming
 correlator whose delay lines power up cleared.  Values are fully warmed up
 once n >= 4L-1 (ac/ene) resp. n >= D+2L-1 (xcr).
-
-Backends:
-  numba   njit streaming loops, the default when numba imports
-  numpy   cumsum sliding sums + np.convolve
-
-Selected once at import from LDACS_SYNC_BACKEND (auto | numba | numpy).
-Both give identical results up to float rounding (~1e-12 relative).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_BACKEND = "LDACS_SYNC_BACKEND"
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but keep the fallback honest
-    _HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
+def active_backend() -> str:
+    """Name of the metric kernel implementation (always "numpy"); the
+    benchmark records it with its environment."""
+    return "numpy"
 
 
 def _lag_products(r: np.ndarray, lag: int) -> np.ndarray:
@@ -54,9 +38,10 @@ def _sliding_sum(x: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def metric_arrays_numpy(
+def metric_arrays(
     r: np.ndarray, l_quarter: int, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ac1, ac2, ene, xcr) over the whole stream; empty in, empty out."""
     r = np.ascontiguousarray(r, dtype=np.complex128)
     w = 2 * l_quarter
     u = _lag_products(r, l_quarter)
@@ -65,11 +50,13 @@ def metric_arrays_numpy(
     ac1 = _sliding_sum(u, w)
     ac2 = _sliding_sum(v, w)
     ene = _sliding_sum(e, w)
-    xcr = np.convolve(np.abs(v), np.asarray(a, dtype=np.float64))[: r.size]
+    vm = np.abs(v)
+    # np.convolve rejects an empty input
+    xcr = np.convolve(vm, np.asarray(a, dtype=np.float64))[: r.size] if r.size else vm
     return ac1, ac2, ene, xcr
 
 
-def first_trigger_numpy(cond: np.ndarray, m: int, start: int) -> int:
+def first_trigger(cond: np.ndarray, m: int, start: int) -> int:
     """First index n with cond[n-m+1..n] all true and n-m+1 >= start; -1 if none."""
     c = np.asarray(cond, dtype=np.int64)
     if c.size < start + m:
@@ -80,135 +67,3 @@ def first_trigger_numpy(cond: np.ndarray, m: int, start: int) -> int:
     if hits.size == 0:
         return -1
     return int(hits[0]) + start + m - 1
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _metric_arrays_njit(r, l_quarter, a):  # pragma: no cover - exercised via wrapper
-        n = r.size
-        L = l_quarter
-        w = 2 * L
-        d = a.size
-        u = np.zeros(n, dtype=np.complex128)
-        v = np.zeros(n, dtype=np.complex128)
-        vm = np.zeros(n, dtype=np.float64)
-        e = np.zeros(n, dtype=np.float64)
-        ac1 = np.zeros(n, dtype=np.complex128)
-        ac2 = np.zeros(n, dtype=np.complex128)
-        ene = np.zeros(n, dtype=np.float64)
-        xcr = np.zeros(n, dtype=np.float64)
-        arev = a[::-1].copy()
-
-        for k in prange(L, n):
-            u[k] = r[k].conjugate() * r[k - L]
-        for k in prange(w, n):
-            vk = r[k].conjugate() * r[k - w]
-            v[k] = vk
-            vm[k] = np.sqrt(vk.real * vk.real + vk.imag * vk.imag)
-        for k in prange(n):
-            rk = r[k]
-            e[k] = rk.real * rk.real + rk.imag * rk.imag
-
-        s1 = 0.0 + 0.0j
-        s2 = 0.0 + 0.0j
-        se = 0.0
-        for k in range(n):
-            s1 += u[k]
-            s2 += v[k]
-            se += e[k]
-            if k >= w:
-                s1 -= u[k - w]
-                s2 -= v[k - w]
-                se -= e[k - w]
-            ac1[k] = s1
-            ac2[k] = s2
-            ene[k] = se
-
-        _weighted_window(vm, arev, xcr)
-        return ac1, ac2, ene, xcr
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def _weighted_window(vm, arev, xcr):  # pragma: no cover - exercised via wrapper
-        # np.dot on unit-stride slices beats any hand-unrolled reduction loop
-        # here; parallel=True also enables the aggressive loop pipeline, which
-        # is ~2x faster even on one core and scales when more are available
-        n = vm.size
-        d = arev.size
-        head = d - 1 if d - 1 < n else n
-        for k in range(head):
-            xcr[k] = np.dot(vm[: k + 1], arev[d - 1 - k :])
-        for k in prange(head, n):
-            xcr[k] = np.dot(vm[k - d + 1 : k + 1], arev)
-
-    @njit(cache=True)
-    def _first_trigger_njit(cond, m, start):  # pragma: no cover - exercised via wrapper
-        run = 0
-        for k in range(start, cond.size):
-            if cond[k]:
-                run += 1
-                if run >= m:
-                    return k
-            else:
-                run = 0
-        return -1
-
-    def metric_arrays_numba(
-        r: np.ndarray, l_quarter: int, a: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _metric_arrays_njit(
-            np.ascontiguousarray(r, dtype=np.complex128),
-            l_quarter,
-            np.ascontiguousarray(a, dtype=np.float64),
-        )
-
-    def first_trigger_numba(cond: np.ndarray, m: int, start: int) -> int:
-        return int(_first_trigger_njit(np.ascontiguousarray(cond, dtype=np.bool_), m, start))
-
-else:  # pragma: no cover
-    metric_arrays_numba = None
-    first_trigger_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("LDACS_SYNC_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unrecognized {ENV_BACKEND} value: {choice!r}")
-
-
-_ACTIVE = _pick_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import ('numba' or 'numpy')."""
-    return _ACTIVE
-
-
-def metric_arrays(
-    r: np.ndarray, l_quarter: int, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ac1, ac2, ene, xcr) over the whole stream, active backend."""
-    if _ACTIVE == "numba":
-        return metric_arrays_numba(r, l_quarter, a)
-    return metric_arrays_numpy(r, l_quarter, a)
-
-
-def first_trigger(cond: np.ndarray, m: int, start: int) -> int:
-    """First index where cond held m consecutive slots, scanning from start."""
-    if _ACTIVE == "numba":
-        return first_trigger_numba(cond, m, start)
-    return first_trigger_numpy(cond, m, start)

@@ -14,7 +14,7 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 
@@ -22,9 +22,10 @@ import numpy as np
 
 from .channel import ImpairmentConfig, run_pipeline
 from .harness import (
+    CHANNEL_MODELS,
     CHANNELS,
     Scenario,
-    _channel_config,
+    fmt,
     load_scenario,
     run_campaign,
     write_campaign_csv,
@@ -33,25 +34,6 @@ from .harness import (
 )
 from .sigmodel import build_frame, energy_template, generate_preamble, make_numerology, write_iq
 from .sync import baseline_xene, baseline_xsig, metric_stream
-
-
-def _parse_snr_list(text: str) -> tuple:
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() in ("inf", "noiseless"):
-            vals.append(float("inf"))
-        else:
-            vals.append(float(tok))
-    if not vals:
-        raise ValueError("empty --snr list")
-    return tuple(vals)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +51,7 @@ def cmd_trace(args) -> int:
     frame, n0 = build_frame(num, pre, 0, lead, seed=args.seed + 1)
     frame = np.concatenate([frame, np.zeros(300, dtype=np.complex128)])
 
-    profile = dme = None
-    if args.channel != "AWGN":
-        scenario = Scenario(name="trace", channel=args.channel, epsilon=args.epsilon)
-        profile, dme = _channel_config(scenario)
+    profile, dme = CHANNEL_MODELS[args.channel]
     cfg = ImpairmentConfig(
         epsilon=args.epsilon,
         snr_db=None if args.noiseless else args.snr,
@@ -105,7 +84,7 @@ def cmd_trace(args) -> int:
     lines = ["tau,xcr,xsig,xene"]
     for i, tau in enumerate(taus):
         lines.append(
-            f"{tau},{_fmt(cols[0][i])},{_fmt(cols[1][i])},{_fmt(cols[2][i])}"
+            f"{tau},{fmt(cols[0][i])},{fmt(cols[1][i])},{fmt(cols[2][i])}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -116,8 +95,8 @@ def cmd_trace(args) -> int:
         mlines = ["n,ac1,ac2,ene,xcr,xsig,xene"]
         for n in range(r.size):
             mlines.append(
-                f"{n},{_fmt(abs(ac1[n]))},{_fmt(abs(ac2[n]))},"
-                f"{_fmt(ene[n])},{_fmt(xcr[n])},{_fmt(xsig[n])},{_fmt(xene[n])}"
+                f"{n},{fmt(abs(ac1[n]))},{fmt(abs(ac2[n]))},"
+                f"{fmt(ene[n])},{fmt(xcr[n])},{fmt(xsig[n])},{fmt(xene[n])}"
             )
         with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(mlines) + "\n")
@@ -135,30 +114,28 @@ def cmd_trace(args) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
+    """Scenario file or --channel, with the given flags overriding; fields
+    set by neither keep the Scenario defaults."""
+    given = {
+        "epsilon": args.epsilon,
+        "snr_grid_db": "inf" if args.noiseless else args.snr,
+        "n_trials": args.trials,
+        "master_seed": args.seed,
+    }
+    overrides = {k: v for k, v in given.items() if v is not None}
     if args.scenario:
-        scen = load_scenario(args.scenario)
-        if args.epsilon is not None:
-            scen.epsilon = args.epsilon
-        if args.snr is not None:
-            scen.snr_grid_db = _parse_snr_list(args.snr)
-        if args.noiseless:
-            scen.snr_grid_db = (float("inf"),)
-        if args.trials is not None:
-            scen.n_trials = args.trials
-        if args.seed is not None:
-            scen.master_seed = args.seed
-        return scen
+        return dataclasses.replace(load_scenario(args.scenario), **overrides)
     if args.channel is None:
         raise ValueError("campaign needs --scenario or --channel")
-    grid = (float("inf"),) if args.noiseless else _parse_snr_list(args.snr or "0,5,10")
-    return Scenario(
-        name=args.channel.lower(),
-        channel=args.channel,
-        epsilon=args.epsilon if args.epsilon is not None else 0.0,
-        snr_grid_db=grid,
-        n_trials=args.trials if args.trials is not None else 1000,
-        master_seed=args.seed if args.seed is not None else 1,
-    )
+    return Scenario(name=args.channel.lower(), channel=args.channel, **overrides)
+
+
+def _print_stats(stats) -> None:
+    for s in stats:
+        print(
+            f"{s.scenario} snr={fmt(s.snr_db)} fail_rate={fmt(s.fail_rate)} "
+            f"cfo_mse={fmt(s.cfo_mse)} ({s.n_trials} trials, {s.n_detected} detected)"
+        )
 
 
 def cmd_campaign(args) -> int:
@@ -179,11 +156,7 @@ def cmd_campaign(args) -> int:
     json_path = os.path.join(args.out, f"{scen.name}.json")
     write_campaign_csv(csv_path, stats)
     write_campaign_json(json_path, stats)
-    for s in stats:
-        print(
-            f"{s.scenario} snr={_fmt(s.snr_db)} fail_rate={_fmt(s.fail_rate)} "
-            f"cfo_mse={_fmt(s.cfo_mse)} ({s.n_trials} trials, {s.n_detected} detected)"
-        )
+    _print_stats(stats)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
 
@@ -218,11 +191,7 @@ def cmd_sweep(args) -> int:
         stats = run_campaign(scen)
         path = os.path.join(args.out, f"{scen.name}.csv")
         write_campaign_csv(path, stats)
-        for s in stats:
-            print(
-                f"{s.scenario} snr={_fmt(s.snr_db)} fail_rate={_fmt(s.fail_rate)} "
-                f"cfo_mse={_fmt(s.cfo_mse)} ({s.n_trials} trials, {s.n_detected} detected)"
-            )
+        _print_stats(stats)
         print(f"wrote {path}")
     return 0
 

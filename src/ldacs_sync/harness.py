@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,11 +35,33 @@ from .channel import (
 from .sigmodel import Numerology, build_frame, energy_template, generate_preamble, make_numerology
 from .sync import synchronize
 
-CHANNELS = ("AWGN", "ENR", "ENR_DME", "TMA")
+# channel name -> (multipath profile, DME scenario); None leaves a stage out
+CHANNEL_MODELS = {
+    "AWGN": (None, None),
+    "ENR": (make_enr_profile(), None),
+    "ENR_DME": (make_enr_profile(), make_dme_scenario()),
+    "TMA": (make_tma_profile(), None),
+}
+CHANNELS = tuple(CHANNEL_MODELS)
+
+
+def _parse_snr_list(text: str) -> tuple:
+    """Comma-separated dB values; "inf" or "noiseless" is a noise-free point."""
+    try:
+        return tuple(
+            float("inf") if tok.lower() in ("inf", "noiseless") else float(tok)
+            for tok in (t.strip() for t in text.split(","))
+            if tok
+        )
+    except ValueError:
+        raise ValueError(f"malformed number list for snr_grid_db: {text!r}") from None
 
 
 @dataclass
 class Scenario:
+    """One campaign.  snr_grid_db also accepts the comma-separated text of
+    scenario files and `campaign --snr`, parsed on construction."""
+
     name: str
     channel: str
     epsilon: float = 0.0
@@ -53,8 +75,10 @@ class Scenario:
     phase_noise_linewidth_hz: float = 0.0
 
     def __post_init__(self):
-        if self.channel not in CHANNELS:
+        if self.channel not in CHANNEL_MODELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        if isinstance(self.snr_grid_db, str):
+            self.snr_grid_db = _parse_snr_list(self.snr_grid_db)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
         if self.n_trials < 1:
@@ -102,17 +126,6 @@ def resolve_fine_threshold(scenario: Scenario, num: Numerology) -> int:
     return num.n_cp // 11
 
 
-def _channel_config(scenario: Scenario):
-    """(profile, dme) for the scenario's channel name."""
-    if scenario.channel == "AWGN":
-        return None, None
-    if scenario.channel == "ENR":
-        return make_enr_profile(), None
-    if scenario.channel == "ENR_DME":
-        return make_enr_profile(), make_dme_scenario()
-    return make_tma_profile(), None
-
-
 def run_trial(
     scenario: Scenario,
     snr_db: float,
@@ -149,7 +162,7 @@ def run_trial(
         seed=child_payload,
     )
 
-    profile, dme = _channel_config(scenario)
+    profile, dme = CHANNEL_MODELS[scenario.channel]
     cfg = ImpairmentConfig(
         epsilon=scenario.epsilon,
         snr_db=None if math.isinf(snr_db) else float(snr_db),
@@ -242,27 +255,32 @@ def run_campaign(
 # scenario files and result emitters
 
 
-_SCENARIO_DEFAULTS = {
-    "epsilon": "0.0",
-    "snr_grid_db": "0,5,10",
-    "n_trials": "1000",
-    "master_seed": "1",
-    "lead_gap_range": "200,800",
-    "fine_threshold": "auto",
-    "n_payload_symbols": "2",
-    "preamble_seed": "1",
-    "phase_noise_linewidth_hz": "0.0",
-}
-_SCENARIO_REQUIRED = ("name", "channel")
+_SCENARIO_FIELDS = {f.name: f for f in fields(Scenario)}
+
+
+def _parse_field(key: str, text: str):
+    """Scenario-file text for one field, typed like the field's default."""
+    default = _SCENARIO_FIELDS[key].default
+    try:
+        if key == "lead_gap_range":
+            lo, hi = text.split(",")
+            return int(lo), int(hi)
+        if key == "fine_threshold":
+            return None if text.lower() in ("auto", "none", "") else int(text)
+        if isinstance(default, (int, float)):
+            return type(default)(text)
+    except ValueError:
+        raise ValueError(f"malformed value for {key}: {text!r}") from None
+    return text  # name, channel, and snr_grid_db, which Scenario parses
 
 
 def load_scenario(path) -> Scenario:
     """Parse a flat key=value scenario file (# comments, blank lines ok).
 
-    Keys mirror the Scenario fields; unknown keys and malformed numerics
-    raise ValueError naming the field.
+    Keys are the Scenario fields and omitted ones keep the field defaults;
+    unknown keys and malformed numerics raise ValueError naming the field.
     """
-    raw: dict[str, str] = {}
+    kwargs: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -272,71 +290,21 @@ def load_scenario(path) -> Scenario:
                 raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            known = set(_SCENARIO_DEFAULTS) | set(_SCENARIO_REQUIRED)
-            if key not in known:
+            if key not in _SCENARIO_FIELDS:
                 raise ValueError(f"unknown scenario key: {key}")
-            if key in raw:
+            if key in kwargs:
                 raise ValueError(f"duplicate scenario key: {key}")
-            raw[key] = value
+            kwargs[key] = _parse_field(key, value.strip())
 
-    for req in _SCENARIO_REQUIRED:
-        if req not in raw:
-            raise ValueError(f"missing scenario key: {req}")
-    merged = {**_SCENARIO_DEFAULTS, **raw}
-
-    def _float(key):
-        try:
-            return float(merged[key])
-        except ValueError:
-            raise ValueError(f"malformed number for {key}: {merged[key]!r}") from None
-
-    def _int(key):
-        try:
-            return int(merged[key])
-        except ValueError:
-            raise ValueError(f"malformed integer for {key}: {merged[key]!r}") from None
-
-    def _grid(key):
-        try:
-            vals = tuple(
-                float("inf") if tok.strip().lower() in ("inf", "noiseless") else float(tok)
-                for tok in merged[key].split(",")
-                if tok.strip()
-            )
-        except ValueError:
-            raise ValueError(f"malformed number list for {key}: {merged[key]!r}") from None
-        return vals
-
-    lead = merged["lead_gap_range"].split(",")
-    if len(lead) != 2:
-        raise ValueError(f"lead_gap_range needs two integers, got {merged['lead_gap_range']!r}")
-    try:
-        lead_range = (int(lead[0]), int(lead[1]))
-    except ValueError:
-        raise ValueError(
-            f"malformed integer for lead_gap_range: {merged['lead_gap_range']!r}"
-        ) from None
-
-    ft = merged["fine_threshold"].strip().lower()
-    fine = None if ft in ("auto", "none", "") else int(ft)
-
-    return Scenario(
-        name=merged["name"],
-        channel=merged["channel"],
-        epsilon=_float("epsilon"),
-        snr_grid_db=_grid("snr_grid_db"),
-        n_trials=_int("n_trials"),
-        master_seed=_int("master_seed"),
-        lead_gap_range=lead_range,
-        fine_threshold=fine,
-        n_payload_symbols=_int("n_payload_symbols"),
-        preamble_seed=_int("preamble_seed"),
-        phase_noise_linewidth_hz=_float("phase_noise_linewidth_hz"),
-    )
+    for key, f in _SCENARIO_FIELDS.items():
+        if f.default is MISSING and key not in kwargs:
+            raise ValueError(f"missing scenario key: {key}")
+    return Scenario(**kwargs)
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """Text form of one output value: floats to 10 significant digits,
+    bools as 1/0, None as empty."""
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -356,9 +324,9 @@ def write_campaign_csv(path, stats: Sequence[CampaignStats]) -> None:
             ",".join(
                 [
                     s.scenario,
-                    _fmt(s.snr_db),
-                    _fmt(s.fail_rate),
-                    _fmt(s.cfo_mse),
+                    fmt(s.snr_db),
+                    fmt(s.fail_rate),
+                    fmt(s.cfo_mse),
                     str(s.n_trials),
                     str(s.n_detected),
                 ]
@@ -393,7 +361,7 @@ def write_trial_csv(path, records: Sequence[TrialRecord]) -> None:
     for r in records:
         lines.append(
             ",".join(
-                _fmt(v)
+                fmt(v)
                 for v in (
                     r.seed,
                     r.snr_db,

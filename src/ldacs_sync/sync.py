@@ -41,7 +41,6 @@ from .sigmodel import EnergyTemplate, Numerology, PreambleWaveform
 class SyncPhase(enum.Enum):
     SEARCHING = "searching"
     TRIGGERED = "triggered"
-    DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -194,24 +193,26 @@ class SyncState:
         return False
 
 
-def push_sample(state: SyncState, r: complex) -> MetricSnapshot:
-    return state.push_sample(r)
-
-
-def detect(state: SyncState) -> bool:
-    return state.detect()
-
-
 # ---------------------------------------------------------------------------
 # batch metrics
+
+
+def _as_stream(stream: Sequence[complex]) -> np.ndarray:
+    """The stream as a contiguous complex128 vector; rejects anything that
+    is not 1-D or holds non-finite samples.  An empty stream is valid."""
+    r = np.ascontiguousarray(stream, dtype=np.complex128)
+    if r.ndim != 1:
+        raise ValueError(f"stream must be 1-D, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("stream contains non-finite samples")
+    return r
 
 
 def metric_stream(
     stream: Sequence[complex], num: Numerology, template: EnergyTemplate
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ac1, ac2, ene, xcr) arrays over the whole stream (active backend)."""
-    r = np.ascontiguousarray(stream, dtype=np.complex128)
-    return metric_arrays(r, num.l_quarter, template.a)
+    """(ac1, ac2, ene, xcr) arrays over the whole stream."""
+    return metric_arrays(_as_stream(stream), num.l_quarter, template.a)
 
 
 def metrics_direct(
@@ -271,10 +272,13 @@ def _wrap_eps(eps: float) -> float:
     return out
 
 
+def _coarse_cfo(a1: complex) -> float:
+    """Lag-L estimate 2*phi1/pi with phi1 = -arg(a1), unwrapped."""
+    return 2.0 * -np.angle(a1) / np.pi
+
+
 def estimate_cfo(
-    ac1_vals: Sequence[complex],
-    ac2_vals: Sequence[complex],
-    num: Numerology,
+    ac1_vals: Sequence[complex], ac2_vals: Sequence[complex]
 ) -> Optional[float]:
     """Fractional CFO in subcarrier spacings, range (-2, 2].
 
@@ -287,10 +291,8 @@ def estimate_cfo(
     a2 = complex(np.sum(np.asarray(ac2_vals, dtype=np.complex128)))
     if abs(a1) == 0.0 or abs(a2) == 0.0:
         return None
-    phi1 = -np.angle(a1)
-    phi2 = -np.angle(a2)
-    coarse = 2.0 * phi1 / np.pi
-    fine = phi2 / np.pi
+    coarse = _coarse_cfo(a1)
+    fine = -np.angle(a2) / np.pi
     # candidate order biases ties toward the centre branch
     best = fine
     best_err = abs(fine - coarse)
@@ -318,8 +320,12 @@ def synchronize(
     template: EnergyTemplate,
     collect_trace: bool = False,
 ) -> SyncResult:
-    """Run detection, timing, and CFO estimation over a sample stream."""
-    r = np.ascontiguousarray(stream, dtype=np.complex128)
+    """Run detection, timing, and CFO estimation over a sample stream.
+
+    The stream must be 1-D and finite (ValueError otherwise); an empty
+    stream reports detected=False.
+    """
+    r = _as_stream(stream)
     ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
 
     start = ac_valid_from(num)
@@ -356,10 +362,10 @@ def synchronize(
     cfo = cfo1 = cfo2 = None
     if 0 <= i1 < r.size and 0 <= i2 < r.size:
         a1 = complex(ac1[i1])
-        cfo = estimate_cfo([a1], [ac2[i1], ac2[i2]], num)
-        cfo2 = estimate_cfo([a1], [ac2[i1]], num)
+        cfo = estimate_cfo([a1], [ac2[i1], ac2[i2]])
+        cfo2 = estimate_cfo([a1], [ac2[i1]])
         if abs(a1) > 0.0:
-            cfo1 = float(_wrap_eps(2.0 * -np.angle(a1) / np.pi))
+            cfo1 = float(_wrap_eps(_coarse_cfo(a1)))
 
     return SyncResult(
         detected=True,

@@ -121,6 +121,28 @@ class TestCampaign:
         rc = main(["campaign", "--out", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize("text", ["inf,5", "noiseless", "1,x", ","])
+    def test_snr_list_same_from_flag_and_file(self, tmp_path, capsys, text):
+        # one parser: same grid (same CSV bytes) or same error either way
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name = awgn\nchannel = AWGN\nsnr_grid_db = {text}\nn_trials = 1\n")
+        outs = []
+        for argv in (
+            ["--channel", "AWGN", "--snr", text, "--trials", "1"],
+            ["--scenario", str(cfg)],
+        ):
+            out = tmp_path / str(len(outs))
+            rc = main(["campaign", "--out", str(out), *argv])
+            err = capsys.readouterr().err
+            csv = (out / "awgn.csv").read_bytes() if rc == 0 else None
+            outs.append((rc, err, csv))
+        assert outs[0] == outs[1]
+        rc, err, csv = outs[0]
+        if text in ("1,x", ","):
+            assert rc == 2 and "snr_grid_db" in err
+        else:
+            assert rc == 0 and csv.count(b"\n") == 1 + len(text.split(","))
+
 
 class TestSweep:
     def test_smoke_writes_all_bundles(self, tmp_path):

@@ -1,18 +1,10 @@
-"""Backend dispatch and numba/numpy agreement for the metric kernels."""
+"""The metric kernels against direct sums and a brute-force trigger scan."""
 
 import numpy as np
-import pytest
 
 from ldacs_sync import active_backend
-from ldacs_sync._kernels import (
-    _HAVE_NUMBA,
-    first_trigger_numpy,
-    metric_arrays_numpy,
-)
+from ldacs_sync._kernels import first_trigger, metric_arrays
 from ldacs_sync.sync import metrics_direct
-
-if _HAVE_NUMBA:
-    from ldacs_sync._kernels import first_trigger_numba, metric_arrays_numba
 
 
 def _random_stream(rng, n):
@@ -21,37 +13,13 @@ def _random_stream(rng, n):
 
 class TestDispatch:
     def test_active_backend_known(self):
-        assert active_backend() in ("numba", "numpy")
-
-    def test_numba_preferred_when_available(self):
-        if _HAVE_NUMBA:
-            assert active_backend() == "numba"
-
-
-class TestBackendAgreement:
-    @pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-    def test_metric_arrays_match(self, num, template, rng):
-        r = _random_stream(rng, 3000)
-        out_np = metric_arrays_numpy(r, num.l_quarter, template.a)
-        out_nb = metric_arrays_numba(r, num.l_quarter, template.a)
-        for a, b in zip(out_np, out_nb):
-            assert np.max(np.abs(a - b)) < 1e-10
-
-    @pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-    def test_first_trigger_match(self, rng):
-        for trial in range(20):
-            cond = rng.random(size=500) < 0.45
-            start = int(rng.integers(0, 80))
-            m = int(rng.integers(1, 9))
-            a = first_trigger_numpy(cond, m, start)
-            b = first_trigger_numba(cond, m, start)
-            assert a == b
+        assert active_backend() == "numpy"
 
 
 class TestAgainstDirectSums:
     def test_metric_arrays_vs_direct(self, num, template, rng):
         r = _random_stream(rng, 1000)
-        ac1, ac2, ene, xcr = metric_arrays_numpy(r, num.l_quarter, template.a)
+        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
         w = 2 * num.l_quarter
         start = max(4 * num.l_quarter, num.d_template + w) - 1
         for n in range(start, r.size, 17):
@@ -64,7 +32,7 @@ class TestAgainstDirectSums:
     def test_warmup_region_zero_padded(self, num, template, rng):
         # indices before the first full window see zeros in place of history
         r = _random_stream(rng, 300)
-        ac1, ac2, ene, xcr = metric_arrays_numpy(r, num.l_quarter, template.a)
+        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
         w = 2 * num.l_quarter
         n = 100  # window still reaching past the stream start
         pad = num.d_template + w
@@ -88,13 +56,13 @@ class TestFirstTriggerBruteForce:
             cond = rng.random(size=300) < 0.5
             start = int(rng.integers(0, 50))
             m = int(rng.integers(1, 7))
-            assert first_trigger_numpy(cond, m, start) == self._brute(cond, start, m)
+            assert first_trigger(cond, m, start) == self._brute(cond, start, m)
 
     def test_no_trigger(self):
         cond = np.zeros(100, dtype=bool)
-        assert first_trigger_numpy(cond, 3, 0) == -1
+        assert first_trigger(cond, 3, 0) == -1
 
     def test_run_must_not_predate_start(self):
         cond = np.ones(100, dtype=bool)
         # run counting begins at start, not before
-        assert first_trigger_numpy(cond, 16, 40) == 55
+        assert first_trigger(cond, 16, 40) == 55

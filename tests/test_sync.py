@@ -5,6 +5,7 @@ import pytest
 
 from ldacs_sync import (
     SyncPhase,
+    SyncResult,
     SyncState,
     apply_cfo,
     baseline_xene,
@@ -14,7 +15,6 @@ from ldacs_sync import (
     estimate_sto,
     metric_stream,
     metrics_direct,
-    push_sample,
     synchronize,
 )
 from ldacs_sync.sync import (
@@ -36,7 +36,7 @@ class TestStreamingMetrics:
         w = 2 * num.l_quarter
         snap = None
         for i in range(600):
-            snap = push_sample(state, 1.0 + 0.0j)
+            snap = state.push_sample(1.0 + 0.0j)
         assert snap.ene == pytest.approx(w, abs=1e-9)
         assert snap.ac1 == pytest.approx(w, abs=1e-9)
         assert snap.ac2 == pytest.approx(w, abs=1e-9)
@@ -45,7 +45,7 @@ class TestStreamingMetrics:
     def test_zero_input_all_zero(self, num, template):
         state = SyncState(num, template)
         for i in range(500):
-            snap = push_sample(state, 0.0j)
+            snap = state.push_sample(0.0j)
             assert snap.ac1 == 0.0 and snap.ac2 == 0.0
             assert snap.ene == 0.0 and snap.xcr == 0.0
 
@@ -53,7 +53,7 @@ class TestStreamingMetrics:
         state = SyncState(num, template)
         x = _noise(rng, xcr_valid_from(num) + 5)
         for i, r in enumerate(x):
-            snap = push_sample(state, r)
+            snap = state.push_sample(r)
             assert snap.n == i
             assert snap.ac_valid == (i >= ac_valid_from(num))
             assert snap.xcr_valid == (i >= xcr_valid_from(num))
@@ -64,7 +64,7 @@ class TestStreamingMetrics:
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
         state = SyncState(num, template)
         for i, r in enumerate(x):
-            snap = push_sample(state, r)
+            snap = state.push_sample(r)
             assert abs(snap.ac1 - ac1[i]) < 1e-9
             assert abs(snap.ac2 - ac2[i]) < 1e-9
             assert abs(snap.ene - ene[i]) < 1e-9
@@ -132,16 +132,14 @@ class TestDetection:
         assert not res.detected
 
     def test_state_phase_transitions(self, num, pre, template):
-        from ldacs_sync import detect
-
         x, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=300, seed=2)
         state = SyncState(num, template)
         fired = []
         for r in x:
-            push_sample(state, r)
+            state.push_sample(r)
             if state.phase is SyncPhase.SEARCHING:
                 assert state.consec_count <= num.m_consec
-            if detect(state):
+            if state.detect():
                 fired.append(state.sample_index)
         assert len(fired) == 1
         assert state.phase is not SyncPhase.SEARCHING
@@ -162,36 +160,36 @@ class TestStoEstimator:
 
 
 class TestCfoEstimator:
-    def test_zero_angles(self, num):
-        assert estimate_cfo([1.0 + 0j], [2.0 + 0j], num) == 0.0
+    def test_zero_angles(self):
+        assert estimate_cfo([1.0 + 0j], [2.0 + 0j]) == 0.0
 
-    def test_centre_branch(self, num):
+    def test_centre_branch(self):
         # eps = 0.5: phi1 = pi/4 inside (-pi/2, pi/2), estimate = phi2/pi
         a1 = np.exp(-1j * np.pi / 4)
         a2 = np.exp(-1j * np.pi / 2)
-        assert estimate_cfo([a1], [a2], num) == pytest.approx(0.5, abs=1e-12)
+        assert estimate_cfo([a1], [a2]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_upper_branch(self, num):
+    def test_upper_branch(self):
         # eps = 1.5: phi1 = 3pi/4 > pi/2, phi2 wraps to -pi/2, shift +2
         a1 = np.exp(-1j * 3 * np.pi / 4)
         a2 = np.exp(1j * np.pi / 2)
-        assert estimate_cfo([a1], [a2], num) == pytest.approx(1.5, abs=1e-12)
+        assert estimate_cfo([a1], [a2]) == pytest.approx(1.5, abs=1e-12)
 
-    def test_lower_branch(self, num):
+    def test_lower_branch(self):
         # eps = -1.2: phi1 = -0.6pi < -pi/2, phi2 wraps to +0.8pi, shift -2
         a1 = np.exp(1j * 0.6 * np.pi)
         a2 = np.exp(-1j * 0.8 * np.pi)
-        assert estimate_cfo([a1], [a2], num) == pytest.approx(-1.2, abs=1e-12)
+        assert estimate_cfo([a1], [a2]) == pytest.approx(-1.2, abs=1e-12)
 
-    def test_range_extremes(self, num):
+    def test_range_extremes(self):
         for eps in (1.9, -1.9, 1.0, -0.999):
             phi1 = np.pi * eps / 2.0
             phi2 = np.angle(np.exp(1j * np.pi * eps))  # wrapped
-            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)], num)
+            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)])
             assert got == pytest.approx(eps, abs=1e-12)
             assert -2.0 < got <= 2.0
 
-    def test_agrees_with_branch_rule_off_boundary(self, num):
+    def test_agrees_with_branch_rule_off_boundary(self):
         # reference: explicit three-branch selection on phi1
         for eps in np.linspace(-1.97, 1.97, 99):
             if abs(abs(eps) - 1.0) < 0.02:
@@ -207,19 +205,19 @@ class TestCfoEstimator:
                 want = fine - 2.0
             if want == -2.0:
                 want = 2.0
-            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)], num)
+            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)])
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_zero_magnitude_is_failure(self, num):
-        assert estimate_cfo([0.0j], [1.0 + 0j], num) is None
-        assert estimate_cfo([1.0 + 0j], [0.0j], num) is None
+    def test_zero_magnitude_is_failure(self):
+        assert estimate_cfo([0.0j], [1.0 + 0j]) is None
+        assert estimate_cfo([1.0 + 0j], [0.0j]) is None
 
-    def test_readings_combine_coherently(self, num):
+    def test_readings_combine_coherently(self):
         # two ac2 readings with the same angle must not change the estimate
         a1 = np.exp(-1j * np.pi / 4)
         a2 = np.exp(-1j * np.pi / 2)
-        one = estimate_cfo([a1], [a2], num)
-        two = estimate_cfo([a1], [a2, 3.0 * a2], num)
+        one = estimate_cfo([a1], [a2])
+        two = estimate_cfo([a1], [a2, 3.0 * a2])
         assert two == pytest.approx(one, abs=1e-12)
 
 
@@ -261,6 +259,31 @@ class TestSynchronize:
         assert len(res.metrics_trace) == x.size
         assert res.metrics_trace[0].partial
         assert not res.metrics_trace[-1].partial
+
+
+class TestInputContract:
+    def test_empty_stream_reports_undetected(self, num, template):
+        empty = np.zeros(0, dtype=complex)
+        assert synchronize(empty, num, template) == SyncResult(detected=False)
+        assert synchronize(empty, num, template, collect_trace=True).metrics_trace == []
+        for arr in metric_stream(empty, num, template):
+            assert arr.size == 0
+
+    @pytest.mark.parametrize("fn", [synchronize, metric_stream])
+    def test_non_1d_rejected_with_shape(self, fn, num, template):
+        with pytest.raises(ValueError, match=r"1-D.*\(2, 2000\)"):
+            fn(np.zeros((2, 2000), dtype=complex), num, template)
+
+    @pytest.mark.parametrize("fn", [synchronize, metric_stream])
+    @pytest.mark.parametrize(
+        "bad, at",
+        [(np.nan, slice(None)), (np.nan, 1234), (np.inf, 1234), (complex(0.0, -np.inf), 1234)],
+    )
+    def test_non_finite_rejected(self, fn, bad, at, num, template, rng):
+        x = _noise(rng, 2000)
+        x[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(x, num, template)
 
 
 class TestBaselines:
