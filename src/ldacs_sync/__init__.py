@@ -4,7 +4,8 @@ The package splits into five layers:
 
     sigmodel   numerology, preamble/frame synthesis, energy template
     _kernels   hot metric kernels (cumsum sliding sums, np.convolve)
-    sync       streaming + batch metrics, detection, STO and CFO estimation
+    sync       metrics, detection, STO and CFO estimation over a stream fed
+               in chunks (SyncState) or whole (synchronize)
     channel    CFO, AWGN, Rician multipath, phase noise, DME interference
     harness    Monte Carlo trials, campaigns, CSV/JSON emitters
 """
@@ -23,7 +24,6 @@ from .sigmodel import (
 from ._kernels import active_backend
 from .sync import (
     MetricSnapshot,
-    SyncPhase,
     SyncState,
     SyncResult,
     metrics_direct,
@@ -76,7 +76,6 @@ __all__ = [
     "read_iq",
     "active_backend",
     "MetricSnapshot",
-    "SyncPhase",
     "SyncState",
     "SyncResult",
     "metrics_direct",

@@ -81,6 +81,10 @@ class Scenario:
             self.snr_grid_db = _parse_snr_list(self.snr_grid_db)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
+        if not all(math.isfinite(s) or s == math.inf for s in self.snr_grid_db):
+            raise ValueError(
+                f"snr_grid_db entries must be finite or inf (noiseless), got {self.snr_grid_db}"
+            )
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         lo, hi = self.lead_gap_range
@@ -92,6 +96,8 @@ class Scenario:
             raise ValueError("fine_threshold must be >= 0")
         if self.n_payload_symbols < 0:
             raise ValueError("n_payload_symbols must be >= 0")
+        if not self.phase_noise_linewidth_hz >= 0.0:  # NaN fails too
+            raise ValueError("phase_noise_linewidth_hz must be >= 0")
 
 
 @dataclass

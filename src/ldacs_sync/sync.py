@@ -10,7 +10,8 @@ has held for m_consec consecutive samples.  Timing then scans xcr over a
 window of delta_search samples placed one symbol span past the trigger (the
 metric peak trails the trigger by roughly the anchor depth) and subtracts
 the calibrated template alignment offset, giving the frame-start estimate
-n_hat directly.
+n_hat directly.  A window the stream cuts short is searched as far as it
+reaches.
 
 The fractional CFO estimate combines both symbol structures.  With
 phi_i = -arg(ac_i) read at the matched positions,
@@ -24,13 +25,16 @@ whose integer ambiguity k in {-1, 0, +1} is resolved against eps1 (the
 nearest candidate; equivalent to the usual three-branch rule on phi1 but
 well-behaved when phi1 sits numerically on a branch boundary).  Readings at
 n1 and n2 are summed coherently before taking the angle.
+
+SyncState runs this chain over a stream fed in chunks of any size, through
+the same kernels and the same trigger, timing and CFO code; synchronize is
+one push of the whole stream followed by finish().
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,30 +42,15 @@ from ._kernels import first_trigger, metric_arrays
 from .sigmodel import EnergyTemplate, Numerology, PreambleWaveform
 
 
-class SyncPhase(enum.Enum):
-    SEARCHING = "searching"
-    TRIGGERED = "triggered"
-
-
 @dataclass(frozen=True)
 class MetricSnapshot:
-    """Metric values at one stream index.
-
-    ac_valid / xcr_valid flag whether the respective sliding windows are
-    fully warmed up; snapshots from the warm-up region are partial.
-    """
+    """Metric values at one stream index."""
 
     n: int
     ac1: complex
     ac2: complex
     ene: float
     xcr: float
-    ac_valid: bool
-    xcr_valid: bool
-
-    @property
-    def partial(self) -> bool:
-        return not (self.ac_valid and self.xcr_valid)
 
 
 @dataclass
@@ -72,17 +61,11 @@ class SyncResult:
     cfo_estimate: Optional[float] = None
     cfo_estimate_ac1: Optional[float] = None
     cfo_estimate_ac2: Optional[float] = None
-    metrics_trace: Optional[list] = None
 
 
 def ac_valid_from(num: Numerology) -> int:
     """First index where ac1/ac2/ene windows are fully populated."""
     return 4 * num.l_quarter - 1
-
-
-def xcr_valid_from(num: Numerology) -> int:
-    """First index where the xcr window is fully populated."""
-    return num.d_template + 2 * num.l_quarter - 1
 
 
 def sto_search_gap(num: Numerology) -> int:
@@ -97,104 +80,7 @@ def sto_search_gap(num: Numerology) -> int:
 
 
 # ---------------------------------------------------------------------------
-# streaming state
-
-
-class SyncState:
-    """Sample-at-a-time metric evaluation with ring-buffer delay lines.
-
-    Matches the batch kernels exactly: delay lines power up cleared, so
-    metrics in the warm-up region behave as if preceded by zeros.
-    """
-
-    def __init__(self, num: Numerology, template: EnergyTemplate):
-        self.num = num
-        self.template = template
-        L = num.l_quarter
-        d = num.d_template
-        self._L = L
-        self._w = 2 * L
-        self._d = d
-        # r ring holds the last 2L+1 samples; slots default to zero
-        self._r = np.zeros(2 * L + 1, dtype=np.complex128)
-        self._u = np.zeros(2 * L, dtype=np.complex128)
-        self._v = np.zeros(2 * L, dtype=np.complex128)
-        self._e = np.zeros(2 * L, dtype=np.float64)
-        # |v| double buffer: last d values always form one contiguous slice
-        self._vmag = np.zeros(2 * d, dtype=np.float64)
-        self._a_rev = np.ascontiguousarray(template.a[::-1], dtype=np.float64)
-        self.ac1 = 0.0 + 0.0j
-        self.ac2 = 0.0 + 0.0j
-        self.ene = 0.0
-        self.sample_index = -1
-        self.consec_count = 0
-        self.phase = SyncPhase.SEARCHING
-        self.trigger_index: Optional[int] = None
-        self._trigger_pending = False
-
-    def push_sample(self, r: complex) -> MetricSnapshot:
-        """Advance one sample; returns the metrics at the new index."""
-        n = self.sample_index + 1
-        self.sample_index = n
-        L, w, d = self._L, self._w, self._d
-
-        rn = complex(r)
-        r_l = self._r[(n - L) % (2 * L + 1)] if n >= L else 0.0 + 0.0j
-        r_2l = self._r[(n - w) % (2 * L + 1)] if n >= w else 0.0 + 0.0j
-        self._r[n % (2 * L + 1)] = rn
-
-        u = rn.conjugate() * r_l
-        v = rn.conjugate() * r_2l
-        e = rn.real * rn.real + rn.imag * rn.imag
-
-        slot = n % w
-        self.ac1 += u - self._u[slot]
-        self.ac2 += v - self._v[slot]
-        self.ene += e - self._e[slot]
-        self._u[slot] = u
-        self._v[slot] = v
-        self._e[slot] = e
-
-        vslot = n % d
-        vm = abs(v)
-        self._vmag[vslot] = vm
-        self._vmag[vslot + d] = vm
-        window = self._vmag[vslot + 1 : vslot + 1 + d]
-        xcr = float(np.dot(window, self._a_rev))
-
-        ac_valid = n >= 4 * L - 1
-        if self.phase is SyncPhase.SEARCHING:
-            if ac_valid and abs(self.ac1) + abs(self.ac2) > self.ene:
-                if self.consec_count < self.num.m_consec:
-                    self.consec_count += 1
-                if self.consec_count >= self.num.m_consec and self.trigger_index is None:
-                    self.trigger_index = n
-                    self._trigger_pending = True
-            else:
-                self.consec_count = 0
-
-        return MetricSnapshot(
-            n=n,
-            ac1=complex(self.ac1),
-            ac2=complex(self.ac2),
-            ene=float(self.ene),
-            xcr=xcr,
-            ac_valid=ac_valid,
-            xcr_valid=n >= d + w - 1,
-        )
-
-    def detect(self) -> bool:
-        """True exactly once, at the sample where the trigger condition
-        completed its m_consec run; flips phase to TRIGGERED."""
-        if self._trigger_pending:
-            self._trigger_pending = False
-            self.phase = SyncPhase.TRIGGERED
-            return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# batch metrics
+# metrics
 
 
 def _as_stream(stream: Sequence[complex]) -> np.ndarray:
@@ -220,8 +106,8 @@ def metrics_direct(
 ) -> MetricSnapshot:
     """Direct-summation oracle for the metrics at the window's last index.
 
-    Independent of the sliding/streaming recurrences; used to pin them down
-    in tests.  The window must cover every lag (>= d_template + 2L samples).
+    Independent of the sliding-sum kernels; used to pin them down in tests.
+    The window must cover every lag (>= d_template + 2L samples).
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
     L = num.l_quarter
@@ -242,26 +128,21 @@ def metrics_direct(
     a_rev = np.asarray(template.a, dtype=np.float64)[::-1]
     xcr = float(np.dot(vmag, a_rev))
 
-    return MetricSnapshot(
-        n=n, ac1=ac1, ac2=ac2, ene=ene, xcr=xcr, ac_valid=True, xcr_valid=True
-    )
+    return MetricSnapshot(n=n, ac1=ac1, ac2=ac2, ene=ene, xcr=xcr)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
 
-def estimate_sto(
-    xcr_window: Iterable[tuple[int, float]], template: EnergyTemplate
-) -> int:
-    """Frame-start estimate from (index, xcr) pairs: argmax minus the
-    calibrated alignment offset.  Ties resolve to the earliest index."""
-    pairs = list(xcr_window)
-    if not pairs:
+def estimate_sto(xcr_window: np.ndarray, start: int, template: EnergyTemplate) -> int:
+    """Frame-start estimate from xcr values at stream indices start,
+    start+1, ...: argmax minus the calibrated alignment offset.  Ties
+    resolve to the earliest index."""
+    values = np.asarray(xcr_window, dtype=np.float64)
+    if values.size == 0:
         raise ValueError("empty xcr window")
-    values = np.array([p[1] for p in pairs], dtype=np.float64)
-    best = int(np.argmax(values))  # first occurrence on ties
-    return int(pairs[best][0]) - template.alignment_offset
+    return start + int(np.argmax(values)) - template.alignment_offset
 
 
 def _wrap_eps(eps: float) -> float:
@@ -311,71 +192,133 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# full chain
+# the synchronizer
+
+
+class SyncState:
+    """Detection, timing and CFO over a stream fed in chunks of any size.
+
+    Each push runs the batch kernels once over [retained tail | chunk].  The
+    tail holds the kernels' look-back, max(4L, D+2L) - 1 samples, so chunk
+    metrics match one pass over the whole stream up to rounding.  While
+    searching it also holds the m_consec - 1 samples a trigger run may
+    straddle (or more, if the CFO readings can fall further before the
+    trigger); after the trigger it reaches back to the earliest index the
+    timing window and the CFO readings need.
+
+    result carries the trigger once it fires and is final once the timing
+    window and both CFO readings have arrived (done turns True).
+    """
+
+    def __init__(self, num: Numerology, template: EnergyTemplate):
+        self.num = num
+        self.template = template
+        self.result = SyncResult(detected=False)
+        self.done = False
+        self._lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
+        # offset from the trigger to the earliest index the estimate reads
+        span = num.n_cp + num.n_total
+        self._reach = sto_search_gap(num) + min(0, span - 1 - template.alignment_offset)
+        self._search_hold = max(num.m_consec - 1, -self._reach)
+        self._tail = np.zeros(0, dtype=np.complex128)
+        self._n = 0  # samples pushed so far
+        self._open = None  # (base, ac1, ac2, xcr) of the last push, until done
+
+    def push(
+        self, chunk: Sequence[complex]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Feed the next samples; returns their (ac1, ac2, ene, xcr).
+
+        The chunk must be 1-D and finite (ValueError otherwise).
+        """
+        r = _as_stream(chunk)
+        num = self.num
+        if r.size == 0:
+            return metric_arrays(r, num.l_quarter, self.template.a)
+        k = self._tail.size
+        buf = np.concatenate((self._tail, r)) if k else r
+        base = self._n - k  # stream index of buf[0]
+        ac1, ac2, ene, xcr = metric_arrays(buf, num.l_quarter, self.template.a)
+        self._n += r.size
+
+        trig = self.result.trigger_index
+        if not self.done:
+            if trig is None:
+                # past the stream start, values are exact from self._lookback on
+                start = self._lookback if base else ac_valid_from(num)
+                found = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, start)
+                if found >= 0:
+                    trig = base + found
+                    self.result = SyncResult(detected=True, trigger_index=trig)
+            if trig is not None:
+                self._open = (base, ac1, ac2, xcr)
+                result, final_at = self._estimate()
+                if self._n >= final_at:
+                    self.result = result
+                    self._open = None
+                    self.done = True
+
+        if self.done:
+            hold = 0
+        elif trig is None:
+            hold = self._search_hold
+        else:
+            hold = max(0, self._n - trig - self._reach)
+        self._tail = buf[max(0, buf.size - self._lookback - hold) :].copy()
+        return ac1[k:], ac2[k:], ene[k:], xcr[k:]
+
+    def finish(self) -> SyncResult:
+        """End of stream: the final result.  A timing window the stream cut
+        short is searched as far as it reaches."""
+        if self._open is not None:
+            self.result = self._estimate()[0]
+            self._open = None
+        self.done = True
+        return self.result
+
+    def _estimate(self) -> tuple[SyncResult, int]:
+        """Timing and CFO from the last push's arrays, and the stream length
+        from which no later sample can change them."""
+        base, ac1, ac2, xcr = self._open
+        num, n, trig = self.num, self._n, self.result.trigger_index
+        s0 = trig + sto_search_gap(num)
+        close = s0 + num.delta_search
+        if s0 >= n:
+            return SyncResult(detected=True, trigger_index=trig), close
+        n_hat = estimate_sto(xcr[s0 - base : min(close, n) - base], s0, self.template)
+
+        i1, i2 = cfo_match_indices(n_hat, num)
+        cfo = cfo1 = cfo2 = None
+        if base <= i1 and i2 < n:
+            a1 = complex(ac1[i1 - base])
+            cfo = estimate_cfo([a1], [ac2[i1 - base], ac2[i2 - base]])
+            cfo2 = estimate_cfo([a1], [ac2[i1 - base]])
+            if abs(a1) > 0.0:
+                cfo1 = float(_wrap_eps(_coarse_cfo(a1)))
+
+        result = SyncResult(
+            detected=True,
+            trigger_index=trig,
+            sto_estimate=n_hat,
+            cfo_estimate=cfo,
+            cfo_estimate_ac1=cfo1,
+            cfo_estimate_ac2=cfo2,
+        )
+        return result, max(close, i2 + 1)
 
 
 def synchronize(
-    stream: Sequence[complex],
-    num: Numerology,
-    template: EnergyTemplate,
-    collect_trace: bool = False,
+    stream: Sequence[complex], num: Numerology, template: EnergyTemplate
 ) -> SyncResult:
     """Run detection, timing, and CFO estimation over a sample stream.
 
-    The stream must be 1-D and finite (ValueError otherwise); an empty
-    stream reports detected=False.
+    One push of the whole stream into a fresh SyncState.  The stream must
+    be 1-D and finite (ValueError otherwise); an empty stream reports
+    detected=False.
     """
-    r = _as_stream(stream)
-    ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
-
-    start = ac_valid_from(num)
-    cond = (np.abs(ac1) + np.abs(ac2)) > ene
-    trig = first_trigger(cond, num.m_consec, start)
-
-    trace = None
-    if collect_trace:
-        xv = xcr_valid_from(num)
-        trace = [
-            MetricSnapshot(
-                n=i,
-                ac1=complex(ac1[i]),
-                ac2=complex(ac2[i]),
-                ene=float(ene[i]),
-                xcr=float(xcr[i]),
-                ac_valid=i >= start,
-                xcr_valid=i >= xv,
-            )
-            for i in range(r.size)
-        ]
-
-    if trig < 0:
-        return SyncResult(detected=False, metrics_trace=trace)
-
-    s0 = trig + sto_search_gap(num)
-    s1 = min(s0 + num.delta_search, r.size)
-    if s0 >= r.size:
-        return SyncResult(detected=True, trigger_index=trig, metrics_trace=trace)
-    pairs = [(i, float(xcr[i])) for i in range(s0, s1)]
-    n_hat = estimate_sto(pairs, template)
-
-    i1, i2 = cfo_match_indices(n_hat, num)
-    cfo = cfo1 = cfo2 = None
-    if 0 <= i1 < r.size and 0 <= i2 < r.size:
-        a1 = complex(ac1[i1])
-        cfo = estimate_cfo([a1], [ac2[i1], ac2[i2]])
-        cfo2 = estimate_cfo([a1], [ac2[i1]])
-        if abs(a1) > 0.0:
-            cfo1 = float(_wrap_eps(_coarse_cfo(a1)))
-
-    return SyncResult(
-        detected=True,
-        trigger_index=int(trig),
-        sto_estimate=int(n_hat),
-        cfo_estimate=cfo,
-        cfo_estimate_ac1=cfo1,
-        cfo_estimate_ac2=cfo2,
-        metrics_trace=trace,
-    )
+    state = SyncState(num, template)
+    state.push(stream)
+    return state.finish()
 
 
 # ---------------------------------------------------------------------------

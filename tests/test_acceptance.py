@@ -40,21 +40,30 @@ def test_criterion_1_streaming_matches_direct_sums(num, template, capsys):
     n = 10_000
     x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
 
+    # seeded random chunk sizes, the first push a single sample
+    chunk_rng = np.random.default_rng(12)
+    sizes = [1]
+    while sum(sizes) < n:
+        sizes.append(int(chunk_rng.choice((1, 7, 64, 300, 1000))))
+
     state = SyncState(num, template)
     pad = num.d_template + 2 * num.l_quarter
     padded = np.concatenate([np.zeros(pad, complex), x])
     worst = 0.0
-    for i in range(n):
-        snap = state.push_sample(x[i])
-        ref = metrics_direct(padded[: pad + i + 1], num, template)
-        for got, want in (
-            (snap.ac1, ref.ac1),
-            (snap.ac2, ref.ac2),
-            (snap.ene, ref.ene),
-            (snap.xcr, ref.xcr),
-        ):
-            err = abs(got - want) / max(1.0, abs(want))
-            worst = max(worst, err)
+    i = 0
+    for c in sizes:
+        ac1, ac2, ene, xcr = state.push(x[i : i + c])
+        for j in range(ac1.size):
+            ref = metrics_direct(padded[: pad + i + j + 1], num, template)
+            for got, want in (
+                (ac1[j], ref.ac1),
+                (ac2[j], ref.ac2),
+                (ene[j], ref.ene),
+                (xcr[j], ref.xcr),
+            ):
+                err = abs(got - want) / max(1.0, abs(want))
+                worst = max(worst, err)
+        i += c
     elapsed = time.perf_counter() - t0
 
     ok = worst < 1e-9 and elapsed < 1.0
@@ -62,7 +71,8 @@ def test_criterion_1_streaming_matches_direct_sums(num, template, capsys):
         capsys,
         ok,
         "criterion 1",
-        f"streaming vs direct over {n} samples: max rel err {worst:.2e} "
+        f"streaming ({len(sizes)} pushes of 1..1000 samples) vs direct over {n} "
+        f"samples: max rel err {worst:.2e} "
         f"(tol 1e-9), {elapsed:.2f} s (limit 1 s)",
     )
     assert ok, line

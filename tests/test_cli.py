@@ -121,7 +121,14 @@ class TestCampaign:
         rc = main(["campaign", "--out", str(tmp_path)])
         assert rc != 0
 
-    @pytest.mark.parametrize("text", ["inf,5", "noiseless", "1,x", ","])
+    def test_negative_linewidth_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name = x\nchannel = AWGN\nphase_noise_linewidth_hz = -5\n")
+        rc = main(["campaign", "--scenario", str(cfg), "--out", str(tmp_path)])
+        assert rc != 0
+        assert "phase_noise_linewidth_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["inf,5", "noiseless", "1,x", ",", "nan", "5,-inf"])
     def test_snr_list_same_from_flag_and_file(self, tmp_path, capsys, text):
         # one parser: same grid (same CSV bytes) or same error either way
         cfg = tmp_path / "s.cfg"
@@ -138,7 +145,7 @@ class TestCampaign:
             outs.append((rc, err, csv))
         assert outs[0] == outs[1]
         rc, err, csv = outs[0]
-        if text in ("1,x", ","):
+        if text in ("1,x", ",", "nan", "5,-inf"):
             assert rc == 2 and "snr_grid_db" in err
         else:
             assert rc == 0 and csv.count(b"\n") == 1 + len(text.split(","))

@@ -42,6 +42,16 @@ class TestScenario:
         with pytest.raises(ValueError, match="lead_gap_range"):
             _scenario(lead_gap_range=(500, 100))
 
+    @pytest.mark.parametrize("grid", [(5.0, math.nan), (-math.inf,), "0,-inf", "nan"])
+    def test_rejects_nan_or_minus_inf_snr(self, grid):
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            _scenario(snr_grid_db=grid)
+
+    @pytest.mark.parametrize("linewidth", [-1.0, math.nan])
+    def test_rejects_negative_linewidth(self, linewidth):
+        with pytest.raises(ValueError, match="phase_noise_linewidth_hz"):
+            _scenario(phase_noise_linewidth_hz=linewidth)
+
     def test_rejects_out_of_range_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             _scenario(epsilon=2.5)

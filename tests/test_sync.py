@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
-    SyncPhase,
     SyncResult,
     SyncState,
+    apply_awgn,
     apply_cfo,
     baseline_xene,
     baseline_xsig,
@@ -18,10 +18,8 @@ from ldacs_sync import (
     synchronize,
 )
 from ldacs_sync.sync import (
-    ac_valid_from,
     cfo_match_indices,
     sto_search_gap,
-    xcr_valid_from,
 )
 
 
@@ -30,45 +28,50 @@ def _noise(rng, n, power=1.0):
     return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def _chunk_sizes(rng, n):
+    """Seeded random chunk sizes covering n samples, starting with a 1."""
+    sizes = [1]
+    while sum(sizes) < n:
+        sizes.append(int(rng.choice((1, 7, 64, 300, 1000))))
+    return sizes
+
+
+def _push_all(state, x, sizes):
+    """Push x in chunks of the given sizes; the concatenated metrics."""
+    out = [[], [], [], []]
+    i = 0
+    for c in sizes:
+        for acc, arr in zip(out, state.push(x[i : i + c])):
+            acc.append(arr)
+        i += c
+    return [np.concatenate(acc) for acc in out]
+
+
 class TestStreamingMetrics:
     def test_constant_input_saturates_to_window_energy(self, num, template):
         state = SyncState(num, template)
         w = 2 * num.l_quarter
-        snap = None
         for i in range(600):
-            snap = state.push_sample(1.0 + 0.0j)
-        assert snap.ene == pytest.approx(w, abs=1e-9)
-        assert snap.ac1 == pytest.approx(w, abs=1e-9)
-        assert snap.ac2 == pytest.approx(w, abs=1e-9)
-        assert not snap.partial
+            ac1, ac2, ene, _ = state.push([1.0 + 0.0j])
+        assert ene[-1] == pytest.approx(w, abs=1e-9)
+        assert ac1[-1] == pytest.approx(w, abs=1e-9)
+        assert ac2[-1] == pytest.approx(w, abs=1e-9)
 
     def test_zero_input_all_zero(self, num, template):
         state = SyncState(num, template)
         for i in range(500):
-            snap = state.push_sample(0.0j)
-            assert snap.ac1 == 0.0 and snap.ac2 == 0.0
-            assert snap.ene == 0.0 and snap.xcr == 0.0
-
-    def test_partial_flag_clears_at_documented_indices(self, num, template, rng):
-        state = SyncState(num, template)
-        x = _noise(rng, xcr_valid_from(num) + 5)
-        for i, r in enumerate(x):
-            snap = state.push_sample(r)
-            assert snap.n == i
-            assert snap.ac_valid == (i >= ac_valid_from(num))
-            assert snap.xcr_valid == (i >= xcr_valid_from(num))
-            assert snap.partial == (i < xcr_valid_from(num))
+            ac1, ac2, ene, xcr = state.push([0.0j])
+            assert ac1[0] == 0.0 and ac2[0] == 0.0
+            assert ene[0] == 0.0 and xcr[0] == 0.0
 
     def test_streaming_equals_batch_equals_direct(self, num, template, rng):
         x = _noise(rng, 900)
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
         state = SyncState(num, template)
-        for i, r in enumerate(x):
-            snap = state.push_sample(r)
-            assert abs(snap.ac1 - ac1[i]) < 1e-9
-            assert abs(snap.ac2 - ac2[i]) < 1e-9
-            assert abs(snap.ene - ene[i]) < 1e-9
-            assert abs(snap.xcr - xcr[i]) < 1e-9
+        got = _push_all(state, x, _chunk_sizes(np.random.default_rng(3), x.size))
+        for g, want in zip(got, (ac1, ac2, ene, xcr)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) < 1e-9
         n = 700
         snap = metrics_direct(x[: n + 1], num, template)
         assert abs(ac1[n] - snap.ac1) < 1e-9
@@ -131,32 +134,93 @@ class TestDetection:
         res = synchronize(x, num, template)
         assert not res.detected
 
-    def test_state_phase_transitions(self, num, pre, template):
+    def test_trigger_set_once_and_equal_to_batch(self, num, pre, template):
+        # one sample per push: the trigger appears on the push of its own
+        # sample and never changes afterwards
         x, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=300, seed=2)
         state = SyncState(num, template)
         fired = []
-        for r in x:
-            state.push_sample(r)
-            if state.phase is SyncPhase.SEARCHING:
-                assert state.consec_count <= num.m_consec
-            if state.detect():
-                fired.append(state.sample_index)
-        assert len(fired) == 1
-        assert state.phase is not SyncPhase.SEARCHING
+        for i in range(x.size):
+            before = state.result.trigger_index
+            state.push(x[i : i + 1])
+            if state.result.trigger_index != before:
+                fired.append((i, state.result.trigger_index))
+        trig = synchronize(x, num, template).trigger_index
+        assert fired == [(trig, trig)]
+        assert state.finish().trigger_index == trig
+
+    def test_streaming_yields_sto_and_cfo(self, num, pre, template):
+        x, n0 = build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
+        x = apply_cfo(x, 1.5, num)
+        state = SyncState(num, template)
+        for pushed in range(64, x.size, 64):
+            state.push(x[pushed - 64 : pushed])
+            if state.done:
+                break
+        assert state.done and pushed < x.size  # final before the stream ends
+        assert state.result.sto_estimate == n0
+        assert abs(state.result.cfo_estimate - 1.5) < 1e-6
+        assert state.finish() == synchronize(x, num, template)
+
+
+class TestChunkInvariance:
+    """Results do not depend on how a stream is split into chunks."""
+
+    @staticmethod
+    def _stream(kind, num, pre, template):
+        rng = np.random.default_rng(99)
+        lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
+        if kind == "noise":
+            return _noise(rng, 4000)
+        # lead gaps shorter and longer than the retained tail
+        gap = 50 if kind == "short_gap" else 4 * lookback
+        x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=gap, seed=7)
+        x = apply_awgn(apply_cfo(x, -0.7, num), 12.0, rng)
+        if kind.startswith("cut"):
+            trig = synchronize(x, num, template).trigger_index
+            # before the timing window opens, resp. halfway through it
+            opened = trig + sto_search_gap(num)
+            x = x[: opened - 5 if kind == "cut_early" else opened + num.delta_search // 2]
+        return x
+
+    @pytest.mark.parametrize("kind", ["short_gap", "long_gap", "cut_early", "cut_window", "noise"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 300, None])
+    def test_push_matches_batch(self, kind, chunk, num, pre, template):
+        x = self._stream(kind, num, pre, template)
+        state = SyncState(num, template)
+        sizes = [x.size] if chunk is None else [chunk] * -(-x.size // chunk)
+        got = _push_all(state, x, sizes)
+        for g, want in zip(got, metric_stream(x, num, template)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) < 1e-9
+
+        res = state.finish()
+        ref = synchronize(x, num, template)
+        assert ref.detected == (kind != "noise")
+        assert (res.detected, res.trigger_index, res.sto_estimate) == (
+            ref.detected,
+            ref.trigger_index,
+            ref.sto_estimate,
+        )
+        for field in ("cfo_estimate", "cfo_estimate_ac1", "cfo_estimate_ac2"):
+            a, b = getattr(res, field), getattr(ref, field)
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert abs(a - b) < 1e-9
 
 
 class TestStoEstimator:
     def test_exact_peak(self, template):
-        pairs = [(700 + i, float(v)) for i, v in enumerate([0.1, 0.4, 2.0, 0.3])]
-        assert estimate_sto(pairs, template) == 702 - template.alignment_offset
+        xcr = np.array([0.1, 0.4, 2.0, 0.3])
+        assert estimate_sto(xcr, 700, template) == 702 - template.alignment_offset
 
     def test_tie_breaks_earliest(self, template):
-        pairs = [(10, 1.0), (11, 5.0), (12, 5.0)]
-        assert estimate_sto(pairs, template) == 11 - template.alignment_offset
+        xcr = np.array([1.0, 5.0, 5.0])
+        assert estimate_sto(xcr, 10, template) == 11 - template.alignment_offset
 
     def test_empty_window_rejected(self, template):
         with pytest.raises(ValueError, match="empty"):
-            estimate_sto([], template)
+            estimate_sto(np.zeros(0), 0, template)
 
 
 class TestCfoEstimator:
@@ -253,21 +317,27 @@ class TestSynchronize:
         assert res.sto_estimate is None
         assert res.cfo_estimate is None
 
-    def test_trace_collection(self, num, pre, template):
-        x, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=300, seed=3)
-        res = synchronize(x, num, template, collect_trace=True)
-        assert len(res.metrics_trace) == x.size
-        assert res.metrics_trace[0].partial
-        assert not res.metrics_trace[-1].partial
-
 
 class TestInputContract:
     def test_empty_stream_reports_undetected(self, num, template):
         empty = np.zeros(0, dtype=complex)
         assert synchronize(empty, num, template) == SyncResult(detected=False)
-        assert synchronize(empty, num, template, collect_trace=True).metrics_trace == []
         for arr in metric_stream(empty, num, template):
             assert arr.size == 0
+
+    def test_bad_chunk_rejected_and_state_kept(self, num, template, rng):
+        x = _noise(rng, 2000)
+        state = SyncState(num, template)
+        state.push(x[:1000])
+        with pytest.raises(ValueError, match=r"1-D.*\(2, 500\)"):
+            state.push(x[1000:].reshape(2, 500))
+        with pytest.raises(ValueError, match="non-finite"):
+            state.push(np.full(3, np.nan))
+        for arr in state.push(np.zeros(0, dtype=complex)):
+            assert arr.size == 0
+        got = state.push(x[1000:])
+        for g, want in zip(got, metric_stream(x, num, template)):
+            assert np.max(np.abs(g - want[1000:])) < 1e-9
 
     @pytest.mark.parametrize("fn", [synchronize, metric_stream])
     def test_non_1d_rejected_with_shape(self, fn, num, template):
