@@ -213,14 +213,15 @@ def apply_cfo(x: np.ndarray, epsilon: float, num: Numerology) -> np.ndarray:
     return x * np.exp(1j * 2.0 * np.pi * epsilon * n / num.n_total)
 
 
-def apply_awgn(
-    x: np.ndarray, snr_db: Optional[float], rng: np.random.Generator
-) -> np.ndarray:
+def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex white noise of variance 10^(-snr/10) (unit-power signal
-    reference).  snr_db of None or +inf passes the input through."""
+    reference).  snr_db = +inf (noiseless) passes the input through; NaN
+    and -inf raise ValueError."""
     x = np.asarray(x, dtype=np.complex128)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db == math.inf:
         return x.copy()
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or inf (noiseless), got {snr_db}")
     var = 10.0 ** (-snr_db / 10.0)
     scale = math.sqrt(var / 2.0)
     noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
@@ -324,7 +325,7 @@ def apply_dme(
 @dataclass
 class ImpairmentConfig:
     epsilon: float = 0.0
-    snr_db: Optional[float] = None  # None -> noiseless
+    snr_db: float = math.inf  # inf -> noiseless
     profile: Optional[ChannelProfile] = None
     dme: Optional[DmeScenario] = None
     phase_noise_linewidth_hz: float = 0.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -54,7 +55,7 @@ def cmd_trace(args) -> int:
     profile, dme = CHANNEL_MODELS[args.channel]
     cfg = ImpairmentConfig(
         epsilon=args.epsilon,
-        snr_db=None if args.noiseless else args.snr,
+        snr_db=math.inf if args.noiseless else args.snr,
         profile=profile,
         dme=dme,
         seed=args.seed,

@@ -171,7 +171,7 @@ def run_trial(
     profile, dme = CHANNEL_MODELS[scenario.channel]
     cfg = ImpairmentConfig(
         epsilon=scenario.epsilon,
-        snr_db=None if math.isinf(snr_db) else float(snr_db),
+        snr_db=float(snr_db),
         profile=profile,
         dme=dme,
         phase_noise_linewidth_hz=scenario.phase_noise_linewidth_hz,
@@ -320,26 +320,17 @@ def fmt(x) -> str:
     return str(x)
 
 
-CAMPAIGN_CSV_HEADER = "scenario,snr_db,fail_rate,cfo_mse,n_trials,n_detected"
+def _write_csv(path, cls, rows) -> None:
+    """A header of cls's field names, then one fmt-formatted line per row."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)]
+    lines += [",".join(fmt(getattr(row, k)) for k in names) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_campaign_csv(path, stats: Sequence[CampaignStats]) -> None:
-    lines = [CAMPAIGN_CSV_HEADER]
-    for s in stats:
-        lines.append(
-            ",".join(
-                [
-                    s.scenario,
-                    fmt(s.snr_db),
-                    fmt(s.fail_rate),
-                    fmt(s.cfo_mse),
-                    str(s.n_trials),
-                    str(s.n_detected),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, CampaignStats, stats)
 
 
 def write_campaign_json(path, stats: Sequence[CampaignStats]) -> None:
@@ -356,33 +347,5 @@ def write_campaign_json(path, stats: Sequence[CampaignStats]) -> None:
         fh.write("\n")
 
 
-TRIAL_CSV_HEADER = (
-    "seed,snr_db,true_sto,true_epsilon,detected,fail,"
-    "sto_est,cfo_est,sto_error,cfo_error,cfo_est_ac1,cfo_est_ac2"
-)
-
-
 def write_trial_csv(path, records: Sequence[TrialRecord]) -> None:
-    lines = [TRIAL_CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    r.seed,
-                    r.snr_db,
-                    r.true_sto,
-                    r.true_epsilon,
-                    r.detected,
-                    r.fail,
-                    r.sto_est,
-                    r.cfo_est,
-                    r.sto_error,
-                    r.cfo_error,
-                    r.cfo_est_ac1,
-                    r.cfo_est_ac2,
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, TrialRecord, records)

@@ -27,7 +27,7 @@ The timing anchor k0 = 599 is the last sample of symbol 2's useful part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,18 +77,7 @@ def make_numerology(**overrides) -> Numerology:
 
     Raises ValueError naming the offending field when a constraint fails.
     """
-    known = {
-        "n_ov",
-        "n_fft_base",
-        "n_used",
-        "subcarrier_spacing_hz",
-        "n_cp",
-        "n_win",
-        "d_template",
-        "m_consec",
-        "delta_search",
-    }
-    unknown = set(overrides) - known
+    unknown = set(overrides) - {f.name for f in fields(Numerology)}
     if unknown:
         raise ValueError(f"unknown numerology override(s): {sorted(unknown)}")
 

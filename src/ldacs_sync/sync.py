@@ -10,8 +10,8 @@ has held for m_consec consecutive samples.  Timing then scans xcr over a
 window of delta_search samples placed one symbol span past the trigger (the
 metric peak trails the trigger by roughly the anchor depth) and subtracts
 the calibrated template alignment offset, giving the frame-start estimate
-n_hat directly.  A window the stream cuts short is searched as far as it
-reaches.
+n_hat directly.  Timing and CFO are estimated once, from the complete
+window; a stream that ends inside it keeps its trigger without estimates.
 
 The fractional CFO estimate combines both symbol structures.  With
 phi_i = -arg(ac_i) read at the matched positions,
@@ -55,6 +55,12 @@ class MetricSnapshot:
 
 @dataclass
 class SyncResult:
+    """One synchronization outcome, in one of three states: not detected
+    (detected=False, all else None); triggered (trigger_index set, STO and
+    CFO None: the stream ended before the timing window and the CFO
+    readings were complete); estimated (sto_estimate set; a CFO field is
+    None only when its correlator reading had zero magnitude)."""
+
     detected: bool
     trigger_index: Optional[int] = None
     sto_estimate: Optional[int] = None
@@ -206,8 +212,9 @@ class SyncState:
     trigger); after the trigger it reaches back to the earliest index the
     timing window and the CFO readings need.
 
-    result carries the trigger once it fires and is final once the timing
-    window and both CFO readings have arrived (done turns True).
+    result carries the trigger once it fires.  STO and CFO are estimated
+    once, on the push that brings the stream to trigger + horizon, where
+    the timing window and both CFO readings are complete (done turns True).
     """
 
     def __init__(self, num: Numerology, template: EnergyTemplate):
@@ -216,13 +223,15 @@ class SyncState:
         self.result = SyncResult(detected=False)
         self.done = False
         self._lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
-        # offset from the trigger to the earliest index the estimate reads
-        span = num.n_cp + num.n_total
-        self._reach = sto_search_gap(num) + min(0, span - 1 - template.alignment_offset)
+        # offsets from the trigger to the earliest index the estimate reads
+        # and to the end of its last read (the timing window, or the
+        # symbol-2 CFO reading if that ends later)
+        span, gap, align = num.n_cp + num.n_total, sto_search_gap(num), template.alignment_offset
+        self._reach = gap + min(0, span - 1 - align)
+        self._horizon = gap + num.delta_search + max(0, 2 * span - 1 - align)
         self._search_hold = max(num.m_consec - 1, -self._reach)
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
-        self._open = None  # (base, ac1, ac2, xcr) of the last push, until done
 
     def push(
         self, chunk: Sequence[complex]
@@ -250,13 +259,9 @@ class SyncState:
                 if found >= 0:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
-            if trig is not None:
-                self._open = (base, ac1, ac2, xcr)
-                result, final_at = self._estimate()
-                if self._n >= final_at:
-                    self.result = result
-                    self._open = None
-                    self.done = True
+            if trig is not None and self._n >= trig + self._horizon:
+                self.result = self._estimate(base, ac1, ac2, xcr)
+                self.done = True
 
         if self.done:
             hold = 0
@@ -268,35 +273,24 @@ class SyncState:
         return ac1[k:], ac2[k:], ene[k:], xcr[k:]
 
     def finish(self) -> SyncResult:
-        """End of stream: the final result.  A timing window the stream cut
-        short is searched as far as it reaches."""
-        if self._open is not None:
-            self.result = self._estimate()[0]
-            self._open = None
+        """End of stream: the result as it stands.  A stream that ended
+        before trigger + horizon keeps its trigger without STO or CFO."""
         self.done = True
         return self.result
 
-    def _estimate(self) -> tuple[SyncResult, int]:
-        """Timing and CFO from the last push's arrays, and the stream length
-        from which no later sample can change them."""
-        base, ac1, ac2, xcr = self._open
-        num, n, trig = self.num, self._n, self.result.trigger_index
+    def _estimate(self, base: int, ac1, ac2, xcr) -> SyncResult:
+        """Timing and CFO from one push's arrays, which start at stream
+        index base and cover the whole timing window and both CFO readings."""
+        num, trig = self.num, self.result.trigger_index
         s0 = trig + sto_search_gap(num)
-        close = s0 + num.delta_search
-        if s0 >= n:
-            return SyncResult(detected=True, trigger_index=trig), close
-        n_hat = estimate_sto(xcr[s0 - base : min(close, n) - base], s0, self.template)
+        n_hat = estimate_sto(xcr[s0 - base : s0 + num.delta_search - base], s0, self.template)
 
         i1, i2 = cfo_match_indices(n_hat, num)
-        cfo = cfo1 = cfo2 = None
-        if base <= i1 and i2 < n:
-            a1 = complex(ac1[i1 - base])
-            cfo = estimate_cfo([a1], [ac2[i1 - base], ac2[i2 - base]])
-            cfo2 = estimate_cfo([a1], [ac2[i1 - base]])
-            if abs(a1) > 0.0:
-                cfo1 = float(_wrap_eps(_coarse_cfo(a1)))
-
-        result = SyncResult(
+        a1 = complex(ac1[i1 - base])
+        cfo = estimate_cfo([a1], [ac2[i1 - base], ac2[i2 - base]])
+        cfo2 = estimate_cfo([a1], [ac2[i1 - base]])
+        cfo1 = float(_wrap_eps(_coarse_cfo(a1))) if abs(a1) > 0.0 else None
+        return SyncResult(
             detected=True,
             trigger_index=trig,
             sto_estimate=n_hat,
@@ -304,7 +298,6 @@ class SyncState:
             cfo_estimate_ac1=cfo1,
             cfo_estimate_ac2=cfo2,
         )
-        return result, max(close, i2 + 1)
 
 
 def synchronize(

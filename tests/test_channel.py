@@ -49,8 +49,12 @@ class TestCfo:
 class TestAwgn:
     def test_noiseless_passthrough(self, rng):
         x = rng.normal(size=50) + 1j * rng.normal(size=50)
-        assert np.array_equal(apply_awgn(x, None, rng), x)
         assert np.array_equal(apply_awgn(x, math.inf, rng), x)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_minus_inf_or_nan_rejected(self, snr_db, rng):
+        with pytest.raises(ValueError, match="snr_db"):
+            apply_awgn(np.ones(4, dtype=complex), snr_db, rng)
 
     def test_noise_power_at_0db(self, rng):
         x = np.zeros(1_000_000, dtype=complex)

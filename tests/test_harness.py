@@ -15,12 +15,7 @@ from ldacs_sync import (
     write_campaign_json,
     write_trial_csv,
 )
-from ldacs_sync.harness import (
-    CAMPAIGN_CSV_HEADER,
-    TRIAL_CSV_HEADER,
-    aggregate,
-    resolve_fine_threshold,
-)
+from ldacs_sync.harness import aggregate, resolve_fine_threshold
 
 
 def _scenario(**kw):
@@ -84,6 +79,12 @@ class TestRunTrial:
             run_trial(sc, -10.0, rng_seed=[1, 0, t]).fail for t in range(200)
         )
         assert fails / 200 > 0.10
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_minus_inf_or_nan_snr_rejected(self, snr_db):
+        # +inf is the only noiseless value
+        with pytest.raises(ValueError, match="snr_db"):
+            run_trial(_scenario(), snr_db, [1, 0, 0])
 
     def test_lead_gap_varies_across_trials(self):
         sc = _scenario()
@@ -193,7 +194,7 @@ class TestOutputs:
         p = tmp_path / "out.csv"
         write_campaign_csv(p, stats)
         lines = p.read_text().strip().split("\n")
-        assert lines[0] == CAMPAIGN_CSV_HEADER
+        assert lines[0] == "scenario,snr_db,fail_rate,cfo_mse,n_trials,n_detected"
         assert len(lines) == 1 + len(stats)
         assert lines[1].startswith("t,inf,")
 
@@ -217,5 +218,8 @@ class TestOutputs:
         p = tmp_path / "trials.csv"
         write_trial_csv(p, records[0])
         lines = p.read_text().strip().split("\n")
-        assert lines[0] == TRIAL_CSV_HEADER
+        assert lines[0] == (
+            "seed,snr_db,true_sto,true_epsilon,detected,fail,"
+            "sto_est,cfo_est,sto_error,cfo_error,cfo_est_ac1,cfo_est_ac2"
+        )
         assert len(lines) == 3

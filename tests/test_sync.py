@@ -209,6 +209,40 @@ class TestChunkInvariance:
                 assert abs(a - b) < 1e-9
 
 
+class TestCompleteWindow:
+    """STO and CFO are estimated once, from the complete timing window."""
+
+    @staticmethod
+    def _frame(num, pre):
+        return build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
+
+    @pytest.mark.parametrize("cut", [500, 550, 590])
+    def test_cut_inside_window_keeps_trigger_only(self, cut, num, pre, template):
+        x, n0 = self._frame(num, pre)
+        x = x[: n0 + cut]
+        state = SyncState(num, template)
+        _push_all(state, x, _chunk_sizes(np.random.default_rng(cut), x.size))
+        want = SyncResult(detected=True, trigger_index=697)
+        assert synchronize(x, num, template) == want
+        assert state.finish() == want
+
+    def test_cut_past_window_estimates(self, num, pre, template):
+        x, n0 = self._frame(num, pre)
+        res = synchronize(x[: n0 + 700], num, template)
+        assert (res.trigger_index, res.sto_estimate, res.cfo_estimate) == (697, n0, 0.0)
+
+    def test_done_on_last_window_sample(self, num, pre, template):
+        x, _ = self._frame(num, pre)
+        state = SyncState(num, template)
+        for i in range(x.size):
+            state.push(x[i : i + 1])
+            if state.done:
+                break
+        trig = state.result.trigger_index
+        assert i == trig + sto_search_gap(num) + num.delta_search - 1
+        assert state.result == synchronize(x, num, template)
+
+
 class TestStoEstimator:
     def test_exact_peak(self, template):
         xcr = np.array([0.1, 0.4, 2.0, 0.3])
