@@ -1,11 +1,15 @@
 """Channel impairments: CFO, AWGN, Rician multipath, phase noise, DME pulses.
 
-The multipath model is a tapped delay line with one line-of-sight tap and
-Rician power split: the LOS tap carries K/(K+1) of the power as a constant-
-amplitude rotator at a fraction of the maximum Doppler, each scattered tap
-carries its share of 1/(K+1) (proportional to its dB weight) as a Jakes
-sum-of-sinusoids fading process.  Tap delays are given in seconds and
-rounded to whole samples at apply time.
+The CFO and every multipath tap gain are sums of sinusoids from one
+generator, _tones.  The multipath model is a tapped delay line with one
+line-of-sight tap and a Rician power split.  The LOS tap is one tone at
+LOS_DOPPLER_FRACTION of the maximum Doppler and carries K/(K+1) of the
+power; each scattered tap is a Jakes process of N_SINUSOIDS tones at the
+maximum Doppler times the cosine of a random angle and carries its share of
+1/(K+1) (proportional to its dB weight).  Every tone has a random phase,
+and every tap draws its angles and phases even at zero power, so the
+generator stream does not depend on K.  Tap delays are given in seconds,
+rounded to whole samples at apply time and limited to the cyclic prefix.
 
 DME interference is a stream of Gaussian-envelope pulse pairs per
 interferer: Poisson pair arrivals, fixed intra-pair spacing, complex
@@ -31,6 +35,8 @@ import numpy as np
 
 from .sigmodel import Numerology
 
+LOS_DOPPLER_FRACTION = 0.5  # LOS tone frequency as a fraction of max Doppler
+N_SINUSOIDS = 16  # tones per scattered (Jakes) tap
 
 # ---------------------------------------------------------------------------
 # profiles
@@ -50,8 +56,6 @@ class ChannelProfile:
     taps: tuple
     rician_k_db: float
     max_doppler_hz: float
-    los_doppler_fraction: float = 0.5
-    n_sinusoids: int = 16
 
     def __post_init__(self):
         if not self.taps:
@@ -70,10 +74,6 @@ class ChannelProfile:
             raise ValueError("rician_k_db must not be NaN")
         if self.max_doppler_hz < 0:
             raise ValueError("max_doppler_hz must be >= 0")
-        if not -1.0 <= self.los_doppler_fraction <= 1.0:
-            raise ValueError("los_doppler_fraction must be in [-1, 1]")
-        if self.n_sinusoids < 16:
-            raise ValueError("n_sinusoids must be >= 16")
 
     def linear_powers(self) -> np.ndarray:
         """Per-tap linear powers, normalized to sum to 1."""
@@ -83,6 +83,7 @@ class ChannelProfile:
         else:
             p_los = k_lin / (k_lin + 1.0)
             p_scat = 1.0 / (k_lin + 1.0)
+        los = np.array([t.kind == "los" for t in self.taps])
         weights = np.array(
             [
                 0.0 if t.kind == "los" else 10.0 ** (t.power_db / 10.0)
@@ -90,13 +91,7 @@ class ChannelProfile:
             ]
         )
         total = weights.sum()
-        out = np.zeros(len(self.taps))
-        for i, t in enumerate(self.taps):
-            if t.kind == "los":
-                out[i] = p_los
-            elif total > 0:
-                out[i] = p_scat * weights[i] / total
-        return out
+        return np.where(los, p_los, p_scat * weights / total if total > 0 else 0.0)
 
 
 def make_enr_profile(
@@ -209,8 +204,9 @@ def dme_interference(
 def apply_cfo(x: np.ndarray, epsilon: float, num: Numerology) -> np.ndarray:
     """Rotate by a carrier offset of epsilon subcarrier spacings."""
     x = np.asarray(x, dtype=np.complex128)
-    n = np.arange(x.size)
-    return x * np.exp(1j * 2.0 * np.pi * epsilon * n / num.n_total)
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    return x * _tones((2.0 * np.pi * epsilon / num.n_total,), (0.0,), x.size)
 
 
 def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
@@ -228,62 +224,44 @@ def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.nda
     return x + noise
 
 
-def _jakes_gain(
-    n: int, fd_hz: float, fs: float, n_sin: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit-power sum-of-sinusoids fading gain over n samples."""
-    alphas = rng.uniform(0.0, 2.0 * np.pi, n_sin)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_sin)
-    omegas = 2.0 * np.pi * fd_hz * np.cos(alphas) / fs
-    idx = np.arange(n)
+def _tones(omegas, phases, n: int) -> np.ndarray:
+    """Sum over k of exp(j*(omegas[k]*m + phases[k])) for m = 0..n-1, with
+    omegas in rad/sample."""
+    m = np.arange(n, dtype=np.float64)  # float index: no int cast per tone
     g = np.zeros(n, dtype=np.complex128)
-    for k in range(n_sin):  # loop keeps memory flat for long streams
-        g += np.exp(1j * (omegas[k] * idx + phases[k]))
-    return g / math.sqrt(n_sin)
+    for w, ph in zip(omegas, phases):  # one tone at a time keeps memory flat
+        g += np.exp(1j * (w * m + ph))
+    return g
 
 
 def apply_multipath(
-    x: np.ndarray,
-    profile: ChannelProfile,
-    num: Numerology,
-    rng: np.random.Generator,
-    max_delay_samples: Optional[int] = None,
+    x: np.ndarray, profile: ChannelProfile, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
     """Tapped-delay-line fading channel.  Tap delays round to whole samples
-    and must stay within the guard interval (or an explicit maximum)."""
+    and must stay within the cyclic prefix."""
     x = np.asarray(x, dtype=np.complex128)
     fs = num.sample_rate_hz
-    limit = num.n_cp if max_delay_samples is None else max_delay_samples
-    powers = profile.linear_powers()
-    y = np.zeros_like(x)
     n = x.size
-    for tap, p in zip(profile.taps, powers):
+    y = np.zeros_like(x)
+    for tap, p in zip(profile.taps, profile.linear_powers()):
         d = int(np.round(tap.delay_s * fs))
-        if d > limit:
+        if d > num.n_cp:
             raise ValueError(
-                f"tap delay {tap.delay_s} s rounds to {d} samples, beyond the limit of {limit}"
+                f"tap delay {tap.delay_s} s rounds to {d} samples, beyond the limit of {num.n_cp}"
             )
-        if p == 0.0:
-            # keep the generator stream stable regardless of power split
-            if tap.kind == "los":
-                rng.uniform(0.0, 2.0 * np.pi)
-            else:
-                rng.uniform(0.0, 2.0 * np.pi, 2 * profile.n_sinusoids)
-            continue
+        # each tone's Doppler as a fraction of the maximum; draw before the
+        # power check so the generator stream does not depend on K
         if tap.kind == "los":
-            theta0 = rng.uniform(0.0, 2.0 * np.pi)
-            f_los = profile.los_doppler_fraction * profile.max_doppler_hz
-            gain = math.sqrt(p) * np.exp(
-                1j * (2.0 * np.pi * f_los * np.arange(n) / fs + theta0)
-            )
+            fractions = np.array([LOS_DOPPLER_FRACTION])
+            phases = rng.uniform(0.0, 2.0 * np.pi, 1)
         else:
-            gain = math.sqrt(p) * _jakes_gain(
-                n, profile.max_doppler_hz, fs, profile.n_sinusoids, rng
-            )
-        if d == 0:
-            y += gain * x
-        else:
-            y[d:] += gain[d:] * x[:-d]
+            fractions = np.cos(rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS))
+            phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
+        if p == 0.0:
+            continue
+        omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
+        gain = math.sqrt(p) * (_tones(omegas, phases, n) / math.sqrt(fractions.size))
+        y[d:] += gain[d:] * x[: max(n - d, 0)]
     return y
 
 
@@ -301,8 +279,8 @@ def apply_phase_noise(
 ) -> np.ndarray:
     """Multiply by a Wiener phase process; linewidth 0 is the identity."""
     x = np.asarray(x, dtype=np.complex128)
-    if linewidth_hz < 0:
-        raise ValueError("linewidth_hz must be >= 0")
+    if not 0.0 <= linewidth_hz < math.inf:
+        raise ValueError(f"linewidth_hz must be finite and >= 0, got {linewidth_hz}")
     if linewidth_hz == 0.0:
         return x.copy()
     return x * np.exp(1j * wiener_phase(x.size, linewidth_hz, num, rng))
@@ -341,10 +319,10 @@ def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.nd
     y = np.asarray(x, dtype=np.complex128)
     if cfg.profile is not None:
         y = apply_multipath(y, cfg.profile, num, rng_mp)
-    if cfg.phase_noise_linewidth_hz > 0.0:
+    if cfg.phase_noise_linewidth_hz != 0.0:
         y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, rng_pn)
     if cfg.epsilon != 0.0:
         y = apply_cfo(y, cfg.epsilon, num)
-    if cfg.dme is not None and cfg.dme.interferers:
+    if cfg.dme is not None:
         y = apply_dme(y, cfg.dme, num, rng_dme)
     return apply_awgn(y, cfg.snr_db, rng_awgn)

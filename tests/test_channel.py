@@ -45,6 +45,11 @@ class TestCfo:
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
         assert np.allclose(np.abs(apply_cfo(x, 1.3, num)), np.abs(x), atol=1e-12)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, epsilon, num):
+        with pytest.raises(ValueError, match="epsilon"):
+            apply_cfo(np.ones(8, dtype=complex), epsilon, num)
+
 
 class TestAwgn:
     def test_noiseless_passthrough(self, rng):
@@ -98,9 +103,18 @@ class TestProfiles:
                 100.0,
             )
 
-    def test_requires_enough_sinusoids(self):
-        with pytest.raises(ValueError, match="n_sinusoids"):
-            ChannelProfile((ChannelTap(0.0, 0.0, "los"),), 10.0, 100.0, n_sinusoids=8)
+    def test_linear_powers_split_by_k(self):
+        # K = 10 dB: LOS 10/11, scattered 1/11 shared by dB weight
+        p = ChannelProfile(
+            (
+                ChannelTap(0.0, 0.0, "los"),
+                ChannelTap(1e-6, 0.0, "scattered"),
+                ChannelTap(2e-6, -10.0 * math.log10(3.0), "scattered"),
+            ),
+            10.0,
+            100.0,
+        )
+        assert p.linear_powers() == pytest.approx([10 / 11, 0.75 / 11, 0.25 / 11])
 
 
 class TestMultipath:
@@ -129,6 +143,54 @@ class TestMultipath:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 1_000_000))
         y = apply_multipath(x, make_enr_profile(), num, rng)
         assert 0.95 <= np.mean(np.abs(y) ** 2) <= 1.05
+
+    @pytest.mark.parametrize("n", [0, 1, 30, 64])
+    def test_short_streams_are_convolved_with_the_taps(self, n, num):
+        # Doppler 0 freezes the ENR taps at 0, 1 and 38 samples, so the
+        # channel is the convolution with its impulse response
+        profile = make_enr_profile(max_doppler_hz=0.0)
+        impulse = np.zeros(64, dtype=complex)
+        impulse[0] = 1.0
+        h = apply_multipath(impulse, profile, num, np.random.default_rng(3))
+        assert np.flatnonzero(h).tolist() == [0, 1, 38]
+        x = np.random.default_rng(4).normal(size=(n, 2)) @ [1.0, 1j]
+        y = apply_multipath(x, profile, num, np.random.default_rng(3))
+        assert y.shape == (n,)
+        # the appended zero only keeps np.convolve away from an empty input
+        assert np.allclose(y, np.convolve(np.append(x, 0.0), h)[:n], atol=1e-12)
+
+    def test_los_rotates_at_half_max_doppler(self, num, rng):
+        fd = 1000.0
+        profile = ChannelProfile((ChannelTap(0.0, 0.0, "los"),), math.inf, fd)
+        x = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        g = apply_multipath(x, profile, num, rng) / x
+        assert np.allclose(np.abs(g), 1.0, atol=1e-12)
+        step = np.angle(g[1:] * np.conj(g[:-1]))
+        assert np.allclose(step, 2.0 * np.pi * 0.5 * fd / num.sample_rate_hz, atol=1e-9)
+
+    def test_scattered_spectrum_within_max_doppler(self, num):
+        fd = 1250.0
+        profile = ChannelProfile(
+            (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, 0.0, "scattered")),
+            -math.inf,
+            fd,
+        )
+        n = 2**16
+        y = apply_multipath(np.ones(n + 3, complex), profile, num, np.random.default_rng(8))
+        psd = np.abs(np.fft.fft(y[3:] * np.hanning(n))) ** 2
+        freqs = np.fft.fftfreq(n, d=1.0 / num.sample_rate_hz)
+        # the Hann main lobe spreads each tone over +-2 bins
+        band = np.abs(freqs) <= fd + 2 * num.sample_rate_hz / n
+        assert psd[band].sum() >= 0.99 * psd.sum()
+
+    def test_generator_state_independent_of_k(self, num):
+        x = np.ones(100, dtype=complex)
+        states = []
+        for k_db in (math.inf, 10.0, -math.inf):
+            rng = np.random.default_rng(11)
+            apply_multipath(x, make_tma_profile(rician_k_db=k_db), num, rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1] == states[2]
 
     def test_delay_beyond_limit_rejected(self, num, rng):
         profile = ChannelProfile(
@@ -205,6 +267,11 @@ class TestPhaseNoise:
         with pytest.raises(ValueError):
             apply_phase_noise(np.ones(10, complex), -1.0, num, rng)
 
+    @pytest.mark.parametrize("linewidth_hz", [math.nan, math.inf])
+    def test_non_finite_linewidth_rejected(self, linewidth_hz, num, rng):
+        with pytest.raises(ValueError, match="linewidth_hz"):
+            apply_phase_noise(np.ones(10, complex), linewidth_hz, num, rng)
+
 
 class TestPipeline:
     def test_everything_off_is_identity(self, num, rng):
@@ -216,6 +283,12 @@ class TestPipeline:
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
         y = run_pipeline(x, ImpairmentConfig(epsilon=1.5), num)
         assert np.array_equal(y, apply_cfo(x, 1.5, num))
+
+    @pytest.mark.parametrize("linewidth_hz", [-1.0, math.nan])
+    def test_bad_linewidth_raises(self, linewidth_hz, num):
+        cfg = ImpairmentConfig(phase_noise_linewidth_hz=linewidth_hz)
+        with pytest.raises(ValueError, match="linewidth_hz"):
+            run_pipeline(np.ones(10, complex), cfg, num)
 
     def test_deterministic_per_seed(self, num, rng):
         x = rng.normal(size=300) + 1j * rng.normal(size=300)
