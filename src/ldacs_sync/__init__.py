@@ -38,7 +38,6 @@ from .channel import (
     ChannelTap,
     ChannelProfile,
     DmeInterferer,
-    DmeScenario,
     ImpairmentConfig,
     apply_cfo,
     apply_awgn,
@@ -88,7 +87,6 @@ __all__ = [
     "ChannelTap",
     "ChannelProfile",
     "DmeInterferer",
-    "DmeScenario",
     "ImpairmentConfig",
     "apply_cfo",
     "apply_awgn",

@@ -11,11 +11,15 @@ and every tap draws its angles and phases even at zero power, so the
 generator stream does not depend on K.  Tap delays are given in seconds,
 rounded to whole samples at apply time and limited to the cyclic prefix.
 
-DME interference is a stream of Gaussian-envelope pulse pairs per
-interferer: Poisson pair arrivals, fixed intra-pair spacing, complex
-carrier at the configured frequency offset, one random phase per pair.
-Pulse width is specified at half amplitude.  Peak amplitude follows from
-the interferer power relative to the (unit-power) signal reference.
+A DME environment is a tuple of DmeInterferers; the empty tuple is no DME.
+Each interferer emits Gaussian-envelope X-mode pulse pairs: Poisson pair
+arrivals, a complex carrier at its frequency offset and one random phase
+per pair.  The standard fixes the pulse shape, so the width at half
+amplitude (DME_PULSE_WIDTH_S, 3.5 us) and the pair spacing
+(DME_PAIR_SPACING_S, 12 us) are constants, as is the -80 dBm signal
+power (DME_REFERENCE_DBM) that sets each interferer's peak amplitude
+relative to the unit-power signal.  apply_dme builds all pulses of an
+interferer in one pass.
 
 Oscillator phase noise is a Wiener process with increment variance
 2*pi*linewidth/sample_rate.
@@ -37,6 +41,9 @@ from .sigmodel import Numerology
 
 LOS_DOPPLER_FRACTION = 0.5  # LOS tone frequency as a fraction of max Doppler
 N_SINUSOIDS = 16  # tones per scattered (Jakes) tap
+DME_PULSE_WIDTH_S = 3.5e-6  # X-mode pulse width at half amplitude
+DME_PAIR_SPACING_S = 12.0e-6  # X-mode spacing of the two pulses of a pair
+DME_REFERENCE_DBM = -80.0  # received signal power, the unit-power reference
 
 # ---------------------------------------------------------------------------
 # profiles
@@ -66,14 +73,17 @@ class ChannelProfile:
         if kinds.count("los") != 1:
             raise ValueError("profile must contain exactly one los tap")
         delays = [t.delay_s for t in self.taps]
-        if any(d < 0 for d in delays):
-            raise ValueError("tap delays must be >= 0")
+        # the range checks below fail on NaN too
+        if not all(0.0 <= d < math.inf for d in delays):
+            raise ValueError("tap delays must be finite and >= 0")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be strictly increasing")
+        if not all(math.isfinite(t.power_db) for t in self.taps):
+            raise ValueError("tap power_db must be finite")
         if math.isnan(self.rician_k_db):
             raise ValueError("rician_k_db must not be NaN")
-        if self.max_doppler_hz < 0:
-            raise ValueError("max_doppler_hz must be >= 0")
+        if not 0.0 <= self.max_doppler_hz < math.inf:
+            raise ValueError("max_doppler_hz must be finite and >= 0")
 
     def linear_powers(self) -> np.ndarray:
         """Per-tap linear powers, normalized to sum to 1."""
@@ -127,37 +137,22 @@ def make_tma_profile(
 @dataclass(frozen=True)
 class DmeInterferer:
     offset_hz: float
-    power_dbm: float
+    power_dbm: float  # received power; DME_REFERENCE_DBM is unit power
     rate_pps: float  # pulse pairs per second
 
     def __post_init__(self):
-        if self.rate_pps <= 0:
-            raise ValueError("rate_pps must be > 0")
+        if not math.isfinite(self.power_dbm):
+            raise ValueError("power_dbm must be finite")
+        if not 0.0 < self.rate_pps < math.inf:  # NaN fails too
+            raise ValueError("rate_pps must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class DmeScenario:
-    interferers: tuple
-    pulse_width_s: float = 3.5e-6  # half-amplitude width
-    pair_spacing_s: float = 12.0e-6
-    signal_power_dbm: float = -80.0
-
-    def __post_init__(self):
-        if self.pulse_width_s <= 0:
-            raise ValueError("pulse_width_s must be > 0")
-        if self.pair_spacing_s <= 0:
-            raise ValueError("pair_spacing_s must be > 0")
-
-
-def make_dme_scenario(signal_power_dbm: float = -80.0) -> DmeScenario:
+def make_dme_scenario() -> tuple:
     """Three ground interrogators adjacent to the signal band."""
-    return DmeScenario(
-        interferers=(
-            DmeInterferer(-0.5e6, -67.9, 3600.0),
-            DmeInterferer(+0.5e6, -74.0, 3600.0),
-            DmeInterferer(+0.5e6, -90.3, 3600.0),
-        ),
-        signal_power_dbm=signal_power_dbm,
+    return (
+        DmeInterferer(-0.5e6, -67.9, 3600.0),
+        DmeInterferer(+0.5e6, -74.0, 3600.0),
+        DmeInterferer(+0.5e6, -90.3, 3600.0),
     )
 
 
@@ -165,36 +160,6 @@ def pulse_pair_times(duration_s: float, rate_pps: float, rng: np.random.Generato
     """Poisson pair arrivals, uniform over the stream duration."""
     n_pairs = rng.poisson(rate_pps * duration_s)
     return rng.uniform(0.0, duration_s, n_pairs)
-
-
-def dme_interference(
-    n: int, dme: DmeScenario, num: Numerology, rng: np.random.Generator
-) -> np.ndarray:
-    """Synthesize the summed interference waveform for n samples."""
-    fs = num.sample_rate_hz
-    out = np.zeros(n, dtype=np.complex128)
-    duration = n / fs
-    # half-amplitude width -> Gaussian sigma
-    alpha = dme.pulse_width_s / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    support = 5.0 * alpha
-    for intf in dme.interferers:
-        if abs(intf.offset_hz) >= fs / 2.0:
-            raise ValueError("interferer offset_hz must be below Nyquist")
-        amp = math.sqrt(10.0 ** ((intf.power_dbm - dme.signal_power_dbm) / 10.0))
-        starts = pulse_pair_times(duration, intf.rate_pps, rng)
-        for t0 in starts:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            for tp in (t0, t0 + dme.pair_spacing_s):
-                k_lo = max(0, int(math.ceil((tp - support) * fs)))
-                k_hi = min(n, int(math.floor((tp + support) * fs)) + 1)
-                if k_lo >= k_hi:
-                    continue
-                t = np.arange(k_lo, k_hi) / fs - tp
-                env = amp * np.exp(-(t**2) / (2.0 * alpha**2))
-                out[k_lo:k_hi] += env * np.exp(
-                    1j * (2.0 * np.pi * intf.offset_hz * t + phase)
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +252,39 @@ def apply_phase_noise(
 
 
 def apply_dme(
-    x: np.ndarray, dme: DmeScenario, num: Numerology, rng: np.random.Generator
+    x: np.ndarray, interferers: tuple, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
-    """Add DME pulse-pair interference; empty interferer list is identity."""
+    """Add the pulse pairs of each DmeInterferer; no interferers is the
+    identity.  Per interferer the generator draws the pair count, the pair
+    times, then one phase per pair."""
     x = np.asarray(x, dtype=np.complex128)
-    if not dme.interferers:
+    if not interferers:
         return x.copy()
-    return x + dme_interference(x.size, dme, num, rng)
+    n, fs = x.size, num.sample_rate_hz
+    # half-amplitude width -> Gaussian sigma; pulses are cut at 5 sigma
+    alpha = DME_PULSE_WIDTH_S / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    support = 5.0 * alpha
+    out = np.zeros(n, dtype=np.complex128)
+    for intf in interferers:
+        if not abs(intf.offset_hz) < fs / 2.0:  # NaN fails too
+            raise ValueError("interferer offset_hz must be below Nyquist")
+        amp = math.sqrt(10.0 ** ((intf.power_dbm - DME_REFERENCE_DBM) / 10.0))
+        starts = pulse_pair_times(n / fs, intf.rate_pps, rng)
+        phases = rng.uniform(0.0, 2.0 * np.pi, starts.size)
+        # every pulse in pair order: (first, second) of pair 0, then pair 1, ...
+        tp = np.stack([starts, starts + DME_PAIR_SPACING_S], axis=1).ravel()
+        k_lo = np.maximum(np.ceil((tp - support) * fs).astype(np.int64), 0)
+        k_hi = np.minimum(np.floor((tp + support) * fs).astype(np.int64) + 1, n)
+        width = np.maximum(k_hi - k_lo, 0)
+        # the sample indices of all pulses, concatenated, and each one's pulse
+        pulse = np.repeat(np.arange(tp.size), width)
+        k = k_lo[pulse] + np.arange(pulse.size) - np.repeat(np.cumsum(width) - width, width)
+        t = k / fs - tp[pulse]
+        env = amp * np.exp(-(t**2) / (2.0 * alpha**2))
+        carrier = np.exp(1j * (2.0 * np.pi * intf.offset_hz * t + phases[pulse // 2]))
+        # unbuffered and in order, so overlapping pulses add as a per-pulse loop would
+        np.add.at(out, k, env * carrier)
+    return x + out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ class ImpairmentConfig:
     epsilon: float = 0.0
     snr_db: float = math.inf  # inf -> noiseless
     profile: Optional[ChannelProfile] = None
-    dme: Optional[DmeScenario] = None
+    dme: tuple = ()  # DmeInterferers; empty -> no DME stage
     phase_noise_linewidth_hz: float = 0.0
     seed: int = 0
 
@@ -323,6 +314,6 @@ def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.nd
         y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, rng_pn)
     if cfg.epsilon != 0.0:
         y = apply_cfo(y, cfg.epsilon, num)
-    if cfg.dme is not None:
+    if cfg.dme:
         y = apply_dme(y, cfg.dme, num, rng_dme)
     return apply_awgn(y, cfg.snr_db, rng_awgn)

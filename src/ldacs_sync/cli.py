@@ -31,6 +31,7 @@ from .harness import (
     run_campaign,
     write_campaign_csv,
     write_campaign_json,
+    write_csv,
     write_trial_csv,
 )
 from .sigmodel import build_frame, energy_template, generate_preamble, make_numerology, write_iq
@@ -82,25 +83,19 @@ def cmd_trace(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trace.csv")
-    lines = ["tau,xcr,xsig,xene"]
-    for i, tau in enumerate(taus):
-        lines.append(
-            f"{tau},{fmt(cols[0][i])},{fmt(cols[1][i])},{fmt(cols[2][i])}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("tau", "xcr", "xsig", "xene"), zip(taus, *cols))
     print(f"wrote {path}")
 
     if args.metrics:
         mpath = os.path.join(args.out, "metrics.csv")
-        mlines = ["n,ac1,ac2,ene,xcr,xsig,xene"]
-        for n in range(r.size):
-            mlines.append(
-                f"{n},{fmt(abs(ac1[n]))},{fmt(abs(ac2[n]))},"
-                f"{fmt(ene[n])},{fmt(xcr[n])},{fmt(xsig[n])},{fmt(xene[n])}"
-            )
-        with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(mlines) + "\n")
+        write_csv(
+            mpath,
+            ("n", "ac1", "ac2", "ene", "xcr", "xsig", "xene"),
+            (
+                (n, abs(ac1[n]), abs(ac2[n]), ene[n], xcr[n], xsig[n], xene[n])
+                for n in range(r.size)
+            ),
+        )
         print(f"wrote {mpath}")
 
     if args.write_iq:

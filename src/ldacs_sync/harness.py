@@ -35,12 +35,12 @@ from .channel import (
 from .sigmodel import Numerology, build_frame, energy_template, generate_preamble, make_numerology
 from .sync import synchronize
 
-# channel name -> (multipath profile, DME scenario); None leaves a stage out
+# channel name -> (multipath profile or None, DME interferers or ())
 CHANNEL_MODELS = {
-    "AWGN": (None, None),
-    "ENR": (make_enr_profile(), None),
+    "AWGN": (None, ()),
+    "ENR": (make_enr_profile(), ()),
     "ENR_DME": (make_enr_profile(), make_dme_scenario()),
-    "TMA": (make_tma_profile(), None),
+    "TMA": (make_tma_profile(), ()),
 }
 CHANNELS = tuple(CHANNEL_MODELS)
 
@@ -320,17 +320,23 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, cls, rows) -> None:
-    """A header of cls's field names, then one fmt-formatted line per row."""
-    names = [f.name for f in fields(cls)]
-    lines = [",".join(names)]
-    lines += [",".join(fmt(getattr(row, k)) for k in names) for row in rows]
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A comma-joined header line, then one line of fmt-formatted values
+    per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_records(path, cls, records) -> None:
+    """write_csv with cls's field names as the header and the columns."""
+    names = [f.name for f in fields(cls)]
+    write_csv(path, names, ([getattr(r, k) for k in names] for r in records))
+
+
 def write_campaign_csv(path, stats: Sequence[CampaignStats]) -> None:
-    _write_csv(path, CampaignStats, stats)
+    _write_records(path, CampaignStats, stats)
 
 
 def write_campaign_json(path, stats: Sequence[CampaignStats]) -> None:
@@ -348,4 +354,4 @@ def write_campaign_json(path, stats: Sequence[CampaignStats]) -> None:
 
 
 def write_trial_csv(path, records: Sequence[TrialRecord]) -> None:
-    _write_csv(path, TrialRecord, records)
+    _write_records(path, TrialRecord, records)

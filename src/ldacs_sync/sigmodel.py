@@ -1,5 +1,12 @@
 """OFDM numerology and waveform synthesis for an L-DACS1-style frame.
 
+The L-DACS1 specification fixes the base numerology, so these are constants
+of Numerology, not settings: a 64-point base FFT, 50 used subcarriers,
+9.765625 kHz subcarrier spacing, and per base-rate sample an 11-sample
+cyclic prefix and an 8-sample window ramp.  The oversampling factor n_ov
+scales every length; it and the detector's d_template, m_consec and
+delta_search are the only values make_numerology accepts.
+
 The synchronization preamble spans two OFDM symbols built on an oversampled
 FFT of size n_total = 64 * n_ov:
 
@@ -28,6 +35,7 @@ The timing anchor k0 = 599 is the last sample of symbol 2's useful part.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,17 +48,42 @@ from ._kernels import metric_arrays
 
 @dataclass(frozen=True)
 class Numerology:
-    """Concrete OFDM dimensioning.  Build through make_numerology()."""
+    """Concrete OFDM dimensioning.  Build through make_numerology().
+
+    The standard's values are class constants and n_cp, n_win derive from
+    n_ov; only the four fields are settable.  An invalid instance raises
+    ValueError naming the offending field, however it was built.
+    """
+
+    # the 4x/2x subcarrier comb only yields L/2L periods on a base of 64
+    n_fft_base: ClassVar[int] = 64
+    n_used: ClassVar[int] = 50
+    subcarrier_spacing_hz: ClassVar[float] = 9765.625
 
     n_ov: int
-    n_fft_base: int
-    n_used: int
-    subcarrier_spacing_hz: float
-    n_cp: int
-    n_win: int
     d_template: int
     m_consec: int
     delta_search: int
+
+    def __post_init__(self):
+        if not self.n_ov >= 1:
+            raise ValueError("n_ov must be >= 1")
+        if not 1 <= self.d_template <= 8 * self.l_quarter:
+            raise ValueError("d_template must lie in [1, 8 * l_quarter]")
+        if not self.m_consec >= 1:
+            raise ValueError("m_consec must be >= 1")
+        if not self.delta_search >= 1:
+            raise ValueError("delta_search must be >= 1")
+
+    @property
+    def n_cp(self) -> int:
+        """Cyclic prefix (guard) length; the window ramps live inside it."""
+        return 11 * self.n_ov
+
+    @property
+    def n_win(self) -> int:
+        """Raised-cosine ramp length of the windowed overlap-add."""
+        return 8 * self.n_ov
 
     @property
     def l_quarter(self) -> int:
@@ -68,60 +101,24 @@ class Numerology:
 
 
 def make_numerology(**overrides) -> Numerology:
-    """Build and validate a Numerology.
+    """Build a Numerology from at most four overrides.
 
-    Defaults scale with the oversampling factor n_ov (4 unless overridden):
-    n_cp = 11*n_ov, n_win = 8*n_ov, d_template = 4*L, m_consec = 4*n_ov,
-    delta_search = 56*n_ov.  Derived sizes (l_quarter, n_total,
-    sample_rate_hz) are always recomputed and cannot be overridden.
-
-    Raises ValueError naming the offending field when a constraint fails.
+    n_ov (default 4), d_template (4*L = 64*n_ov), m_consec (4*n_ov) and
+    delta_search (56*n_ov); the defaults of the last three scale with n_ov.
+    Any other key, including the standard's constants, raises ValueError
+    naming it.
     """
     unknown = set(overrides) - {f.name for f in fields(Numerology)}
     if unknown:
         raise ValueError(f"unknown numerology override(s): {sorted(unknown)}")
 
     n_ov = int(overrides.get("n_ov", 4))
-    if n_ov < 1:
-        raise ValueError("n_ov must be >= 1")
-    l_quarter = 16 * n_ov
-
-    num = Numerology(
+    return Numerology(
         n_ov=n_ov,
-        n_fft_base=int(overrides.get("n_fft_base", 64)),
-        n_used=int(overrides.get("n_used", 50)),
-        subcarrier_spacing_hz=float(overrides.get("subcarrier_spacing_hz", 9765.625)),
-        n_cp=int(overrides.get("n_cp", 11 * n_ov)),
-        n_win=int(overrides.get("n_win", 8 * n_ov)),
-        d_template=int(overrides.get("d_template", 4 * l_quarter)),
+        d_template=int(overrides.get("d_template", 64 * n_ov)),
         m_consec=int(overrides.get("m_consec", 4 * n_ov)),
         delta_search=int(overrides.get("delta_search", 56 * n_ov)),
     )
-
-    if num.n_fft_base != 64:
-        # the 4x/2x subcarrier comb only yields L/2L periods on a base of 64
-        raise ValueError("n_fft_base must be 64")
-    if num.n_used < 8 or num.n_used % 2 != 0:
-        raise ValueError("n_used must be an even integer >= 8")
-    if num.n_used > num.n_fft_base - 2:
-        raise ValueError("n_used must be <= n_fft_base - 2")
-    if num.subcarrier_spacing_hz <= 0:
-        raise ValueError("subcarrier_spacing_hz must be > 0")
-    if num.n_cp < 1:
-        raise ValueError("n_cp must be >= 1")
-    if num.n_win < 0:
-        raise ValueError("n_win must be >= 0")
-    if num.n_win > num.n_cp:
-        raise ValueError("n_win must be <= n_cp (ramps live inside the guard)")
-    if num.d_template < 1:
-        raise ValueError("d_template must be >= 1")
-    if num.d_template > 8 * num.l_quarter:
-        raise ValueError("d_template must be <= 8 * l_quarter")
-    if num.m_consec < 1:
-        raise ValueError("m_consec must be >= 1")
-    if num.delta_search < 1:
-        raise ValueError("delta_search must be >= 1")
-    return num
 
 
 def used_subcarriers(num: Numerology) -> np.ndarray:
@@ -196,10 +193,9 @@ def _windowed_block(useful: np.ndarray, num: Numerology) -> np.ndarray:
     cp = useful[-num.n_cp:]
     suffix = useful[: num.n_win]
     block = np.concatenate([cp, useful, suffix])
-    if num.n_win > 0:
-        ramp = _raised_cosine_ramp(num.n_win)
-        block[: num.n_win] *= ramp
-        block[-num.n_win:] *= ramp[::-1]
+    ramp = _raised_cosine_ramp(num.n_win)
+    block[: num.n_win] *= ramp
+    block[-num.n_win:] *= ramp[::-1]
     return block
 
 
@@ -250,9 +246,7 @@ def energy_template(pre: PreambleWaveform, num: Numerology) -> EnergyTemplate:
     the frame start.
     """
     d = num.d_template
-    k0 = pre.start_useful_2 + num.n_total - 1
-    if k0 - (d - 1) < 0:
-        raise ValueError("d_template anchor window exceeds preamble bounds")
+    k0 = pre.start_useful_2 + num.n_total - 1  # d <= 8L keeps k0 - d + 1 >= 22*n_ov
 
     mag2 = np.abs(pre.samples) ** 2
     a = mag2[k0 - d + 1 : k0 + 1][::-1].copy()

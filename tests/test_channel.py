@@ -9,7 +9,6 @@ from ldacs_sync import (
     ChannelProfile,
     ChannelTap,
     DmeInterferer,
-    DmeScenario,
     ImpairmentConfig,
     apply_awgn,
     apply_cfo,
@@ -21,7 +20,12 @@ from ldacs_sync import (
     make_tma_profile,
     run_pipeline,
 )
-from ldacs_sync.channel import dme_interference, pulse_pair_times, wiener_phase
+from ldacs_sync.channel import (
+    DME_PAIR_SPACING_S,
+    DME_PULSE_WIDTH_S,
+    pulse_pair_times,
+    wiener_phase,
+)
 
 
 class TestCfo:
@@ -116,6 +120,23 @@ class TestProfiles:
         )
         assert p.linear_powers() == pytest.approx([10 / 11, 0.75 / 11, 0.25 / 11])
 
+    @pytest.mark.parametrize("max_doppler_hz", [math.nan, math.inf])
+    def test_non_finite_max_doppler_rejected(self, max_doppler_hz):
+        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, 0.0, "scattered"))
+        with pytest.raises(ValueError, match="max_doppler_hz"):
+            ChannelProfile(taps, 10.0, max_doppler_hz)
+
+    def test_nan_tap_power_rejected(self):
+        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, math.nan, "scattered"))
+        with pytest.raises(ValueError, match="power_db"):
+            ChannelProfile(taps, 10.0, 100.0)
+
+    @pytest.mark.parametrize("delay_s", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay_s):
+        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(delay_s, 0.0, "scattered"))
+        with pytest.raises(ValueError, match="delays"):
+            ChannelProfile(taps, 10.0, 100.0)
+
 
 class TestMultipath:
     def test_pure_los_is_flat(self, num, rng):
@@ -202,11 +223,35 @@ class TestMultipath:
             apply_multipath(np.ones(100, complex), profile, num, rng)
 
 
+def _dme_reference(n, interferers, num, rng):
+    """Per-pair, per-pulse loop over the X-mode pulse pairs: the reference
+    apply_dme must match bit for bit."""
+    pulse_width_s, pair_spacing_s, signal_power_dbm = 3.5e-6, 12.0e-6, -80.0
+    fs = num.sample_rate_hz
+    out = np.zeros(n, dtype=np.complex128)
+    alpha = pulse_width_s / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    support = 5.0 * alpha
+    for intf in interferers:
+        amp = math.sqrt(10.0 ** ((intf.power_dbm - signal_power_dbm) / 10.0))
+        for t0 in pulse_pair_times(n / fs, intf.rate_pps, rng):
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            for tp in (t0, t0 + pair_spacing_s):
+                k_lo = max(0, int(math.ceil((tp - support) * fs)))
+                k_hi = min(n, int(math.floor((tp + support) * fs)) + 1)
+                if k_lo >= k_hi:
+                    continue
+                t = np.arange(k_lo, k_hi) / fs - tp
+                env = amp * np.exp(-(t**2) / (2.0 * alpha**2))
+                out[k_lo:k_hi] += env * np.exp(
+                    1j * (2.0 * np.pi * intf.offset_hz * t + phase)
+                )
+    return out
+
+
 class TestDme:
     def test_empty_scenario_identity(self, num, rng):
         x = rng.normal(size=100) + 1j * rng.normal(size=100)
-        dme = DmeScenario(interferers=())
-        assert np.array_equal(apply_dme(x, dme, num, rng), x)
+        assert np.array_equal(apply_dme(x, (), num, rng), x)
 
     def test_pair_count_near_rate(self, rng):
         # Poisson at 3600/s over 1 s, 3 sigma is plus or minus 180
@@ -216,14 +261,26 @@ class TestDme:
 
     def test_default_scenario_shape(self):
         dme = make_dme_scenario()
-        assert len(dme.interferers) == 3
-        assert dme.pulse_width_s == pytest.approx(3.5e-6)
-        assert dme.pair_spacing_s == pytest.approx(12.0e-6)
-        assert {i.rate_pps for i in dme.interferers} == {3600.0}
+        assert len(dme) == 3
+        assert DME_PULSE_WIDTH_S == pytest.approx(3.5e-6)
+        assert DME_PAIR_SPACING_S == pytest.approx(12.0e-6)
+        assert {i.rate_pps for i in dme} == {3600.0}
+
+    @pytest.mark.parametrize("n", [0, 1, 50, 1732, 20000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_pulse_loop(self, n, seed, num):
+        # the bundled three plus a dense one, so pulses of different pairs
+        # overlap and pulses are cut at both stream ends
+        interferers = make_dme_scenario() + (DmeInterferer(0.3e6, -70.0, 1.0e5),)
+        x = np.random.default_rng(100 + seed).normal(size=(n, 2)) @ [1, 1j]
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        y = apply_dme(x, interferers, num, rng_a)
+        assert np.array_equal(y, x + _dme_reference(n, interferers, num, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_spectral_peak_at_offset(self, num, rng):
-        dme = DmeScenario(interferers=(DmeInterferer(-0.5e6, -67.9, 3600.0),))
-        z = dme_interference(250_000, dme, num, rng)  # 0.1 s
+        interferers = (DmeInterferer(-0.5e6, -67.9, 3600.0),)
+        z = apply_dme(np.zeros(250_000), interferers, num, rng)  # 0.1 s
         nseg = 256
         segs = z[: (z.size // nseg) * nseg].reshape(-1, nseg)
         psd = np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0)
@@ -233,13 +290,27 @@ class TestDme:
         assert abs(peak - (-0.5e6)) <= bin_width
 
     def test_offset_beyond_nyquist_rejected(self, num, rng):
-        dme = DmeScenario(interferers=(DmeInterferer(2.0e6, -70.0, 100.0),))
+        interferers = (DmeInterferer(2.0e6, -70.0, 100.0),)
         with pytest.raises(ValueError, match="offset"):
-            dme_interference(1000, dme, num, rng)
+            apply_dme(np.zeros(1000), interferers, num, rng)
+
+    def test_nan_offset_rejected(self, num, rng):
+        interferers = (DmeInterferer(math.nan, -70.0, 100.0),)
+        with pytest.raises(ValueError, match="offset"):
+            apply_dme(np.zeros(1000), interferers, num, rng)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="rate_pps"):
             DmeInterferer(0.0, -70.0, 0.0)
+
+    @pytest.mark.parametrize("rate_pps", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate_pps):
+        with pytest.raises(ValueError, match="rate_pps"):
+            DmeInterferer(0.0, -70.0, rate_pps)
+
+    def test_nan_power_rejected(self):
+        with pytest.raises(ValueError, match="power_dbm"):
+            DmeInterferer(0.0, math.nan, 3600.0)
 
 
 class TestPhaseNoise:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
+    Numerology,
     build_frame,
     energy_template,
     generate_preamble,
@@ -67,6 +68,17 @@ class TestNumerology:
         # anchor window may not exceed the two preamble symbols
         with pytest.raises(ValueError, match="d_template"):
             make_numerology(d_template=513)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_ov", 0), ("d_template", 0), ("d_template", 257), ("m_consec", 0), ("delta_search", 0)],
+    )
+    def test_direct_construction_validated(self, field, value):
+        # at n_ov = 2 the limit 8*L is 256, so d_template 256 is valid, 257 not
+        kwargs = dict(n_ov=2, d_template=256, m_consec=8, delta_search=112)
+        Numerology(**kwargs)
+        with pytest.raises(ValueError, match=field):
+            Numerology(**{**kwargs, field: value})
 
 
 class TestPreamble:
