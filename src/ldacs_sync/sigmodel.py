@@ -34,6 +34,7 @@ The timing anchor k0 = 599 is the last sample of symbol 2's useful part.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -66,6 +67,11 @@ class Numerology:
     delta_search: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an Integral but never a length
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not self.n_ov >= 1:
             raise ValueError("n_ov must be >= 1")
         if not 1 <= self.d_template <= 8 * self.l_quarter:
@@ -106,18 +112,18 @@ def make_numerology(**overrides) -> Numerology:
     n_ov (default 4), d_template (4*L = 64*n_ov), m_consec (4*n_ov) and
     delta_search (56*n_ov); the defaults of the last three scale with n_ov.
     Any other key, including the standard's constants, raises ValueError
-    naming it.
+    naming it.  Values must be integers; nothing is rounded.
     """
     unknown = set(overrides) - {f.name for f in fields(Numerology)}
     if unknown:
         raise ValueError(f"unknown numerology override(s): {sorted(unknown)}")
 
-    n_ov = int(overrides.get("n_ov", 4))
+    n_ov = overrides.get("n_ov", 4)
     return Numerology(
         n_ov=n_ov,
-        d_template=int(overrides.get("d_template", 64 * n_ov)),
-        m_consec=int(overrides.get("m_consec", 4 * n_ov)),
-        delta_search=int(overrides.get("delta_search", 56 * n_ov)),
+        d_template=overrides.get("d_template", 64 * n_ov),
+        m_consec=overrides.get("m_consec", 4 * n_ov),
+        delta_search=overrides.get("delta_search", 56 * n_ov),
     )
 
 

@@ -1,6 +1,7 @@
 """Impairment stages: CFO, AWGN, fading, DME pulses, phase noise, pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ldacs_sync import (
 from ldacs_sync.channel import (
     DME_PAIR_SPACING_S,
     DME_PULSE_WIDTH_S,
+    _tones,
     pulse_pair_times,
     wiener_phase,
 )
@@ -136,6 +138,48 @@ class TestProfiles:
         taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(delay_s, 0.0, "scattered"))
         with pytest.raises(ValueError, match="delays"):
             ChannelProfile(taps, 10.0, 100.0)
+
+
+class TestTones:
+    # 1681 = 41**2 and 1682 = 41**2 + 1 are the block-length edges
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1681, 1682, 1732, 2**20])
+    @pytest.mark.parametrize("k", [1, 16, 129])
+    def test_matches_per_tone_direct_sum(self, k, n):
+        rng = np.random.default_rng(1000 * k + n % 1000)
+        omegas = rng.uniform(-np.pi, np.pi, k)
+        phases = rng.uniform(0.0, 2.0 * np.pi, k)
+        g = _tones(omegas, phases, n)
+        assert g.shape == (n,)
+        assert g.dtype == np.complex128
+        # at 2**20 the sum runs over every 7th sample: 7 is coprime to the
+        # 1024-sample block, so this still visits every block and offset
+        stride = 7 if n > 4096 else 1
+        m = np.arange(0, n, stride, dtype=np.float64)
+        direct = np.zeros(m.size, dtype=np.complex128)
+        for w, ph in zip(omegas, phases):
+            direct += np.exp(1j * (w * m + ph))
+        # both sides round a phase of up to |w|*n, each by up to ~eps*|w|*n
+        eps = np.finfo(np.float64).eps
+        tol = 4.0 * k * (1.0 + np.max(np.abs(omegas)) * n) * eps
+        assert np.max(np.abs(g[::stride] - direct), initial=0.0) <= tol
+
+    @pytest.mark.parametrize("omegas, phases", [((0.1, 0.2), (0.0,)), ((0.1,), (0.0, 1.0))])
+    def test_length_mismatch_rejected(self, omegas, phases):
+        with pytest.raises(ValueError, match="omegas and phases"):
+            _tones(omegas, phases, 100)
+
+    def test_memory_flat(self):
+        # only the output is stream-sized; the blocks are O(K*sqrt(n))
+        rng = np.random.default_rng(5)
+        omegas = rng.uniform(-0.01, 0.01, 16)
+        phases = rng.uniform(0.0, 2.0 * np.pi, 16)
+        tracemalloc.start()
+        try:
+            g = _tones(omegas, phases, 2**20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.nbytes
 
 
 class TestMultipath:

@@ -71,7 +71,16 @@ class TestNumerology:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_ov", 0), ("d_template", 0), ("d_template", 257), ("m_consec", 0), ("delta_search", 0)],
+        [
+            ("n_ov", 0),
+            ("d_template", 0),
+            ("d_template", 257),
+            ("m_consec", 0),
+            ("delta_search", 0),
+            # 4.0 passes every range check but is not a length numpy can use
+            ("n_ov", 4.0),
+            ("delta_search", True),
+        ],
     )
     def test_direct_construction_validated(self, field, value):
         # at n_ov = 2 the limit 8*L is 256, so d_template 256 is valid, 257 not
@@ -79,6 +88,18 @@ class TestNumerology:
         Numerology(**kwargs)
         with pytest.raises(ValueError, match=field):
             Numerology(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_ov", 2.5), ("d_template", 100.9), ("n_ov", True), ("m_consec", True)]
+    )
+    def test_non_integer_override_rejected(self, field, value):
+        # no silent truncation: 2.5 is not n_ov 2, 100.9 is not d_template 100
+        with pytest.raises(ValueError, match=field):
+            make_numerology(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        num = make_numerology(n_ov=np.int64(2), m_consec=np.int32(8))
+        assert (num.n_ov, num.m_consec, num.d_template) == (2, 8, 128)
 
 
 class TestPreamble:
