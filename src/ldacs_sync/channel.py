@@ -34,7 +34,8 @@ Oscillator phase noise is a Wiener process with increment variance
 
 run_pipeline applies: multipath -> phase noise -> CFO -> DME -> AWGN, each
 stage drawing from its own child generator so that enabling one stage never
-shifts another stage's random stream.
+shifts another stage's random stream.  A child generator is made only for a
+stage that runs.
 """
 
 from __future__ import annotations
@@ -182,10 +183,12 @@ def apply_cfo(x: np.ndarray, epsilon: float, num: Numerology) -> np.ndarray:
     return x * _tones((2.0 * np.pi * epsilon / num.n_total,), (0.0,), x.size)
 
 
-def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+def apply_awgn(
+    x: np.ndarray, snr_db: float, rng: Optional[np.random.Generator]
+) -> np.ndarray:
     """Add complex white noise of variance 10^(-snr/10) (unit-power signal
-    reference).  snr_db = +inf (noiseless) passes the input through; NaN
-    and -inf raise ValueError."""
+    reference).  snr_db = +inf (noiseless) passes the input through and
+    never uses rng, which may then be None; NaN and -inf raise ValueError."""
     x = np.asarray(x, dtype=np.complex128)
     if snr_db == math.inf:
         return x.copy()
@@ -227,29 +230,44 @@ def apply_multipath(
     x: np.ndarray, profile: ChannelProfile, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
     """Tapped-delay-line fading channel.  Tap delays round to whole samples
-    and must stay within the cyclic prefix."""
+    and must stay within the cyclic prefix.
+
+    The generator draws, tap by tap, the LOS tone's phase or a scattered
+    tap's N_SINUSOIDS angles and then its N_SINUSOIDS phases, all in one
+    call: uniform doubles come in sequence, so one draw of the total is
+    the same stream as one draw per tap.
+    """
     x = np.asarray(x, dtype=np.complex128)
     fs = num.sample_rate_hz
     n = x.size
+    delays = np.round(np.array([tap.delay_s for tap in profile.taps]) * fs).astype(np.int64)
+    over = np.flatnonzero(delays > num.n_cp)
+    if over.size:
+        i = over[0]
+        raise ValueError(
+            f"tap delay {profile.taps[i].delay_s} s rounds to {delays[i]} samples, "
+            f"beyond the limit of {num.n_cp}"
+        )
+    sizes = [1 if tap.kind == "los" else 2 * N_SINUSOIDS for tap in profile.taps]
+    draws = rng.uniform(0.0, 2.0 * np.pi, sum(sizes))
     y = np.zeros_like(x)
-    for tap, p in zip(profile.taps, profile.linear_powers()):
-        d = int(np.round(tap.delay_s * fs))
-        if d > num.n_cp:
-            raise ValueError(
-                f"tap delay {tap.delay_s} s rounds to {d} samples, beyond the limit of {num.n_cp}"
-            )
-        # each tone's Doppler as a fraction of the maximum; draw before the
-        # power check so the generator stream does not depend on K
-        if tap.kind == "los":
-            fractions = np.array([LOS_DOPPLER_FRACTION])
-            phases = rng.uniform(0.0, 2.0 * np.pi, 1)
-        else:
-            fractions = np.cos(rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS))
-            phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
+    start = 0
+    for tap, d, p, size in zip(profile.taps, delays.tolist(), profile.linear_powers(), sizes):
+        # every tap draws even at zero power, so the stream does not depend on K
+        u = draws[start : start + size]
+        start += size
         if p == 0.0:
             continue
+        # each tone's Doppler as a fraction of the maximum
+        if tap.kind == "los":
+            fractions, phases = np.array([LOS_DOPPLER_FRACTION]), u
+        else:
+            fractions, phases = np.cos(u[:N_SINUSOIDS]), u[N_SINUSOIDS:]
         omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
-        gain = math.sqrt(p) * (_tones(omegas, phases, n) / math.sqrt(fractions.size))
+        # in place, with the roundings of sqrt(p) * (tones / sqrt(K))
+        gain = _tones(omegas, phases, n)
+        gain /= math.sqrt(fractions.size)
+        gain *= math.sqrt(p)
         y[d:] += gain[d:] * x[: max(n - d, 0)]
     return y
 
@@ -325,19 +343,29 @@ class ImpairmentConfig:
     seed: int = 0
 
 
+def _stage_rng(seed, stage: int) -> np.random.Generator:
+    """Generator of pipeline stage 0..3 (multipath, phase noise, DME, AWGN):
+    child `stage` of SeedSequence(seed).spawn(4), built without spawning
+    the other three."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
+
+
 def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.ndarray:
-    """multipath -> phase noise -> CFO -> DME -> AWGN, with per-stage RNGs."""
-    ss = np.random.SeedSequence(cfg.seed)
-    rng_mp, rng_pn, rng_dme, rng_awgn = (
-        np.random.default_rng(s) for s in ss.spawn(4)
-    )
+    """multipath -> phase noise -> CFO -> DME -> AWGN.
+
+    Each stage draws from its own child of SeedSequence(cfg.seed), so
+    enabling one stage never shifts another's stream.  A generator is made
+    only for a stage that runs; a noiseless run calls apply_awgn without
+    one.
+    """
     y = np.asarray(x, dtype=np.complex128)
     if cfg.profile is not None:
-        y = apply_multipath(y, cfg.profile, num, rng_mp)
+        y = apply_multipath(y, cfg.profile, num, _stage_rng(cfg.seed, 0))
     if cfg.phase_noise_linewidth_hz != 0.0:
-        y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, rng_pn)
+        y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, _stage_rng(cfg.seed, 1))
     if cfg.epsilon != 0.0:
         y = apply_cfo(y, cfg.epsilon, num)
     if cfg.dme:
-        y = apply_dme(y, cfg.dme, num, rng_dme)
+        y = apply_dme(y, cfg.dme, num, _stage_rng(cfg.seed, 2))
+    rng_awgn = None if cfg.snr_db == math.inf else _stage_rng(cfg.seed, 3)
     return apply_awgn(y, cfg.snr_db, rng_awgn)

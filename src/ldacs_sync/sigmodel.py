@@ -30,10 +30,17 @@ Frame layout with the default numerology (all indices frame-relative):
     CP1 [0,44)  useful1 [44,300)  CP2 [300,344)  useful2 [344,600)  tail [600,632)
 
 The timing anchor k0 = 599 is the last sample of symbol 2's useful part.
+
+The preamble and the payload share one set of row-wise helpers, one OFDM
+symbol per row: _qpsk draws the sign bits of every row in one call,
+_ofdm_useful runs one IFFT over all rows, _windowed_blocks windows them,
+and _overlap_add adds them into the output in row order, the order a
+symbol-by-symbol build would use, so the samples are the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -171,46 +178,54 @@ class EnergyTemplate:
     alignment_offset: int
 
 
-def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
-    re = rng.integers(0, 2, size=n) * 2 - 1
-    im = rng.integers(0, 2, size=n) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2.0)
+def _qpsk(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """(rows, n) unit-magnitude QPSK values from one draw of sign bits:
+    row by row, the n real signs, then the n imaginary signs."""
+    bits = rng.integers(0, 2, size=(rows, 2, n)) * 2 - 1
+    return (bits[:, 0] + 1j * bits[:, 1]) / np.sqrt(2.0)
 
 
 def _ofdm_useful(k_indices: np.ndarray, values: np.ndarray, num: Numerology) -> np.ndarray:
-    """IFFT of the loaded bins, normalized to unit average power."""
-    spec = np.zeros(num.n_total, dtype=np.complex128)
-    spec[np.mod(k_indices, num.n_total)] = values
-    x = np.fft.ifft(spec)
-    power = np.mean(np.abs(x) ** 2)
-    if power <= 0:
+    """Useful parts of OFDM symbols, one per row of values (rows, k):
+    the IFFT of the loaded bins, each row normalized to unit average power."""
+    spec = np.zeros((values.shape[0], num.n_total), dtype=np.complex128)
+    spec[:, np.mod(k_indices, num.n_total)] = values
+    x = np.fft.ifft(spec, axis=-1)
+    power = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
+    if np.any(power <= 0):
         raise ValueError("empty subcarrier allocation")
     return x / np.sqrt(power)
 
 
+@functools.lru_cache(maxsize=None)
 def _raised_cosine_ramp(n_win: int) -> np.ndarray:
+    """Read-only rising ramp, computed once per length."""
     # half-sample offset keeps both ends strictly inside (0, 1)
     t = (np.arange(n_win) + 0.5) / n_win
-    return 0.5 * (1.0 - np.cos(np.pi * t))
+    ramp = 0.5 * (1.0 - np.cos(np.pi * t))
+    ramp.flags.writeable = False
+    return ramp
 
 
-def _windowed_block(useful: np.ndarray, num: Numerology) -> np.ndarray:
-    """[CP | useful | cyclic suffix], raised-cosine ramps on both ends."""
-    cp = useful[-num.n_cp:]
-    suffix = useful[: num.n_win]
-    block = np.concatenate([cp, useful, suffix])
+def _windowed_blocks(useful: np.ndarray, num: Numerology) -> np.ndarray:
+    """[CP | useful | cyclic suffix] per row of useful parts (rows,
+    n_total), with raised-cosine ramps on both ends."""
+    blocks = np.concatenate(
+        [useful[:, -num.n_cp:], useful, useful[:, : num.n_win]], axis=-1
+    )
     ramp = _raised_cosine_ramp(num.n_win)
-    block[: num.n_win] *= ramp
-    block[-num.n_win:] *= ramp[::-1]
-    return block
+    blocks[:, : num.n_win] *= ramp
+    blocks[:, -num.n_win:] *= ramp[::-1]
+    return blocks
 
 
-def _overlap_add(blocks: list[np.ndarray], num: Numerology) -> np.ndarray:
+def _overlap_add(out: np.ndarray, start: int, blocks: np.ndarray, num: Numerology) -> None:
+    """Add the rows of blocks into out at a hop of n_cp + n_total from
+    start, in row order."""
     hop = num.n_cp + num.n_total
-    out = np.zeros(hop * len(blocks) + num.n_win, dtype=np.complex128)
     for i, b in enumerate(blocks):
-        out[i * hop : i * hop + b.size] += b
-    return out
+        off = start + i * hop
+        out[off : off + b.size] += b
 
 
 def generate_preamble(num: Numerology, seed: int) -> PreambleWaveform:
@@ -218,21 +233,20 @@ def generate_preamble(num: Numerology, seed: int) -> PreambleWaveform:
 
     Symbol 1 loads the used subcarriers divisible by 4, symbol 2 those
     divisible by 2; both with QPSK values drawn from the seeded generator.
+    Each symbol is one row of the helpers build_frame uses for its payload.
     """
     rng = np.random.default_rng(seed)
     used = used_subcarriers(num)
-    occ1 = used[used % 4 == 0]
-    occ2 = used[used % 2 == 0]
-
-    useful1 = _ofdm_useful(occ1, _qpsk(rng, occ1.size), num)
-    useful2 = _ofdm_useful(occ2, _qpsk(rng, occ2.size), num)
-
-    raw = np.concatenate(
-        [useful1[-num.n_cp:], useful1, useful2[-num.n_cp:], useful2]
+    useful = np.concatenate(
+        [
+            _ofdm_useful(occ, _qpsk(rng, 1, occ.size), num)
+            for occ in (used[used % 4 == 0], used[used % 2 == 0])
+        ]
     )
-    windowed = _overlap_add(
-        [_windowed_block(useful1, num), _windowed_block(useful2, num)], num
-    )
+
+    raw = np.concatenate([useful[:, -num.n_cp:], useful], axis=-1).ravel()
+    windowed = np.zeros(2 * (num.n_cp + num.n_total) + num.n_win, dtype=np.complex128)
+    _overlap_add(windowed, 0, _windowed_blocks(useful, num), num)
 
     return PreambleWaveform(
         samples=windowed,
@@ -277,8 +291,9 @@ def build_frame(
 
     Payload symbols load all used subcarriers, are unit-power normalized over
     their useful parts, and join the frame by the same windowed overlap-add
-    as the preamble.  Returns (samples, n0) with n0 the index of the first
-    preamble sample.
+    as the preamble.  All payload symbols are built at once, one row each:
+    one draw of their QPSK bits, one IFFT, one windowing.  Returns
+    (samples, n0) with n0 the index of the first preamble sample.
     """
     if n_payload_symbols < 0:
         raise ValueError("n_payload_symbols must be >= 0")
@@ -292,11 +307,8 @@ def build_frame(
     total = lead_gap + (2 + n_payload_symbols) * hop + num.n_win
     out = np.zeros(total, dtype=np.complex128)
     out[lead_gap : lead_gap + pre.samples.size] += pre.samples
-    for p in range(n_payload_symbols):
-        useful = _ofdm_useful(used, _qpsk(rng, used.size), num)
-        block = _windowed_block(useful, num)
-        off = lead_gap + (2 + p) * hop
-        out[off : off + block.size] += block
+    useful = _ofdm_useful(used, _qpsk(rng, n_payload_symbols, used.size), num)
+    _overlap_add(out, lead_gap + 2 * hop, _windowed_blocks(useful, num), num)
 
     n0 = lead_gap + pre.frame_start
     return out, n0

@@ -1,5 +1,6 @@
 """Impairment stages: CFO, AWGN, fading, DME pulses, phase noise, pipeline."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,8 @@ from ldacs_sync import (
 from ldacs_sync.channel import (
     DME_PAIR_SPACING_S,
     DME_PULSE_WIDTH_S,
+    LOS_DOPPLER_FRACTION,
+    N_SINUSOIDS,
     _tones,
     pulse_pair_times,
     wiener_phase,
@@ -182,7 +185,44 @@ class TestTones:
         assert peak <= 1.5 * g.nbytes
 
 
+def _multipath_reference(x, profile, num, rng):
+    """Tap-by-tap loop with a delay rounding, a draw and a gain scaling
+    per tap: the reference apply_multipath must match bit for bit."""
+    x = np.asarray(x, dtype=np.complex128)
+    fs = num.sample_rate_hz
+    n = x.size
+    y = np.zeros_like(x)
+    for tap, p in zip(profile.taps, profile.linear_powers()):
+        d = int(np.round(tap.delay_s * fs))
+        if d > num.n_cp:
+            raise ValueError(f"tap delay {tap.delay_s} s rounds to {d} samples")
+        if tap.kind == "los":
+            fractions = np.array([LOS_DOPPLER_FRACTION])
+            phases = rng.uniform(0.0, 2.0 * np.pi, 1)
+        else:
+            fractions = np.cos(rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS))
+            phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
+        if p == 0.0:
+            continue
+        omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
+        gain = math.sqrt(p) * (_tones(omegas, phases, n) / math.sqrt(fractions.size))
+        y[d:] += gain[d:] * x[: max(n - d, 0)]
+    return y
+
+
 class TestMultipath:
+    @pytest.mark.parametrize("make_profile", [make_enr_profile, make_tma_profile])
+    @pytest.mark.parametrize("k_db", [math.inf, 10.0, -math.inf])
+    @pytest.mark.parametrize("n", [0, 1, 30, 1732])
+    def test_matches_per_tap_loop(self, make_profile, k_db, n, num):
+        profile = make_profile(rician_k_db=k_db)
+        x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
+        for seed in range(4):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            y = apply_multipath(x, profile, num, rng)
+            assert np.array_equal(y, _multipath_reference(x, profile, num, rng_ref))
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
     def test_pure_los_is_flat(self, num, rng):
         profile = ChannelProfile(
             (ChannelTap(0.0, 0.0, "los"),),
@@ -264,6 +304,16 @@ class TestMultipath:
             100.0,
         )
         with pytest.raises(ValueError, match="delay"):
+            apply_multipath(np.ones(100, complex), profile, num, rng)
+
+    def test_delay_limit_names_the_first_tap_beyond_it(self, num, rng):
+        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(18.0e-6, 0.0, "scattered"))
+        taps += (ChannelTap(20.0e-6, 0.0, "scattered"),)
+        profile = ChannelProfile(taps, 10.0, 100.0)
+        with pytest.raises(
+            ValueError,
+            match=r"^tap delay 1.8e-05 s rounds to 45 samples, beyond the limit of 44$",
+        ):
             apply_multipath(np.ones(100, complex), profile, num, rng)
 
 
@@ -431,3 +481,41 @@ class TestPipeline:
             x, ImpairmentConfig(dme=make_dme_scenario(), seed=9), num
         )
         assert np.allclose(with_dme - base, dme_only - x, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "multipath, phase_noise, cfo, dme, snr_db",
+        [
+            (*flags, snr_db)
+            for flags in itertools.product((False, True), repeat=4)
+            for snr_db in (7.0, math.inf)
+        ],
+    )
+    def test_stages_draw_from_their_spawned_child(
+        self, multipath, phase_noise, cfo, dme, snr_db, num, rng
+    ):
+        # the hand-made composition takes stage i's generator from child i
+        # of SeedSequence(seed).spawn(4); a stage on the wrong child differs
+        x = rng.normal(size=500) + 1j * rng.normal(size=500)
+        seed = 2024
+        cfg = ImpairmentConfig(
+            epsilon=0.7 if cfo else 0.0,
+            snr_db=snr_db,
+            profile=make_tma_profile() if multipath else None,
+            dme=make_dme_scenario() if dme else (),
+            phase_noise_linewidth_hz=300.0 if phase_noise else 0.0,
+            seed=seed,
+        )
+        rng_mp, rng_pn, rng_dme, rng_awgn = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+        )
+        y = x
+        if multipath:
+            y = apply_multipath(y, cfg.profile, num, rng_mp)
+        if phase_noise:
+            y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, rng_pn)
+        if cfo:
+            y = apply_cfo(y, cfg.epsilon, num)
+        if dme:
+            y = apply_dme(y, cfg.dme, num, rng_dme)
+        y = apply_awgn(y, snr_db, rng_awgn)
+        assert np.array_equal(run_pipeline(x, cfg, num), y)

@@ -1,7 +1,9 @@
 """Monte Carlo orchestration: trials, campaigns, scenario files, outputs."""
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +225,44 @@ class TestOutputs:
             "sto_est,cfo_est,sto_error,cfo_error,cfo_est_ac1,cfo_est_ac2"
         )
         assert len(lines) == 3
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGoldenTrials:
+    """Per-trial records pinned across commits.  The files are the
+    `<channel>_trials.csv` of `ldacs-sync campaign --channel <channel>
+    --epsilon <eps> --snr 0,10,inf --trials 6 --per-trial`."""
+
+    EXACT = ("seed", "true_sto", "detected", "fail", "sto_est", "sto_error")
+
+    @pytest.mark.parametrize(
+        "channel, epsilon, filename",
+        [("AWGN", 1.5, "awgn_eps1p5_trials.csv"), ("TMA", 0.5, "tma_eps0p5_trials.csv")],
+    )
+    def test_records_match_recorded_csv(self, tmp_path, channel, epsilon, filename):
+        sc = Scenario(
+            name=channel.lower(),
+            channel=channel,
+            epsilon=epsilon,
+            snr_grid_db="0,10,inf",
+            n_trials=6,
+        )
+        _, records = run_campaign(sc, return_records=True)
+        path = tmp_path / filename
+        write_trial_csv(path, [r for s_idx in sorted(records) for r in records[s_idx]])
+
+        def rows(p):
+            with open(p, newline="", encoding="utf-8") as fh:
+                return list(csv.DictReader(fh))
+
+        got, want = rows(path), rows(DATA / filename)
+        assert len(got) == len(want) == 18
+        assert list(got[0]) == list(want[0])
+        for g, w in zip(got, want):
+            for key in w:
+                if key in self.EXACT or w[key] in ("", "inf") or g[key] == "":
+                    assert g[key] == w[key], key
+                else:
+                    assert float(g[key]) == pytest.approx(float(w[key]), rel=0, abs=1e-9), key

@@ -12,6 +12,57 @@ from ldacs_sync import (
     read_iq,
     write_iq,
 )
+from ldacs_sync.sigmodel import used_subcarriers
+
+
+# A per-symbol builder: one draw, one IFFT and one windowed block per OFDM
+# symbol, added into the output one block at a time.  The row-wise builders
+# in sigmodel must match it bit for bit.
+
+
+def _useful_reference(k_indices, rng, num):
+    re = rng.integers(0, 2, size=k_indices.size) * 2 - 1
+    im = rng.integers(0, 2, size=k_indices.size) * 2 - 1
+    spec = np.zeros(num.n_total, dtype=np.complex128)
+    spec[np.mod(k_indices, num.n_total)] = (re + 1j * im) / np.sqrt(2.0)
+    x = np.fft.ifft(spec)
+    return x / np.sqrt(np.mean(np.abs(x) ** 2))
+
+
+def _block_reference(useful, num):
+    block = np.concatenate([useful[-num.n_cp :], useful, useful[: num.n_win]])
+    t = (np.arange(num.n_win) + 0.5) / num.n_win
+    ramp = 0.5 * (1.0 - np.cos(np.pi * t))
+    block[: num.n_win] *= ramp
+    block[-num.n_win :] *= ramp[::-1]
+    return block
+
+
+def _preamble_reference(num, seed):
+    rng = np.random.default_rng(seed)
+    used = used_subcarriers(num)
+    u1 = _useful_reference(used[used % 4 == 0], rng, num)
+    u2 = _useful_reference(used[used % 2 == 0], rng, num)
+    raw = np.concatenate([u1[-num.n_cp :], u1, u2[-num.n_cp :], u2])
+    hop = num.n_cp + num.n_total
+    out = np.zeros(2 * hop + num.n_win, dtype=np.complex128)
+    for i, u in enumerate((u1, u2)):
+        b = _block_reference(u, num)
+        out[i * hop : i * hop + b.size] += b
+    return out, raw
+
+
+def _frame_reference(num, pre, n_payload_symbols, lead_gap, seed):
+    rng = np.random.default_rng(seed)
+    used = used_subcarriers(num)
+    hop = num.n_cp + num.n_total
+    out = np.zeros(lead_gap + (2 + n_payload_symbols) * hop + num.n_win, dtype=np.complex128)
+    out[lead_gap : lead_gap + pre.samples.size] += pre.samples
+    for p in range(n_payload_symbols):
+        b = _block_reference(_useful_reference(used, rng, num), num)
+        off = lead_gap + (2 + p) * hop
+        out[off : off + b.size] += b
+    return out, lead_gap + pre.frame_start
 
 
 class TestNumerology:
@@ -150,6 +201,13 @@ class TestPreamble:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_matches_per_symbol_build(self, num, seed):
+        samples, raw = _preamble_reference(num, seed)
+        pre = generate_preamble(num, seed)
+        assert np.array_equal(pre.samples, samples)
+        assert np.array_equal(pre.samples_unwindowed, raw)
+
 
 class TestEnergyTemplate:
     def test_shape_and_positivity(self, num, template):
@@ -207,6 +265,15 @@ class TestFrame:
         a, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=50, seed=4)
         b, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=50, seed=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_payload_symbols", [0, 1, 2, 5])
+    @pytest.mark.parametrize("lead_gap", [0, 1, 700])
+    def test_matches_per_symbol_build(self, num, pre, n_payload_symbols, lead_gap):
+        for seed in range(21):
+            samples, n0 = build_frame(num, pre, n_payload_symbols, lead_gap, seed)
+            ref, ref_n0 = _frame_reference(num, pre, n_payload_symbols, lead_gap, seed)
+            assert np.array_equal(samples, ref)
+            assert n0 == ref_n0
 
 
 class TestIqFiles:
