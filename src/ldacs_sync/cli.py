@@ -27,6 +27,7 @@ from .harness import (
     CHANNELS,
     Scenario,
     fmt,
+    link,
     load_scenario,
     run_campaign,
     write_campaign_csv,
@@ -34,7 +35,7 @@ from .harness import (
     write_csv,
     write_trial_csv,
 )
-from .sigmodel import build_frame, energy_template, generate_preamble, make_numerology, write_iq
+from .sigmodel import build_frame, write_iq
 from .sync import baseline_xene, baseline_xsig, metric_stream
 
 
@@ -43,9 +44,7 @@ from .sync import baseline_xene, baseline_xsig, metric_stream
 
 
 def cmd_trace(args) -> int:
-    num = make_numerology()
-    pre = generate_preamble(num, args.preamble_seed)
-    template = energy_template(pre, num)
+    num, pre, template = link(args.preamble_seed)
 
     # no payload: at lag 2L a trailing unit-power symbol images into the
     # magnitude correlation and can shade the true peak in the dump window
@@ -182,8 +181,9 @@ def bundled_scenarios(n_trials: int, master_seed: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    scenarios = bundled_scenarios(args.trials, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    for scen in bundled_scenarios(args.trials, args.seed):
+    for scen in scenarios:
         stats = run_campaign(scen)
         path = os.path.join(args.out, f"{scen.name}.csv")
         write_campaign_csv(path, stats)

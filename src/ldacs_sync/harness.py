@@ -12,14 +12,20 @@ Seeding is hierarchical and parallel-safe: trial t of SNR point s uses
 SeedSequence([master_seed, s, t]), so every trial is reproducible in
 isolation and campaign statistics are independent of evaluation order.
 
+The link (numerology, preamble and energy template) is fixed for a
+preamble seed; link() builds it once per seed and every trial shares it.
+
 CFO MSE aggregates the squared cfo_error over detected trials that produced
 an estimate.  An infinite SNR entry in the grid means noiseless.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
+import os
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
@@ -32,7 +38,15 @@ from .channel import (
     make_tma_profile,
     run_pipeline,
 )
-from .sigmodel import Numerology, build_frame, energy_template, generate_preamble, make_numerology
+from .sigmodel import (
+    EnergyTemplate,
+    Numerology,
+    PreambleWaveform,
+    build_frame,
+    energy_template,
+    generate_preamble,
+    make_numerology,
+)
 from .sync import synchronize
 
 # channel name -> (multipath profile or None, DME interferers or ())
@@ -57,6 +71,15 @@ def _parse_snr_list(text: str) -> tuple:
         raise ValueError(f"malformed number list for snr_grid_db: {text!r}") from None
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= minimum."""
+    # bool is an Integral but never a count, seed or length
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """One campaign.  snr_grid_db also accepts the comma-separated text of
@@ -75,6 +98,9 @@ class Scenario:
     phase_noise_linewidth_hz: float = 0.0
 
     def __post_init__(self):
+        # the name becomes the output file stem: <out>/<name>.csv
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
+            raise ValueError(f"name must be a non-empty plain file name, got {self.name!r}")
         if self.channel not in CHANNEL_MODELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if isinstance(self.snr_grid_db, str):
@@ -85,17 +111,17 @@ class Scenario:
             raise ValueError(
                 f"snr_grid_db entries must be finite or inf (noiseless), got {self.snr_grid_db}"
             )
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        _check_int("n_trials", self.n_trials, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        _check_int("preamble_seed", self.preamble_seed, 0)
+        _check_int("n_payload_symbols", self.n_payload_symbols, 0)
+        if self.fine_threshold is not None:
+            _check_int("fine_threshold", self.fine_threshold, 0)
         lo, hi = self.lead_gap_range
-        if lo < 0 or hi < lo:
-            raise ValueError("lead_gap_range must satisfy 0 <= lo <= hi")
+        _check_int("lead_gap_range", lo, 0)
+        _check_int("lead_gap_range", hi, lo)
         if not -2.0 < self.epsilon <= 2.0:
             raise ValueError("epsilon must lie in (-2, 2]")
-        if self.fine_threshold is not None and self.fine_threshold < 0:
-            raise ValueError("fine_threshold must be >= 0")
-        if self.n_payload_symbols < 0:
-            raise ValueError("n_payload_symbols must be >= 0")
         if not self.phase_noise_linewidth_hz >= 0.0:  # NaN fails too
             raise ValueError("phase_noise_linewidth_hz must be >= 0")
 
@@ -132,27 +158,27 @@ def resolve_fine_threshold(scenario: Scenario, num: Numerology) -> int:
     return num.n_cp // 11
 
 
-def run_trial(
-    scenario: Scenario,
-    snr_db: float,
-    rng_seed,
-    num: Optional[Numerology] = None,
-    pre=None,
-    template=None,
-) -> TrialRecord:
+@functools.lru_cache(maxsize=None)
+def link(preamble_seed: int) -> tuple[Numerology, PreambleWaveform, EnergyTemplate]:
+    """(num, pre, template) for a preamble seed, built on first use.
+
+    Every caller shares the result, so its arrays are read-only.
+    """
+    num = make_numerology()
+    pre = generate_preamble(num, preamble_seed)
+    template = energy_template(pre, num)
+    for a in (pre.samples, pre.samples_unwindowed, template.a):
+        a.flags.writeable = False
+    return num, pre, template
+
+
+def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
     """One frame through the channel and synchronizer.
 
-    rng_seed is any SeedSequence entropy (int or sequence of ints).  num,
-    pre, and template are rebuilt from the scenario when not supplied;
-    campaigns pass cached ones.
+    rng_seed is any SeedSequence entropy (int or sequence of ints).  The
+    link comes from link(scenario.preamble_seed).
     """
-    if num is None:
-        num = make_numerology()
-    if pre is None:
-        pre = generate_preamble(num, scenario.preamble_seed)
-    if template is None:
-        template = energy_template(pre, num)
-
+    num, pre, template = link(scenario.preamble_seed)
     ss = np.random.SeedSequence(rng_seed)
     child_trial, child_payload, child_channel = ss.spawn(3)
     rng = np.random.default_rng(child_trial)
@@ -219,34 +245,18 @@ def aggregate(scenario_name: str, snr_db: float, records: Sequence[TrialRecord])
     )
 
 
-def run_campaign(
-    scenario: Scenario,
-    num: Optional[Numerology] = None,
-    return_records: bool = False,
-):
+def run_campaign(scenario: Scenario, return_records: bool = False):
     """Run the scenario's full SNR grid.
 
     Returns a list of CampaignStats, one per grid point; with
     return_records=True, returns (stats, records) where records maps
     snr index -> list of TrialRecord.
     """
-    if num is None:
-        num = make_numerology()
-    pre = generate_preamble(num, scenario.preamble_seed)
-    template = energy_template(pre, num)
-
     stats: list[CampaignStats] = []
     all_records: dict[int, list] = {}
     for s_idx, snr_db in enumerate(scenario.snr_grid_db):
         records = [
-            run_trial(
-                scenario,
-                snr_db,
-                [scenario.master_seed, s_idx, t],
-                num=num,
-                pre=pre,
-                template=template,
-            )
+            run_trial(scenario, snr_db, [scenario.master_seed, s_idx, t])
             for t in range(scenario.n_trials)
         ]
         stats.append(aggregate(scenario.name, snr_db, records))

@@ -1,11 +1,12 @@
 """OFDM numerology and waveform synthesis for an L-DACS1-style frame.
 
-The L-DACS1 specification fixes the base numerology, so these are constants
-of Numerology, not settings: a 64-point base FFT, 50 used subcarriers,
-9.765625 kHz subcarrier spacing, and per base-rate sample an 11-sample
-cyclic prefix and an 8-sample window ramp.  The oversampling factor n_ov
-scales every length; it and the detector's d_template, m_consec and
-delta_search are the only values make_numerology accepts.
+The numerology is one fixed link with no settings: the L-DACS1
+specification fixes a 64-point base FFT, 50 used subcarriers, 9.765625 kHz
+subcarrier spacing, and per base-rate sample an 11-sample cyclic prefix and
+an 8-sample window ramp.  The oversampling factor n_ov = 4 (2.5 MHz) keeps
+the bundled +/-0.5 MHz DME interferers below Nyquist, and every length,
+the detector's d_template, m_consec and delta_search included, derives
+from it.
 
 The synchronization preamble spans two OFDM symbols built on an oversampled
 FFT of size n_total = 64 * n_ov:
@@ -25,7 +26,7 @@ samples.  Transmit shaping is windowed overlap-add: every symbol block
 is ramped up/down with a raised-cosine ramp of n_win samples and blocks are
 added at a hop of n_cp + n_total, so ramps stay inside the guard interval.
 
-Frame layout with the default numerology (all indices frame-relative):
+Frame layout (all indices frame-relative):
 
     CP1 [0,44)  useful1 [44,300)  CP2 [300,344)  useful2 [344,600)  tail [600,632)
 
@@ -41,8 +42,7 @@ symbol-by-symbol build would use, so the samples are the same bits.
 from __future__ import annotations
 
 import functools
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -58,35 +58,15 @@ from ._kernels import metric_arrays
 class Numerology:
     """Concrete OFDM dimensioning.  Build through make_numerology().
 
-    The standard's values are class constants and n_cp, n_win derive from
-    n_ov; only the four fields are settable.  An invalid instance raises
-    ValueError naming the offending field, however it was built.
+    Every value is a class constant or derives from n_ov; nothing is
+    settable.
     """
 
     # the 4x/2x subcarrier comb only yields L/2L periods on a base of 64
     n_fft_base: ClassVar[int] = 64
     n_used: ClassVar[int] = 50
     subcarrier_spacing_hz: ClassVar[float] = 9765.625
-
-    n_ov: int
-    d_template: int
-    m_consec: int
-    delta_search: int
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an Integral but never a length
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if not self.n_ov >= 1:
-            raise ValueError("n_ov must be >= 1")
-        if not 1 <= self.d_template <= 8 * self.l_quarter:
-            raise ValueError("d_template must lie in [1, 8 * l_quarter]")
-        if not self.m_consec >= 1:
-            raise ValueError("m_consec must be >= 1")
-        if not self.delta_search >= 1:
-            raise ValueError("delta_search must be >= 1")
+    n_ov: ClassVar[int] = 4
 
     @property
     def n_cp(self) -> int:
@@ -109,29 +89,28 @@ class Numerology:
         return 4 * self.l_quarter
 
     @property
+    def d_template(self) -> int:
+        """Energy template length, 4L: symbol 2's useful part."""
+        return 64 * self.n_ov
+
+    @property
+    def m_consec(self) -> int:
+        """Consecutive samples above threshold that trigger a detection."""
+        return 4 * self.n_ov
+
+    @property
+    def delta_search(self) -> int:
+        """Length of the xcr timing search window."""
+        return 56 * self.n_ov
+
+    @property
     def sample_rate_hz(self) -> float:
         return self.n_fft_base * self.n_ov * self.subcarrier_spacing_hz
 
 
-def make_numerology(**overrides) -> Numerology:
-    """Build a Numerology from at most four overrides.
-
-    n_ov (default 4), d_template (4*L = 64*n_ov), m_consec (4*n_ov) and
-    delta_search (56*n_ov); the defaults of the last three scale with n_ov.
-    Any other key, including the standard's constants, raises ValueError
-    naming it.  Values must be integers; nothing is rounded.
-    """
-    unknown = set(overrides) - {f.name for f in fields(Numerology)}
-    if unknown:
-        raise ValueError(f"unknown numerology override(s): {sorted(unknown)}")
-
-    n_ov = overrides.get("n_ov", 4)
-    return Numerology(
-        n_ov=n_ov,
-        d_template=overrides.get("d_template", 64 * n_ov),
-        m_consec=overrides.get("m_consec", 4 * n_ov),
-        delta_search=overrides.get("delta_search", 56 * n_ov),
-    )
+def make_numerology() -> Numerology:
+    """The L-DACS1 numerology at 4x oversampling: 2.5 MHz, n_total 256."""
+    return Numerology()
 
 
 def used_subcarriers(num: Numerology) -> np.ndarray:
@@ -266,7 +245,7 @@ def energy_template(pre: PreambleWaveform, num: Numerology) -> EnergyTemplate:
     the frame start.
     """
     d = num.d_template
-    k0 = pre.start_useful_2 + num.n_total - 1  # d <= 8L keeps k0 - d + 1 >= 22*n_ov
+    k0 = pre.start_useful_2 + num.n_total - 1  # d = 4L: the template spans useful2
 
     mag2 = np.abs(pre.samples) ** 2
     a = mag2[k0 - d + 1 : k0 + 1][::-1].copy()

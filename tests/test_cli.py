@@ -128,6 +128,23 @@ class TestCampaign:
         assert rc != 0
         assert "phase_noise_linewidth_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("name =", "name"),
+            ("name = sub/x", "name"),
+            ("name = x\nmaster_seed = -1", "master_seed"),
+        ],
+    )
+    def test_bad_value_fails_before_any_output(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"channel = AWGN\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["campaign", "--scenario", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["inf,5", "noiseless", "1,x", ",", "nan", "5,-inf"])
     def test_snr_list_same_from_flag_and_file(self, tmp_path, capsys, text):
         # one parser: same grid (same CSV bytes) or same error either way
@@ -169,6 +186,11 @@ class TestSweep:
         for name in ("enr.csv", "enr_dme.csv", "tma.csv"):
             header, rows = _read_csv(tmp_path / name)
             assert len(rows) == 7
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path), "--trials", "1", "--seed", "-1"])
+        assert rc == 2
+        assert "master_seed" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, tmp_path):
         a = tmp_path / "a"

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 
 from ldacs_sync import (
     Scenario,
+    energy_template,
+    generate_preamble,
     load_scenario,
     run_campaign,
     run_trial,
@@ -17,7 +21,7 @@ from ldacs_sync import (
     write_campaign_json,
     write_trial_csv,
 )
-from ldacs_sync.harness import aggregate, resolve_fine_threshold
+from ldacs_sync.harness import aggregate, link, resolve_fine_threshold
 
 
 def _scenario(**kw):
@@ -53,9 +57,62 @@ class TestScenario:
         with pytest.raises(ValueError, match="epsilon"):
             _scenario(epsilon=2.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_trials", 2.5),
+            ("n_trials", True),
+            ("n_trials", 0),
+            ("n_payload_symbols", 1.5),
+            ("n_payload_symbols", -1),
+            ("lead_gap_range", (1.5, 3.2)),
+            ("lead_gap_range", (100, 300.0)),
+            ("lead_gap_range", (-1, 300)),
+            ("fine_threshold", 2.5),
+            ("fine_threshold", False),
+            ("master_seed", -1),
+            ("master_seed", 1.0),
+            ("preamble_seed", -1),
+            ("preamble_seed", True),
+        ],
+    )
+    def test_rejects_non_integer_or_negative_value(self, field, value):
+        # caught on construction, not by numpy mid-campaign
+        with pytest.raises(ValueError, match=field):
+            _scenario(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        sc = _scenario(n_trials=np.int64(3), lead_gap_range=(np.int32(10), 20), master_seed=np.uint8(0))
+        assert sc.n_trials == 3
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "sub/x", "x/", "/tmp/x"])
+    def test_rejects_name_that_is_not_a_plain_file_name(self, name):
+        with pytest.raises(ValueError, match="name"):
+            _scenario(name=name)
+
     def test_default_fine_threshold_is_cp_fraction(self, num):
         assert resolve_fine_threshold(_scenario(), num) == num.n_cp // 11
         assert resolve_fine_threshold(_scenario(fine_threshold=2), num) == 2
+
+
+class TestLink:
+    def test_one_link_per_preamble_seed(self):
+        a = link(1)
+        assert all(x is y for x, y in zip(a, link(1)))
+        assert link(2)[1] is not a[1]
+
+    @pytest.mark.parametrize("which", ["samples", "samples_unwindowed", "a"])
+    def test_shared_arrays_are_read_only(self, which):
+        _, pre, template = link(1)
+        arr = template.a if which == "a" else getattr(pre, which)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+    def test_matches_a_fresh_build(self, num):
+        _, pre, template = link(3)
+        fresh = generate_preamble(num, 3)
+        assert np.array_equal(pre.samples, fresh.samples)
+        assert np.array_equal(template.a, energy_template(fresh, num).a)
 
 
 class TestRunTrial:
@@ -179,6 +236,17 @@ class TestScenarioFile:
         p = self._write(tmp_path, "name = x\n")
         with pytest.raises(ValueError, match="channel"):
             load_scenario(p)
+
+    def test_readme_example(self, tmp_path):
+        # the README's ini block sets name, channel and epsilon; every other
+        # value it shows must be the Scenario default
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        sc = load_scenario(self._write(tmp_path, block))
+        assert (sc.name, sc.channel, sc.epsilon) == ("quick", "AWGN", 1.5)
+        for f in fields(Scenario):
+            if f.name not in ("name", "channel", "epsilon"):
+                assert getattr(sc, f.name) == f.default, f.name
 
     def test_malformed_number_named(self, tmp_path):
         p = self._write(tmp_path, "name = x\nchannel = AWGN\nn_trials = many\n")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
-    Numerology,
     build_frame,
     energy_template,
     generate_preamble,
@@ -80,17 +79,6 @@ class TestNumerology:
         assert num.sample_rate_hz == pytest.approx(2.5e6)
         assert num.subcarrier_spacing_hz == pytest.approx(9765.625)
 
-    def test_oversampling_scales_lengths(self):
-        num = make_numerology(n_ov=1)
-        assert num.l_quarter == 16
-        assert num.n_total == 64
-        assert num.n_cp == 11
-        assert num.n_win == 8
-        assert num.d_template == 64
-        assert num.m_consec == 4
-        assert num.delta_search == 56
-        assert num.sample_rate_hz == pytest.approx(9765.625 * 64)
-
     def test_used_subcarriers_symmetric(self, num):
         from ldacs_sync.sigmodel import used_subcarriers
 
@@ -99,58 +87,22 @@ class TestNumerology:
         assert 0 not in used
         assert set(used.tolist()) == {k for k in range(-25, 26) if k != 0}
 
-    def test_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="n_fft"):
-            make_numerology(n_fft=128)
-
-    def test_rejects_bad_cp(self):
-        with pytest.raises(ValueError, match="n_cp"):
-            make_numerology(n_cp=0)
-
-    def test_rejects_wrong_base_fft(self):
-        with pytest.raises(ValueError, match="n_fft_base"):
-            make_numerology(n_fft_base=128)
-
-    def test_rejects_window_wider_than_cp(self):
-        with pytest.raises(ValueError, match="n_win"):
-            make_numerology(n_win=64)
-
-    def test_rejects_oversized_template(self):
-        # anchor window may not exceed the two preamble symbols
-        with pytest.raises(ValueError, match="d_template"):
-            make_numerology(d_template=513)
-
     @pytest.mark.parametrize(
-        "field, value",
+        "key, value",
         [
-            ("n_ov", 0),
-            ("d_template", 0),
-            ("d_template", 257),
-            ("m_consec", 0),
-            ("delta_search", 0),
-            # 4.0 passes every range check but is not a length numpy can use
-            ("n_ov", 4.0),
-            ("delta_search", True),
+            ("n_fft", 128),
+            ("n_cp", 0),
+            ("n_fft_base", 128),
+            ("n_win", 64),
+            ("n_ov", 2),
+            ("d_template", 128),
+            ("m_consec", 8),
+            ("delta_search", 112),
         ],
     )
-    def test_direct_construction_validated(self, field, value):
-        # at n_ov = 2 the limit 8*L is 256, so d_template 256 is valid, 257 not
-        kwargs = dict(n_ov=2, d_template=256, m_consec=8, delta_search=112)
-        Numerology(**kwargs)
-        with pytest.raises(ValueError, match=field):
-            Numerology(**{**kwargs, field: value})
-
-    @pytest.mark.parametrize(
-        "field, value", [("n_ov", 2.5), ("d_template", 100.9), ("n_ov", True), ("m_consec", True)]
-    )
-    def test_non_integer_override_rejected(self, field, value):
-        # no silent truncation: 2.5 is not n_ov 2, 100.9 is not d_template 100
-        with pytest.raises(ValueError, match=field):
-            make_numerology(**{field: value})
-
-    def test_numpy_integers_accepted(self):
-        num = make_numerology(n_ov=np.int64(2), m_consec=np.int32(8))
-        assert (num.n_ov, num.m_consec, num.d_template) == (2, 8, 128)
+    def test_nothing_can_be_overridden(self, key, value):
+        with pytest.raises(TypeError):
+            make_numerology(**{key: value})
 
 
 class TestPreamble:
@@ -232,12 +184,6 @@ class TestEnergyTemplate:
         t2 = energy_template(scaled, num)
         assert np.allclose(t2.a, 4.0 * t1.a, rtol=1e-12)
         assert t2.alignment_offset == t1.alignment_offset
-
-    def test_anchor_window_at_limit(self, num, pre):
-        big = make_numerology(d_template=512)
-        # d = 8L reaches exactly the start of the preamble, still legal
-        t = energy_template(pre, big)
-        assert t.a.shape == (512,)
 
 
 class TestFrame:
