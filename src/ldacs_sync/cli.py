@@ -26,6 +26,7 @@ from .harness import (
     CHANNEL_MODELS,
     CHANNELS,
     Scenario,
+    _check_int,
     fmt,
     link,
     load_scenario,
@@ -44,6 +45,8 @@ from .sync import baseline_xene, baseline_xsig, metric_stream
 
 
 def cmd_trace(args) -> int:
+    _check_int("--seed", args.seed, 0)
+    _check_int("--preamble-seed", args.preamble_seed, 0)
     num, pre, template = link(args.preamble_seed)
 
     # no payload: at lag 2L a trailing unit-power symbol images into the
@@ -66,7 +69,7 @@ def cmd_trace(args) -> int:
     xsig = baseline_xsig(r, pre, num)
     xene = baseline_xene(r, template)
 
-    centre = n0 + template.alignment_offset
+    centre = n0 + num.anchor
     half = num.n_total // 2
     taus = np.arange(-half, half + 1)
     idx = centre + taus

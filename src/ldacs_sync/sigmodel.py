@@ -30,7 +30,9 @@ Frame layout (all indices frame-relative):
 
     CP1 [0,44)  useful1 [44,300)  CP2 [300,344)  useful2 [344,600)  tail [600,632)
 
-The timing anchor k0 = 599 is the last sample of symbol 2's useful part.
+The timing anchor k0 = num.anchor = 599 is the last sample of symbol 2's
+useful part.  The energy template is read back from it, and every timing
+offset derives from it.
 
 The preamble and the payload share one set of row-wise helpers, one OFDM
 symbol per row: _qpsk draws the sign bits of every row in one call,
@@ -46,8 +48,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-
-from ._kernels import metric_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,12 @@ class Numerology:
         return 56 * self.n_ov
 
     @property
+    def anchor(self) -> int:
+        """Timing anchor k0: frame-relative index of the last sample of
+        symbol 2's useful part, where the template is read back from."""
+        return 2 * (self.n_cp + self.n_total) - 1
+
+    @property
     def sample_rate_hz(self) -> float:
         return self.n_fft_base * self.n_ov * self.subcarrier_spacing_hz
 
@@ -126,35 +132,29 @@ def used_subcarriers(num: Numerology) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreambleWaveform:
-    """Synthesized preamble.
+    """Synthesized preamble, indexed from the frame start as in the module
+    docstring's frame layout.
 
     samples            windowed overlap-add output, len = 2*(n_cp+n_total)+n_win
     samples_unwindowed rectangular CP-OFDM intermediate, len = 2*(n_cp+n_total);
                        indices align with samples[:600] and keep the exact
                        cyclic-prefix copy property
-    start_useful_1/2   frame-relative starts of the useful parts
-    frame_start        index of the first preamble sample (0)
     """
 
     samples: np.ndarray
     samples_unwindowed: np.ndarray
-    start_useful_1: int
-    start_useful_2: int
-    frame_start: int
 
 
 @dataclass(frozen=True)
 class EnergyTemplate:
     """Expected preamble energy profile, anchored at the last useful sample.
 
-    a[m] = |p[k0 - m]|^2 for m = 0..D-1 where k0 indexes the final sample of
-    symbol 2's useful part.  alignment_offset maps the argmax of the weighted
-    correlation metric back to the frame start; it is calibrated once by a
-    noiseless loopback scan, so timing estimates are exact by construction.
+    a[m] = |p[k0 - m]|^2 for m = 0..D-1 with k0 = num.anchor, the final
+    sample of symbol 2's useful part.  The timing estimate subtracts k0
+    from the xcr peak.
     """
 
     a: np.ndarray
-    alignment_offset: int
 
 
 def _qpsk(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -227,36 +227,16 @@ def generate_preamble(num: Numerology, seed: int) -> PreambleWaveform:
     windowed = np.zeros(2 * (num.n_cp + num.n_total) + num.n_win, dtype=np.complex128)
     _overlap_add(windowed, 0, _windowed_blocks(useful, num), num)
 
-    return PreambleWaveform(
-        samples=windowed,
-        samples_unwindowed=raw,
-        start_useful_1=num.n_cp,
-        start_useful_2=2 * num.n_cp + num.n_total,
-        frame_start=0,
-    )
+    return PreambleWaveform(samples=windowed, samples_unwindowed=raw)
 
 
 def energy_template(pre: PreambleWaveform, num: Numerology) -> EnergyTemplate:
-    """Build the energy template and calibrate its alignment offset.
-
-    The offset is found by running the weighted correlation metric over the
-    zero-padded noiseless preamble and taking the argmax; estimate_sto()
-    subtracts it, which makes the noiseless timing estimate land exactly on
-    the frame start.
-    """
-    d = num.d_template
-    k0 = pre.start_useful_2 + num.n_total - 1  # d = 4L: the template spans useful2
-
+    """|p|^2 read back from the anchor k0 = num.anchor over d_template = 4L
+    samples, so the template spans symbol 2's useful part."""
+    k0 = num.anchor
     mag2 = np.abs(pre.samples) ** 2
-    a = mag2[k0 - d + 1 : k0 + 1][::-1].copy()
-
-    pad = d + 2 * num.l_quarter  # metric warm-up
-    stream = np.concatenate(
-        [np.zeros(pad, dtype=np.complex128), pre.samples.astype(np.complex128)]
-    )
-    _, _, _, xcr = metric_arrays(stream, num.l_quarter, a)
-    alignment_offset = int(np.argmax(xcr)) - pad
-    return EnergyTemplate(a=a, alignment_offset=alignment_offset)
+    a = mag2[k0 - num.d_template + 1 : k0 + 1][::-1].copy()
+    return EnergyTemplate(a=a)
 
 
 def build_frame(
@@ -272,7 +252,7 @@ def build_frame(
     their useful parts, and join the frame by the same windowed overlap-add
     as the preamble.  All payload symbols are built at once, one row each:
     one draw of their QPSK bits, one IFFT, one windowing.  Returns
-    (samples, n0) with n0 the index of the first preamble sample.
+    (samples, n0) with n0 = lead_gap, the index of the first preamble sample.
     """
     if n_payload_symbols < 0:
         raise ValueError("n_payload_symbols must be >= 0")
@@ -288,9 +268,7 @@ def build_frame(
     out[lead_gap : lead_gap + pre.samples.size] += pre.samples
     useful = _ofdm_useful(used, _qpsk(rng, n_payload_symbols, used.size), num)
     _overlap_add(out, lead_gap + 2 * hop, _windowed_blocks(useful, num), num)
-
-    n0 = lead_gap + pre.frame_start
-    return out, n0
+    return out, lead_gap
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ trigger at the first sample where
 has held for m_consec consecutive samples.  Timing then scans xcr over a
 window of delta_search samples placed one symbol span past the trigger (the
 metric peak trails the trigger by roughly the anchor depth) and subtracts
-the calibrated template alignment offset, giving the frame-start estimate
-n_hat directly.  Timing and CFO are estimated once, from the complete
-window; a stream that ends inside it keeps its trigger without estimates.
+the timing anchor k0 = num.anchor, where the template is read back from,
+giving the frame-start estimate n_hat directly.  Timing and CFO are
+estimated once, from the complete window; a stream that ends inside it
+keeps its trigger without estimates.
 
 The fractional CFO estimate combines both symbol structures.  With
 phi_i = -arg(ac_i) read at the matched positions,
 
-    n1 = n_hat + n_cp + n_total - 1      (end of symbol 1's useful part)
-    n2 = n_hat + 2*(n_cp + n_total) - 1  (end of symbol 2's useful part)
+    n1 = n2 - (n_cp + n_total)   (end of symbol 1's useful part)
+    n2 = n_hat + k0              (end of symbol 2's useful part, the xcr peak)
 
 the lag-L reading gives a coarse estimate eps1 = 2*phi1/pi covering
 (-2, 2], and the lag-2L readings give a fine estimate eps = phi2/pi + 2*k
@@ -79,7 +80,7 @@ def sto_search_gap(num: Numerology) -> int:
 
     The trigger fires while symbol 1 is still passing through the
     correlators, about one symbol span before the xcr peak (which sits at
-    frame start + alignment offset).  Opening the window one n_total past
+    frame start + num.anchor).  Opening the window one n_total past
     the trigger centres the peak for any trigger inside symbol 1.
     """
     return num.n_total
@@ -141,14 +142,15 @@ def metrics_direct(
 # estimators
 
 
-def estimate_sto(xcr_window: np.ndarray, start: int, template: EnergyTemplate) -> int:
+def estimate_sto(xcr_window: np.ndarray, start: int, num: Numerology) -> int:
     """Frame-start estimate from xcr values at stream indices start,
-    start+1, ...: argmax minus the calibrated alignment offset.  Ties
-    resolve to the earliest index."""
+    start+1, ...: argmax minus the timing anchor num.anchor.  Ties resolve
+    to the earliest index.  A spurious peak inside the window that beats
+    the anchor peak moves the estimate with it."""
     values = np.asarray(xcr_window, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty xcr window")
-    return start + int(np.argmax(values)) - template.alignment_offset
+    return start + int(np.argmax(values)) - num.anchor
 
 
 def _wrap_eps(eps: float) -> float:
@@ -192,9 +194,10 @@ def estimate_cfo(
 
 
 def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
-    """Stream indices where the correlators align with symbol 1 resp. 2."""
-    span = num.n_cp + num.n_total
-    return n_hat + span - 1, n_hat + 2 * span - 1
+    """Stream indices where the correlators align with symbol 1 resp. 2:
+    one symbol span before the anchor, and the anchor."""
+    n2 = n_hat + num.anchor
+    return n2 - (num.n_cp + num.n_total), n2
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +227,11 @@ class SyncState:
         self.done = False
         self._lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
         # offsets from the trigger to the earliest index the estimate reads
-        # and to the end of its last read (the timing window, or the
-        # symbol-2 CFO reading if that ends later)
-        span, gap, align = num.n_cp + num.n_total, sto_search_gap(num), template.alignment_offset
-        self._reach = gap + min(0, span - 1 - align)
-        self._horizon = gap + num.delta_search + max(0, 2 * span - 1 - align)
+        # (the symbol-1 CFO reading, one symbol span before the xcr peak)
+        # and to the end of its last read (the timing window, which holds
+        # the symbol-2 CFO reading at the peak)
+        self._reach = sto_search_gap(num) - (num.n_cp + num.n_total)
+        self._horizon = sto_search_gap(num) + num.delta_search
         self._search_hold = max(num.m_consec - 1, -self._reach)
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
@@ -283,7 +286,7 @@ class SyncState:
         index base and cover the whole timing window and both CFO readings."""
         num, trig = self.num, self.result.trigger_index
         s0 = trig + sto_search_gap(num)
-        n_hat = estimate_sto(xcr[s0 - base : s0 + num.delta_search - base], s0, self.template)
+        n_hat = estimate_sto(xcr[s0 - base : s0 + num.delta_search - base], s0, num)
 
         i1, i2 = cfo_match_indices(n_hat, num)
         a1 = complex(ac1[i1 - base])
@@ -327,9 +330,8 @@ def baseline_xsig(
     stream start.  Sensitive to CFO, unlike xcr.
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
-    d = num.d_template
-    k0 = pre.start_useful_2 + num.n_total - 1
-    seg = pre.samples[k0 - d + 1 : k0 + 1]  # ascending sample order
+    k0 = num.anchor
+    seg = pre.samples[k0 - num.d_template + 1 : k0 + 1]  # ascending sample order
     # correlation with conj(p) descending in m == convolution kernel ascending
     kern = np.conj(seg)[::-1]
     return np.abs(np.convolve(r, kern)[: r.size])

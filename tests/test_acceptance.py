@@ -185,7 +185,7 @@ def test_criterion_5_secondary_peak_suppression(num, pre, template, capsys):
         r = frame + noise
         _, _, _, xcr = metric_stream(r, num, template)
         xene = baseline_xene(r, template)
-        p = n0 + template.alignment_offset
+        p = n0 + num.anchor
         acc_xcr += [xcr[p - L], xcr[p], xcr[p + L]]
         acc_xene += [xene[p - L], xene[p], xene[p + L]]
 

@@ -51,6 +51,16 @@ class TestTrace:
         iq = read_iq(tmp_path / "rx_iq.fc32")
         assert len(rows) == iq.size
 
+    @pytest.mark.parametrize("flag", ["--seed", "--preamble-seed"])
+    def test_negative_seed_named(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        rc = main(["trace", "--out", str(out), flag, "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_channel_flag(self, tmp_path):
         rc = main(
             ["trace", "--out", str(tmp_path), "--channel", "ENR", "--epsilon", "0.5"]

@@ -61,7 +61,7 @@ def _frame_reference(num, pre, n_payload_symbols, lead_gap, seed):
         b = _block_reference(_useful_reference(used, rng, num), num)
         off = lead_gap + (2 + p) * hop
         out[off : off + b.size] += b
-    return out, lead_gap + pre.frame_start
+    return out, lead_gap
 
 
 class TestNumerology:
@@ -111,9 +111,6 @@ class TestPreamble:
         assert pre.samples.size == 2 * sym + num.n_win
         # unwindowed reference carries no tail ramp
         assert pre.samples_unwindowed.size == 2 * sym
-        assert pre.start_useful_1 == num.n_cp
-        assert pre.start_useful_2 == sym + num.n_cp
-        assert pre.frame_start == 0
 
     def test_symbol1_quarter_periodicity(self, num):
         for seed in (1, 2, 7, 19):
@@ -132,7 +129,7 @@ class TestPreamble:
             assert np.max(np.abs(u2[half:] - u2[:half])) < 1e-12
 
     def test_useful_parts_unit_power(self, num, pre):
-        for start in (pre.start_useful_1, pre.start_useful_2):
+        for start in (num.n_cp, 2 * num.n_cp + num.n_total):
             u = pre.samples_unwindowed[start : start + num.n_total]
             assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, abs=1e-9)
 
@@ -167,23 +164,21 @@ class TestEnergyTemplate:
         assert np.all(template.a >= 0.0)
         assert template.a.dtype == np.float64
 
-    def test_alignment_offset_matches_layout(self, num, template):
-        # template anchored at the last preamble sample before the tail ramp
-        k0 = 2 * (num.n_cp + num.n_total) - 1
-        assert template.alignment_offset == k0
+    def test_anchor_matches_layout(self, num, pre, template):
+        # the last sample of symbol 2's useful part, before the tail ramp
+        assert num.anchor == 2 * (num.n_cp + num.n_total) - 1 == 599
+        mag2 = np.abs(pre.samples) ** 2
+        assert template.a[0] == mag2[num.anchor]
+        assert template.a[-1] == mag2[num.anchor - num.d_template + 1]
 
     def test_scale_quadratic_in_amplitude(self, num, pre):
         t1 = energy_template(pre, num)
         scaled = type(pre)(
             samples=2.0 * pre.samples,
             samples_unwindowed=2.0 * pre.samples_unwindowed,
-            start_useful_1=pre.start_useful_1,
-            start_useful_2=pre.start_useful_2,
-            frame_start=pre.frame_start,
         )
         t2 = energy_template(scaled, num)
         assert np.allclose(t2.a, 4.0 * t1.a, rtol=1e-12)
-        assert t2.alignment_offset == t1.alignment_offset
 
 
 class TestFrame:

@@ -1,5 +1,8 @@
 """Metric streaming, detection, and the timing/CFO estimators."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,10 @@ from ldacs_sync import (
     baseline_xene,
     baseline_xsig,
     build_frame,
+    energy_template,
     estimate_cfo,
     estimate_sto,
+    generate_preamble,
     metric_stream,
     metrics_direct,
     synchronize,
@@ -244,17 +249,17 @@ class TestCompleteWindow:
 
 
 class TestStoEstimator:
-    def test_exact_peak(self, template):
+    def test_exact_peak(self, num):
         xcr = np.array([0.1, 0.4, 2.0, 0.3])
-        assert estimate_sto(xcr, 700, template) == 702 - template.alignment_offset
+        assert estimate_sto(xcr, 700, num) == 702 - num.anchor
 
-    def test_tie_breaks_earliest(self, template):
+    def test_tie_breaks_earliest(self, num):
         xcr = np.array([1.0, 5.0, 5.0])
-        assert estimate_sto(xcr, 10, template) == 11 - template.alignment_offset
+        assert estimate_sto(xcr, 10, num) == 11 - num.anchor
 
-    def test_empty_window_rejected(self, template):
+    def test_empty_window_rejected(self, num):
         with pytest.raises(ValueError, match="empty"):
-            estimate_sto(np.zeros(0), 0, template)
+            estimate_sto(np.zeros(0), 0, num)
 
 
 class TestCfoEstimator:
@@ -333,10 +338,34 @@ class TestSynchronize:
         assert res.sto_estimate == n0
         assert abs(res.cfo_estimate - 1.5) < 1e-6
 
+    # preamble seeds whose noiseless xcr has its global maximum before the
+    # anchor, outside the timing window
+    @pytest.mark.parametrize(
+        "seed", [160, 1264, 1362, 1611, 1671, 1691, 2382, 2461, 2515, 3411, 3541]
+    )
+    def test_noiseless_loopback_exact_for_preamble_seed(self, num, seed):
+        pre = generate_preamble(num, seed)
+        tpl = energy_template(pre, num)
+        for gap in (200, 537):
+            for n_payload in (0, 2):
+                x, n0 = build_frame(num, pre, n_payload, gap, seed=3)
+                x = np.concatenate([x, np.zeros(300, complex)])
+                for eps in (0.0, 1.5, -1.9):
+                    res = synchronize(apply_cfo(x, eps, num), num, tpl)
+                    assert res.sto_estimate == n0, (gap, n_payload, eps)
+                    assert res.cfo_estimate == pytest.approx(eps, abs=1e-6)
+
+    def test_readme_quick_start(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.findall(r"```python\n(.*?)```", readme, re.S)[0]
+        exec(block, {})
+        detected, sto_exact, _ = capsys.readouterr().out.split()
+        assert (detected, sto_exact) == ("True", "True")
+
     def test_estimate_stays_inside_search_window(self, num, pre, template):
         x, n0 = build_frame(num, pre, n_payload_symbols=2, lead_gap=444, seed=5)
         res = synchronize(x, num, template)
-        lo = res.trigger_index + sto_search_gap(num) - template.alignment_offset
+        lo = res.trigger_index + sto_search_gap(num) - num.anchor
         assert lo <= res.sto_estimate < lo + num.delta_search
 
     def test_match_indices_layout(self, num):
@@ -397,7 +426,7 @@ class TestBaselines:
         _, _, _, xcr = metric_stream(x, num, template)
         xsig = baseline_xsig(x, pre, num)
         assert np.argmax(xsig) == np.argmax(xcr)
-        assert np.argmax(xcr) == n0 + template.alignment_offset
+        assert np.argmax(xcr) == n0 + num.anchor
 
     def test_matched_filter_degrades_under_cfo(self, num, pre, template):
         x, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=400, seed=4)
@@ -414,7 +443,7 @@ class TestBaselines:
         x, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=400, seed=4)
         x = np.concatenate([x, np.zeros(300, complex)])
         xene = baseline_xene(x, template)
-        p = n0 + template.alignment_offset
+        p = n0 + num.anchor
         L = num.l_quarter
         # dome: a lag-L shift moves the value by far less than for xcr
         _, _, _, xcr = metric_stream(x, num, template)
