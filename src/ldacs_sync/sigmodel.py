@@ -110,6 +110,23 @@ class Numerology:
         return 2 * (self.n_cp + self.n_total) - 1
 
     @property
+    def ac_valid_from(self) -> int:
+        """First stream index where the ac1/ac2/ene windows are fully
+        populated, 4L - 1."""
+        return 4 * self.l_quarter - 1
+
+    @property
+    def sto_search_gap(self) -> int:
+        """Start of the timing search window, relative to the trigger.
+
+        The trigger fires while symbol 1 is still passing through the
+        correlators, about one symbol span before the xcr peak (which sits
+        at frame start + anchor).  Opening the window one n_total past the
+        trigger centres the peak for any trigger inside symbol 1.
+        """
+        return self.n_total
+
+    @property
     def sample_rate_hz(self) -> float:
         return self.n_fft_base * self.n_ov * self.subcarrier_spacing_hz
 

@@ -28,14 +28,17 @@ well-behaved when phi1 sits numerically on a branch boundary).  Readings at
 n1 and n2 are summed coherently before taking the angle.
 
 SyncState runs this chain over a stream fed in chunks of any size, through
-the same kernels and the same trigger, timing and CFO code; synchronize is
-one push of the whole stream followed by finish().
+the same kernels and the same trigger, timing and CFO code.  synchronize and
+metric_stream check the whole stream once and then push it through a
+SyncState in fixed blocks of _BLOCK samples, so their working memory and
+the kernels' cumsums do not grow with the stream; synchronize stops pushing
+once the estimate is final.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,20 +73,12 @@ class SyncResult:
     cfo_estimate_ac2: Optional[float] = None
 
 
-def ac_valid_from(num: Numerology) -> int:
-    """First index where ac1/ac2/ene windows are fully populated."""
-    return 4 * num.l_quarter - 1
-
-
-def sto_search_gap(num: Numerology) -> int:
-    """Start of the timing search window, relative to the trigger.
-
-    The trigger fires while symbol 1 is still passing through the
-    correlators, about one symbol span before the xcr peak (which sits at
-    frame start + num.anchor).  Opening the window one n_total past
-    the trigger centres the peak for any trigger inside symbol 1.
-    """
-    return num.n_total
+# Samples per push when synchronize and metric_stream scan a whole stream.
+# It bounds the kernels' working memory (~10 arrays of this length) and the
+# length of their cumsums.  16 Ki scanned fastest among 4-128 Ki on 2 Mi
+# samples, and every campaign frame (~2.2 k samples) fits in one block, so
+# a campaign trial is a single push.
+_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +96,24 @@ def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     return r
 
 
+def _blocks(r: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of at most _BLOCK samples covering r; an empty
+    stream is one empty block."""
+    return (r[i : i + _BLOCK] for i in range(0, max(r.size, 1), _BLOCK))
+
+
 def metric_stream(
     stream: Sequence[complex], num: Numerology, template: EnergyTemplate
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ac1, ac2, ene, xcr) arrays over the whole stream."""
-    return metric_arrays(_as_stream(stream), num.l_quarter, template.a)
+    """(ac1, ac2, ene, xcr) arrays over the whole stream.
+
+    The stream must be 1-D and finite (ValueError otherwise).  The arrays
+    are the concatenated metrics of the same fixed-block SyncState scan
+    that synchronize runs, so they match its pushes to rounding.
+    """
+    state = SyncState(num, template)
+    parts = [state._push(block) for block in _blocks(_as_stream(stream))]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
 
 def metrics_direct(
@@ -218,6 +226,10 @@ class SyncState:
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
     the timing window and both CFO readings are complete (done turns True).
+
+    synchronize and metric_stream feed it blocks of _BLOCK samples.  Each
+    push recomputes its retained tail (about 430 samples); the kernels carry
+    no state across pushes.
     """
 
     def __init__(self, num: Numerology, template: EnergyTemplate):
@@ -230,8 +242,8 @@ class SyncState:
         # (the symbol-1 CFO reading, one symbol span before the xcr peak)
         # and to the end of its last read (the timing window, which holds
         # the symbol-2 CFO reading at the peak)
-        self._reach = sto_search_gap(num) - (num.n_cp + num.n_total)
-        self._horizon = sto_search_gap(num) + num.delta_search
+        self._reach = num.sto_search_gap - (num.n_cp + num.n_total)
+        self._horizon = num.sto_search_gap + num.delta_search
         self._search_hold = max(num.m_consec - 1, -self._reach)
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
@@ -243,7 +255,12 @@ class SyncState:
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        r = _as_stream(chunk)
+        return self._push(_as_stream(chunk))
+
+    def _push(
+        self, r: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """push for a chunk that _as_stream has already checked."""
         num = self.num
         if r.size == 0:
             return metric_arrays(r, num.l_quarter, self.template.a)
@@ -257,7 +274,7 @@ class SyncState:
         if not self.done:
             if trig is None:
                 # past the stream start, values are exact from self._lookback on
-                start = self._lookback if base else ac_valid_from(num)
+                start = self._lookback if base else num.ac_valid_from
                 found = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, start)
                 if found >= 0:
                     trig = base + found
@@ -285,7 +302,7 @@ class SyncState:
         """Timing and CFO from one push's arrays, which start at stream
         index base and cover the whole timing window and both CFO readings."""
         num, trig = self.num, self.result.trigger_index
-        s0 = trig + sto_search_gap(num)
+        s0 = trig + num.sto_search_gap
         n_hat = estimate_sto(xcr[s0 - base : s0 + num.delta_search - base], s0, num)
 
         i1, i2 = cfo_match_indices(n_hat, num)
@@ -308,12 +325,16 @@ def synchronize(
 ) -> SyncResult:
     """Run detection, timing, and CFO estimation over a sample stream.
 
-    One push of the whole stream into a fresh SyncState.  The stream must
-    be 1-D and finite (ValueError otherwise); an empty stream reports
-    detected=False.
+    The stream must be 1-D and finite (ValueError otherwise), checked whole
+    before any push; an empty stream reports detected=False.  It is then
+    pushed into a fresh SyncState in blocks of _BLOCK samples, up to the
+    block that makes the estimate final, and finish() gives the result.
     """
     state = SyncState(num, template)
-    state.push(stream)
+    for block in _blocks(_as_stream(stream)):
+        state._push(block)
+        if state.done:
+            break
     return state.finish()
 
 

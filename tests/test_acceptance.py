@@ -24,7 +24,6 @@ from ldacs_sync import (
 )
 from ldacs_sync._kernels import first_trigger
 from ldacs_sync.cli import main as cli_main
-from ldacs_sync.sync import ac_valid_from
 
 
 def _report(capsys, ok, label, detail):
@@ -243,7 +242,7 @@ def test_criterion_7_false_alarm_bound(num, template, capsys):
     cond = (np.abs(ac1) + np.abs(ac2)) > ene
 
     triggers = 0
-    start = ac_valid_from(num)
+    start = num.ac_valid_from
     while True:
         trig = first_trigger(cond, num.m_consec, start)
         if trig < 0:

@@ -1,6 +1,7 @@
 """Metric streaming, detection, and the timing/CFO estimators."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,7 @@ from ldacs_sync import (
     metrics_direct,
     synchronize,
 )
-from ldacs_sync.sync import (
-    cfo_match_indices,
-    sto_search_gap,
-)
+from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
 def _noise(rng, n, power=1.0):
@@ -50,6 +48,20 @@ def _push_all(state, x, sizes):
             acc.append(arr)
         i += c
     return [np.concatenate(acc) for acc in out]
+
+
+def _assert_same_result(res, ref):
+    """Trigger and STO equal; each CFO field within 1e-9, None where ref's is."""
+    assert (res.detected, res.trigger_index, res.sto_estimate) == (
+        ref.detected,
+        ref.trigger_index,
+        ref.sto_estimate,
+    )
+    for field in ("cfo_estimate", "cfo_estimate_ac1", "cfo_estimate_ac2"):
+        a, b = getattr(res, field), getattr(ref, field)
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert abs(a - b) < 1e-9
 
 
 class TestStreamingMetrics:
@@ -184,7 +196,7 @@ class TestChunkInvariance:
         if kind.startswith("cut"):
             trig = synchronize(x, num, template).trigger_index
             # before the timing window opens, resp. halfway through it
-            opened = trig + sto_search_gap(num)
+            opened = trig + num.sto_search_gap
             x = x[: opened - 5 if kind == "cut_early" else opened + num.delta_search // 2]
         return x
 
@@ -199,19 +211,89 @@ class TestChunkInvariance:
             assert g.shape == want.shape
             assert np.max(np.abs(g - want)) < 1e-9
 
-        res = state.finish()
         ref = synchronize(x, num, template)
         assert ref.detected == (kind != "noise")
-        assert (res.detected, res.trigger_index, res.sto_estimate) == (
-            ref.detected,
-            ref.trigger_index,
-            ref.sto_estimate,
-        )
-        for field in ("cfo_estimate", "cfo_estimate_ac1", "cfo_estimate_ac2"):
-            a, b = getattr(res, field), getattr(ref, field)
-            assert (a is None) == (b is None)
-            if b is not None:
-                assert abs(a - b) < 1e-9
+        _assert_same_result(state.finish(), ref)
+
+    @staticmethod
+    def _block_stream(kind, num, pre, template):
+        """About 3 blocks of noise, or a frame at 12 dB SNR behind a noise
+        lead, placed so that the first block boundary falls inside the
+        trigger run, the timing window, or between the two CFO readings."""
+        rng = np.random.default_rng(5)
+        if kind == "noise":
+            return _noise(rng, 3 * _BLOCK + 123)
+        lead = _noise(rng, _BLOCK, 10 ** -1.2)
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=7)
+        f = apply_awgn(apply_cfo(f, -0.7, num), 12.0, rng)
+
+        def behind(gap):
+            # the lead always ends in the same samples, so the trigger and
+            # the estimate keep their offsets from the frame start
+            return np.concatenate([lead[lead.size - gap :], f])
+
+        probe = 1000
+        ref = synchronize(behind(probe), num, template)
+        i2 = ref.sto_estimate + num.anchor
+        at = {
+            "trigger": ref.trigger_index - num.m_consec // 2,
+            "window": ref.trigger_index + num.sto_search_gap + num.delta_search // 2,
+            "cfo": i2 - (num.n_cp + num.n_total) // 2,
+        }[kind]
+        return behind(_BLOCK - (at - probe))
+
+    @pytest.mark.parametrize("kind", ["trigger", "window", "cfo", "noise"])
+    def test_block_scan_matches_one_push(self, kind, num, pre, template):
+        x = self._block_stream(kind, num, pre, template)
+        state = SyncState(num, template)
+        want = state.push(x)
+        ref = state.finish()
+        if kind == "noise":
+            assert x.size > 3 * _BLOCK and not ref.detected
+        else:
+            trig = ref.trigger_index
+            s0 = trig + num.sto_search_gap
+            i1, i2 = cfo_match_indices(ref.sto_estimate, num)
+            lo, hi = {
+                "trigger": (trig - num.m_consec + 1, trig),
+                "window": (s0, s0 + num.delta_search - 1),
+                "cfo": (i1, i2),
+            }[kind]
+            assert lo < _BLOCK <= hi  # the second block starts in (lo, hi]
+        _assert_same_result(synchronize(x, num, template), ref)
+        for g, w in zip(metric_stream(x, num, template), want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) < 1e-9
+
+
+class TestLongStream:
+    """A stream of 2^21 samples: the scan keeps its digits and its working
+    memory does not grow with the stream."""
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        return _noise(np.random.default_rng(21), 1 << 21)
+
+    @pytest.mark.parametrize("dc", [0.0, 10.0])
+    def test_last_index_matches_direct_sums(self, dc, noise, num, template):
+        x = noise + dc
+        ac1, ac2, ene, xcr = metric_stream(x, num, template)
+        snap = metrics_direct(x[-(num.d_template + 2 * num.l_quarter) :], num, template)
+        for got, want in ((ac1, snap.ac1), (ac2, snap.ac2), (ene, snap.ene), (xcr, snap.xcr)):
+            assert abs(got[-1] - want) <= 1e-12 * abs(want)
+
+    def test_working_memory_bounded(self, noise, num, template):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            synchronize(noise, num, template)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB for a 32 MiB stream"
 
 
 class TestCompleteWindow:
@@ -244,7 +326,7 @@ class TestCompleteWindow:
             if state.done:
                 break
         trig = state.result.trigger_index
-        assert i == trig + sto_search_gap(num) + num.delta_search - 1
+        assert i == trig + num.sto_search_gap + num.delta_search - 1
         assert state.result == synchronize(x, num, template)
 
 
@@ -365,7 +447,7 @@ class TestSynchronize:
     def test_estimate_stays_inside_search_window(self, num, pre, template):
         x, n0 = build_frame(num, pre, n_payload_symbols=2, lead_gap=444, seed=5)
         res = synchronize(x, num, template)
-        lo = res.trigger_index + sto_search_gap(num) - num.anchor
+        lo = res.trigger_index + num.sto_search_gap - num.anchor
         assert lo <= res.sto_estimate < lo + num.delta_search
 
     def test_match_indices_layout(self, num):
@@ -401,6 +483,18 @@ class TestInputContract:
         got = state.push(x[1000:])
         for g, want in zip(got, metric_stream(x, num, template)):
             assert np.max(np.abs(g - want[1000:])) < 1e-9
+
+    def test_non_finite_after_the_estimate_rejected(self, num, pre, template):
+        # the estimate is final in the first block; the NaN three blocks on
+        # must still reject the stream
+        x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
+        x = np.concatenate([x, np.zeros(4 * _BLOCK - x.size, dtype=complex)])
+        state = SyncState(num, template)
+        state.push(x[:_BLOCK])
+        assert state.done
+        x[3 * _BLOCK + 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            synchronize(x, num, template)
 
     @pytest.mark.parametrize("fn", [synchronize, metric_stream])
     def test_non_1d_rejected_with_shape(self, fn, num, template):
