@@ -12,8 +12,6 @@ The package splits into five layers:
 
 from .sigmodel import (
     Numerology,
-    PreambleWaveform,
-    EnergyTemplate,
     make_numerology,
     generate_preamble,
     energy_template,
@@ -65,8 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Numerology",
-    "PreambleWaveform",
-    "EnergyTemplate",
     "make_numerology",
     "generate_preamble",
     "energy_template",

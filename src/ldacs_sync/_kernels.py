@@ -9,7 +9,8 @@ Per stream index n (L = quarter period, window w = 2L, template length D):
 
 Samples before the stream start are treated as zeros, matching a streaming
 correlator whose delay lines power up cleared.  Values are fully warmed up
-once n >= 4L-1 (ac/ene) resp. n >= D+2L-1 (xcr).
+once n >= num.ac_valid_from = 4L - 1 (ac/ene) resp. n >= num.lookback =
+D + 2L - 1 (xcr, which reaches furthest back).
 """
 
 from __future__ import annotations

@@ -113,30 +113,28 @@ class ChannelProfile:
         return np.where(los, p_los, p_scat * weights / total if total > 0 else 0.0)
 
 
-def make_enr_profile(
-    rician_k_db: float = 15.0, max_doppler_hz: float = 1250.0
-) -> ChannelProfile:
-    """En-route: strong LOS plus two weak equal-power echoes."""
+def make_enr_profile() -> ChannelProfile:
+    """En-route: strong LOS (K = 15 dB) plus two weak equal-power echoes,
+    1250 Hz maximum Doppler."""
     taps = (
         ChannelTap(0.0, 0.0, "los"),
         ChannelTap(0.3e-6, 0.0, "scattered"),
         ChannelTap(15.0e-6, 0.0, "scattered"),
     )
-    return ChannelProfile(taps, rician_k_db, max_doppler_hz)
+    return ChannelProfile(taps, 15.0, 1250.0)
 
 
-def make_tma_profile(
-    rician_k_db: float = 10.0, max_doppler_hz: float = 624.0
-) -> ChannelProfile:
-    """Terminal area: LOS plus an exponentially decaying scatter cluster
-    truncated at 10 us (8 taps, decay constant max_delay/4)."""
+def make_tma_profile() -> ChannelProfile:
+    """Terminal area: LOS (K = 10 dB) plus an exponentially decaying
+    scatter cluster truncated at 10 us (8 taps, decay constant
+    max_delay/4), 624 Hz maximum Doppler."""
     max_delay = 10.0e-6
     tau_c = max_delay / 4.0
     delays = np.linspace(1.25e-6, max_delay, 8)
     taps = [ChannelTap(0.0, 0.0, "los")]
     for d in delays:
         taps.append(ChannelTap(float(d), 10.0 * math.log10(math.exp(-d / tau_c)), "scattered"))
-    return ChannelProfile(tuple(taps), rician_k_db, max_doppler_hz)
+    return ChannelProfile(tuple(taps), 10.0, 624.0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ from .channel import (
     run_pipeline,
 )
 from .sigmodel import (
-    EnergyTemplate,
     Numerology,
-    PreambleWaveform,
     build_frame,
     energy_template,
     generate_preamble,
@@ -122,8 +120,8 @@ class Scenario:
         _check_int("lead_gap_range", hi, lo)
         if not -2.0 < self.epsilon <= 2.0:
             raise ValueError("epsilon must lie in (-2, 2]")
-        if not self.phase_noise_linewidth_hz >= 0.0:  # NaN fails too
-            raise ValueError("phase_noise_linewidth_hz must be >= 0")
+        if not 0.0 <= self.phase_noise_linewidth_hz < math.inf:  # NaN fails too
+            raise ValueError("phase_noise_linewidth_hz must be finite and >= 0")
 
 
 @dataclass
@@ -159,7 +157,7 @@ def resolve_fine_threshold(scenario: Scenario, num: Numerology) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def link(preamble_seed: int) -> tuple[Numerology, PreambleWaveform, EnergyTemplate]:
+def link(preamble_seed: int) -> tuple[Numerology, np.ndarray, np.ndarray]:
     """(num, pre, template) for a preamble seed, built on first use.
 
     Every caller shares the result, so its arrays are read-only.
@@ -167,8 +165,8 @@ def link(preamble_seed: int) -> tuple[Numerology, PreambleWaveform, EnergyTempla
     num = make_numerology()
     pre = generate_preamble(num, preamble_seed)
     template = energy_template(pre, num)
-    for a in (pre.samples, pre.samples_unwindowed, template.a):
-        a.flags.writeable = False
+    pre.flags.writeable = False
+    template.flags.writeable = False
     return num, pre, template
 
 

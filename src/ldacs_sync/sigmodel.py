@@ -24,15 +24,13 @@ samples.  Transmit shaping is windowed overlap-add: every symbol block
     [ CP | useful | cyclic suffix of n_win samples ]
 
 is ramped up/down with a raised-cosine ramp of n_win samples and blocks are
-added at a hop of n_cp + n_total, so ramps stay inside the guard interval.
+added at a hop of n_symbol = n_cp + n_total, so ramps stay inside the guard
+interval.  generate_preamble's docstring gives the frame layout.
 
-Frame layout (all indices frame-relative):
-
-    CP1 [0,44)  useful1 [44,300)  CP2 [300,344)  useful2 [344,600)  tail [600,632)
-
-The timing anchor k0 = num.anchor = 599 is the last sample of symbol 2's
-useful part.  The energy template is read back from it, and every timing
-offset derives from it.
+The preamble is a plain complex array and the energy template a plain
+float array.  The timing anchor k0 = num.anchor = 599 is the last sample of
+symbol 2's useful part.  The template is read back from it, and every
+timing offset derives from it.
 
 The preamble and the payload share one set of row-wise helpers, one OFDM
 symbol per row: _qpsk draws the sign bits of every row in one call,
@@ -58,8 +56,8 @@ import numpy as np
 class Numerology:
     """Concrete OFDM dimensioning.  Build through make_numerology().
 
-    Every value is a class constant or derives from n_ov; nothing is
-    settable.
+    Every value is a class constant, computed once here from n_ov;
+    nothing is settable.
     """
 
     # the 4x/2x subcarrier comb only yields L/2L periods on a base of 64
@@ -67,68 +65,40 @@ class Numerology:
     n_used: ClassVar[int] = 50
     subcarrier_spacing_hz: ClassVar[float] = 9765.625
     n_ov: ClassVar[int] = 4
+    sample_rate_hz: ClassVar[float] = n_fft_base * n_ov * subcarrier_spacing_hz
 
-    @property
-    def n_cp(self) -> int:
-        """Cyclic prefix (guard) length; the window ramps live inside it."""
-        return 11 * self.n_ov
+    # cyclic prefix (guard) length; the window ramps live inside it
+    n_cp: ClassVar[int] = 11 * n_ov
+    # raised-cosine ramp length of the windowed overlap-add
+    n_win: ClassVar[int] = 8 * n_ov
+    # quarter period L of preamble symbol 1
+    l_quarter: ClassVar[int] = 16 * n_ov
+    # oversampled FFT size (samples per useful symbol part)
+    n_total: ClassVar[int] = 4 * l_quarter
+    # hop of the overlap-add: one symbol, prefix and useful part
+    n_symbol: ClassVar[int] = n_cp + n_total
 
-    @property
-    def n_win(self) -> int:
-        """Raised-cosine ramp length of the windowed overlap-add."""
-        return 8 * self.n_ov
-
-    @property
-    def l_quarter(self) -> int:
-        """Quarter period of preamble symbol 1."""
-        return 16 * self.n_ov
-
-    @property
-    def n_total(self) -> int:
-        """Oversampled FFT size (samples per useful symbol part)."""
-        return 4 * self.l_quarter
-
-    @property
-    def d_template(self) -> int:
-        """Energy template length, 4L: symbol 2's useful part."""
-        return 64 * self.n_ov
-
-    @property
-    def m_consec(self) -> int:
-        """Consecutive samples above threshold that trigger a detection."""
-        return 4 * self.n_ov
-
-    @property
-    def delta_search(self) -> int:
-        """Length of the xcr timing search window."""
-        return 56 * self.n_ov
-
-    @property
-    def anchor(self) -> int:
-        """Timing anchor k0: frame-relative index of the last sample of
-        symbol 2's useful part, where the template is read back from."""
-        return 2 * (self.n_cp + self.n_total) - 1
-
-    @property
-    def ac_valid_from(self) -> int:
-        """First stream index where the ac1/ac2/ene windows are fully
-        populated, 4L - 1."""
-        return 4 * self.l_quarter - 1
-
-    @property
-    def sto_search_gap(self) -> int:
-        """Start of the timing search window, relative to the trigger.
-
-        The trigger fires while symbol 1 is still passing through the
-        correlators, about one symbol span before the xcr peak (which sits
-        at frame start + anchor).  Opening the window one n_total past the
-        trigger centres the peak for any trigger inside symbol 1.
-        """
-        return self.n_total
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.n_fft_base * self.n_ov * self.subcarrier_spacing_hz
+    # energy template length, 4L: symbol 2's useful part
+    d_template: ClassVar[int] = 64 * n_ov
+    # consecutive samples above threshold that trigger a detection
+    m_consec: ClassVar[int] = 4 * n_ov
+    # length of the xcr timing search window
+    delta_search: ClassVar[int] = 56 * n_ov
+    # timing anchor k0: frame-relative index of the last sample of symbol
+    # 2's useful part, where the template is read back from
+    anchor: ClassVar[int] = 2 * n_symbol - 1
+    # first stream index where the ac1/ac2/ene windows are fully populated
+    ac_valid_from: ClassVar[int] = 4 * l_quarter - 1
+    # the kernels' look-back: xcr reaches D + 2L - 1 samples into the past,
+    # at least as far as ac2 (4L - 1, since D = 4L), so an index is exact
+    # once that many samples precede it
+    lookback: ClassVar[int] = d_template + 2 * l_quarter - 1
+    # start of the timing search window, relative to the trigger.  The
+    # trigger fires while symbol 1 is still passing through the
+    # correlators, about one symbol span before the xcr peak (which sits at
+    # frame start + anchor).  Opening the window one n_total past the
+    # trigger centres the peak for any trigger inside symbol 1.
+    sto_search_gap: ClassVar[int] = n_total
 
 
 def make_numerology() -> Numerology:
@@ -145,33 +115,6 @@ def used_subcarriers(num: Numerology) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # waveforms
-
-
-@dataclass(frozen=True)
-class PreambleWaveform:
-    """Synthesized preamble, indexed from the frame start as in the module
-    docstring's frame layout.
-
-    samples            windowed overlap-add output, len = 2*(n_cp+n_total)+n_win
-    samples_unwindowed rectangular CP-OFDM intermediate, len = 2*(n_cp+n_total);
-                       indices align with samples[:600] and keep the exact
-                       cyclic-prefix copy property
-    """
-
-    samples: np.ndarray
-    samples_unwindowed: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyTemplate:
-    """Expected preamble energy profile, anchored at the last useful sample.
-
-    a[m] = |p[k0 - m]|^2 for m = 0..D-1 with k0 = num.anchor, the final
-    sample of symbol 2's useful part.  The timing estimate subtracts k0
-    from the xcr peak.
-    """
-
-    a: np.ndarray
 
 
 def _qpsk(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -216,20 +159,27 @@ def _windowed_blocks(useful: np.ndarray, num: Numerology) -> np.ndarray:
 
 
 def _overlap_add(out: np.ndarray, start: int, blocks: np.ndarray, num: Numerology) -> None:
-    """Add the rows of blocks into out at a hop of n_cp + n_total from
-    start, in row order."""
-    hop = num.n_cp + num.n_total
+    """Add the rows of blocks into out at a hop of n_symbol from start,
+    in row order."""
     for i, b in enumerate(blocks):
-        off = start + i * hop
+        off = start + i * num.n_symbol
         out[off : off + b.size] += b
 
 
-def generate_preamble(num: Numerology, seed: int) -> PreambleWaveform:
-    """Synthesize the two-symbol preamble for a given PN seed.
+def generate_preamble(num: Numerology, seed: int) -> np.ndarray:
+    """The windowed two-symbol preamble for a given PN seed,
+    2 * n_symbol + n_win samples.
 
     Symbol 1 loads the used subcarriers divisible by 4, symbol 2 those
     divisible by 2; both with QPSK values drawn from the seeded generator.
     Each symbol is one row of the helpers build_frame uses for its payload.
+    Layout, indices from the frame start:
+
+        CP1 [0,44)  useful1 [44,300)  CP2 [300,344)  useful2 [344,600)  tail [600,632)
+
+    The window ramps touch the first n_win samples of each prefix and the
+    n_win-sample tail past each useful part (the tail of symbol 1 adds into
+    CP2), so the useful parts keep their exact L / 2L periodicity.
     """
     rng = np.random.default_rng(seed)
     used = used_subcarriers(num)
@@ -239,26 +189,24 @@ def generate_preamble(num: Numerology, seed: int) -> PreambleWaveform:
             for occ in (used[used % 4 == 0], used[used % 2 == 0])
         ]
     )
-
-    raw = np.concatenate([useful[:, -num.n_cp:], useful], axis=-1).ravel()
-    windowed = np.zeros(2 * (num.n_cp + num.n_total) + num.n_win, dtype=np.complex128)
-    _overlap_add(windowed, 0, _windowed_blocks(useful, num), num)
-
-    return PreambleWaveform(samples=windowed, samples_unwindowed=raw)
+    out = np.zeros(2 * num.n_symbol + num.n_win, dtype=np.complex128)
+    _overlap_add(out, 0, _windowed_blocks(useful, num), num)
+    return out
 
 
-def energy_template(pre: PreambleWaveform, num: Numerology) -> EnergyTemplate:
-    """|p|^2 read back from the anchor k0 = num.anchor over d_template = 4L
-    samples, so the template spans symbol 2's useful part."""
+def energy_template(pre: np.ndarray, num: Numerology) -> np.ndarray:
+    """The expected preamble energy profile a[m] = |pre[k0 - m]|^2 for
+    m = 0..d_template-1, read back from the anchor k0 = num.anchor, so it
+    spans symbol 2's useful part.  The timing estimate subtracts k0 from
+    the xcr peak."""
     k0 = num.anchor
-    mag2 = np.abs(pre.samples) ** 2
-    a = mag2[k0 - num.d_template + 1 : k0 + 1][::-1].copy()
-    return EnergyTemplate(a=a)
+    mag2 = np.abs(pre) ** 2
+    return mag2[k0 - num.d_template + 1 : k0 + 1][::-1].copy()
 
 
 def build_frame(
     num: Numerology,
-    pre: PreambleWaveform,
+    pre: np.ndarray,
     n_payload_symbols: int,
     lead_gap: int,
     seed: int,
@@ -278,13 +226,12 @@ def build_frame(
 
     rng = np.random.default_rng(seed)
     used = used_subcarriers(num)
-    hop = num.n_cp + num.n_total
 
-    total = lead_gap + (2 + n_payload_symbols) * hop + num.n_win
+    total = lead_gap + (2 + n_payload_symbols) * num.n_symbol + num.n_win
     out = np.zeros(total, dtype=np.complex128)
-    out[lead_gap : lead_gap + pre.samples.size] += pre.samples
+    out[lead_gap : lead_gap + pre.size] += pre
     useful = _ofdm_useful(used, _qpsk(rng, n_payload_symbols, used.size), num)
-    _overlap_add(out, lead_gap + 2 * hop, _windowed_blocks(useful, num), num)
+    _overlap_add(out, lead_gap + 2 * num.n_symbol, _windowed_blocks(useful, num), num)
     return out, lead_gap
 
 

@@ -17,7 +17,7 @@ keeps its trigger without estimates.
 The fractional CFO estimate combines both symbol structures.  With
 phi_i = -arg(ac_i) read at the matched positions,
 
-    n1 = n2 - (n_cp + n_total)   (end of symbol 1's useful part)
+    n1 = n2 - n_symbol           (end of symbol 1's useful part)
     n2 = n_hat + k0              (end of symbol 2's useful part, the xcr peak)
 
 the lag-L reading gives a coarse estimate eps1 = 2*phi1/pi covering
@@ -43,7 +43,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ._kernels import first_trigger, metric_arrays
-from .sigmodel import EnergyTemplate, Numerology, PreambleWaveform
+from .sigmodel import Numerology
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _blocks(r: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def metric_stream(
-    stream: Sequence[complex], num: Numerology, template: EnergyTemplate
+    stream: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
@@ -117,19 +117,19 @@ def metric_stream(
 
 
 def metrics_direct(
-    window: Sequence[complex], num: Numerology, template: EnergyTemplate
+    window: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> MetricSnapshot:
     """Direct-summation oracle for the metrics at the window's last index.
 
     Independent of the sliding-sum kernels; used to pin them down in tests.
-    The window must cover every lag (>= d_template + 2L samples).
+    The window must cover every lag: more than num.lookback samples.
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
     L = num.l_quarter
     w = 2 * L
     d = num.d_template
     n = r.size - 1
-    if r.size < d + w or r.size < 4 * L:
+    if r.size <= num.lookback:
         raise ValueError("window too short for direct metric evaluation")
 
     tail = r[n - w + 1 : n + 1]
@@ -140,7 +140,7 @@ def metrics_direct(
     seg = r[n - d + 1 : n + 1]
     lag = r[n - d + 1 - w : n + 1 - w]
     vmag = np.abs(np.conj(seg) * lag)
-    a_rev = np.asarray(template.a, dtype=np.float64)[::-1]
+    a_rev = np.asarray(template, dtype=np.float64)[::-1]
     xcr = float(np.dot(vmag, a_rev))
 
     return MetricSnapshot(n=n, ac1=ac1, ac2=ac2, ene=ene, xcr=xcr)
@@ -205,7 +205,7 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
     """Stream indices where the correlators align with symbol 1 resp. 2:
     one symbol span before the anchor, and the anchor."""
     n2 = n_hat + num.anchor
-    return n2 - (num.n_cp + num.n_total), n2
+    return n2 - num.n_symbol, n2
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
     Each push runs the batch kernels once over [retained tail | chunk].  The
-    tail holds the kernels' look-back, max(4L, D+2L) - 1 samples, so chunk
-    metrics match one pass over the whole stream up to rounding.  While
+    tail holds the kernels' look-back, num.lookback = D + 2L - 1 samples, so
+    chunk metrics match one pass over the whole stream up to rounding.  While
     searching it also holds the m_consec - 1 samples a trigger run may
     straddle (or more, if the CFO readings can fall further before the
     trigger); after the trigger it reaches back to the earliest index the
@@ -232,17 +232,16 @@ class SyncState:
     no state across pushes.
     """
 
-    def __init__(self, num: Numerology, template: EnergyTemplate):
+    def __init__(self, num: Numerology, template: np.ndarray):
         self.num = num
         self.template = template
         self.result = SyncResult(detected=False)
         self.done = False
-        self._lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
         # offsets from the trigger to the earliest index the estimate reads
         # (the symbol-1 CFO reading, one symbol span before the xcr peak)
         # and to the end of its last read (the timing window, which holds
         # the symbol-2 CFO reading at the peak)
-        self._reach = num.sto_search_gap - (num.n_cp + num.n_total)
+        self._reach = num.sto_search_gap - num.n_symbol
         self._horizon = num.sto_search_gap + num.delta_search
         self._search_hold = max(num.m_consec - 1, -self._reach)
         self._tail = np.zeros(0, dtype=np.complex128)
@@ -263,18 +262,18 @@ class SyncState:
         """push for a chunk that _as_stream has already checked."""
         num = self.num
         if r.size == 0:
-            return metric_arrays(r, num.l_quarter, self.template.a)
+            return metric_arrays(r, num.l_quarter, self.template)
         k = self._tail.size
         buf = np.concatenate((self._tail, r)) if k else r
         base = self._n - k  # stream index of buf[0]
-        ac1, ac2, ene, xcr = metric_arrays(buf, num.l_quarter, self.template.a)
+        ac1, ac2, ene, xcr = metric_arrays(buf, num.l_quarter, self.template)
         self._n += r.size
 
         trig = self.result.trigger_index
         if not self.done:
             if trig is None:
-                # past the stream start, values are exact from self._lookback on
-                start = self._lookback if base else num.ac_valid_from
+                # past the stream start, values are exact from num.lookback on
+                start = num.lookback if base else num.ac_valid_from
                 found = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, start)
                 if found >= 0:
                     trig = base + found
@@ -289,7 +288,7 @@ class SyncState:
             hold = self._search_hold
         else:
             hold = max(0, self._n - trig - self._reach)
-        self._tail = buf[max(0, buf.size - self._lookback - hold) :].copy()
+        self._tail = buf[max(0, buf.size - num.lookback - hold) :].copy()
         return ac1[k:], ac2[k:], ene[k:], xcr[k:]
 
     def finish(self) -> SyncResult:
@@ -321,7 +320,7 @@ class SyncState:
 
 
 def synchronize(
-    stream: Sequence[complex], num: Numerology, template: EnergyTemplate
+    stream: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> SyncResult:
     """Run detection, timing, and CFO estimation over a sample stream.
 
@@ -343,7 +342,7 @@ def synchronize(
 
 
 def baseline_xsig(
-    window: Sequence[complex], pre: PreambleWaveform, num: Numerology
+    window: Sequence[complex], pre: np.ndarray, num: Numerology
 ) -> np.ndarray:
     """|coherent matched filter| against the anchored preamble segment.
 
@@ -352,14 +351,14 @@ def baseline_xsig(
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
     k0 = num.anchor
-    seg = pre.samples[k0 - num.d_template + 1 : k0 + 1]  # ascending sample order
+    seg = pre[k0 - num.d_template + 1 : k0 + 1]  # ascending sample order
     # correlation with conj(p) descending in m == convolution kernel ascending
     kern = np.conj(seg)[::-1]
     return np.abs(np.convolve(r, kern)[: r.size])
 
 
 def baseline_xene(
-    window: Sequence[complex], template: EnergyTemplate
+    window: Sequence[complex], template: np.ndarray
 ) -> np.ndarray:
     """Instant received energy accumulated over the template support:
     xene(n) = sum_{m=0}^{D-1} |r[n-m]|^2.
@@ -370,5 +369,5 @@ def baseline_xene(
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
     e = r.real**2 + r.imag**2
-    d = int(np.asarray(template.a).size)
+    d = int(np.asarray(template).size)
     return np.convolve(e, np.ones(d, dtype=np.float64))[: r.size]

@@ -1,5 +1,6 @@
 """Impairment stages: CFO, AWGN, fading, DME pulses, phase noise, pipeline."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -215,7 +216,7 @@ class TestMultipath:
     @pytest.mark.parametrize("k_db", [math.inf, 10.0, -math.inf])
     @pytest.mark.parametrize("n", [0, 1, 30, 1732])
     def test_matches_per_tap_loop(self, make_profile, k_db, n, num):
-        profile = make_profile(rician_k_db=k_db)
+        profile = dataclasses.replace(make_profile(), rician_k_db=k_db)
         x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
         for seed in range(4):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -253,7 +254,7 @@ class TestMultipath:
     def test_short_streams_are_convolved_with_the_taps(self, n, num):
         # Doppler 0 freezes the ENR taps at 0, 1 and 38 samples, so the
         # channel is the convolution with its impulse response
-        profile = make_enr_profile(max_doppler_hz=0.0)
+        profile = dataclasses.replace(make_enr_profile(), max_doppler_hz=0.0)
         impulse = np.zeros(64, dtype=complex)
         impulse[0] = 1.0
         h = apply_multipath(impulse, profile, num, np.random.default_rng(3))
@@ -293,7 +294,8 @@ class TestMultipath:
         states = []
         for k_db in (math.inf, 10.0, -math.inf):
             rng = np.random.default_rng(11)
-            apply_multipath(x, make_tma_profile(rician_k_db=k_db), num, rng)
+            profile = dataclasses.replace(make_tma_profile(), rician_k_db=k_db)
+            apply_multipath(x, profile, num, rng)
             states.append(rng.bit_generator.state)
         assert states[0] == states[1] == states[2]
 

@@ -1,6 +1,7 @@
 """The metric kernels against direct sums and a brute-force trigger scan."""
 
 import numpy as np
+import pytest
 
 from ldacs_sync import active_backend
 from ldacs_sync._kernels import first_trigger, metric_arrays
@@ -19,20 +20,24 @@ class TestDispatch:
 class TestAgainstDirectSums:
     def test_metric_arrays_vs_direct(self, num, template, rng):
         r = _random_stream(rng, 1000)
-        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
-        w = 2 * num.l_quarter
-        start = max(4 * num.l_quarter, num.d_template + w) - 1
-        for n in range(start, r.size, 17):
+        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template)
+        for n in range(num.lookback, r.size, 17):
             snap = metrics_direct(r[: n + 1], num, template)
             assert abs(ac1[n] - snap.ac1) <= 1e-9 * max(1.0, abs(snap.ac1))
             assert abs(ac2[n] - snap.ac2) <= 1e-9 * max(1.0, abs(snap.ac2))
             assert abs(ene[n] - snap.ene) <= 1e-9 * max(1.0, snap.ene)
             assert abs(xcr[n] - snap.xcr) <= 1e-9 * max(1.0, snap.xcr)
 
+    def test_direct_needs_more_than_lookback_samples(self, num, template, rng):
+        r = _random_stream(rng, num.lookback + 1)
+        assert metrics_direct(r, num, template).n == num.lookback
+        with pytest.raises(ValueError, match="too short"):
+            metrics_direct(r[1:], num, template)
+
     def test_warmup_region_zero_padded(self, num, template, rng):
         # indices before the first full window see zeros in place of history
         r = _random_stream(rng, 300)
-        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template.a)
+        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template)
         w = 2 * num.l_quarter
         n = 100  # window still reaching past the stream start
         pad = num.d_template + w

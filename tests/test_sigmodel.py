@@ -42,13 +42,12 @@ def _preamble_reference(num, seed):
     used = used_subcarriers(num)
     u1 = _useful_reference(used[used % 4 == 0], rng, num)
     u2 = _useful_reference(used[used % 2 == 0], rng, num)
-    raw = np.concatenate([u1[-num.n_cp :], u1, u2[-num.n_cp :], u2])
     hop = num.n_cp + num.n_total
     out = np.zeros(2 * hop + num.n_win, dtype=np.complex128)
     for i, u in enumerate((u1, u2)):
         b = _block_reference(u, num)
         out[i * hop : i * hop + b.size] += b
-    return out, raw
+    return out
 
 
 def _frame_reference(num, pre, n_payload_symbols, lead_gap, seed):
@@ -56,7 +55,7 @@ def _frame_reference(num, pre, n_payload_symbols, lead_gap, seed):
     used = used_subcarriers(num)
     hop = num.n_cp + num.n_total
     out = np.zeros(lead_gap + (2 + n_payload_symbols) * hop + num.n_win, dtype=np.complex128)
-    out[lead_gap : lead_gap + pre.samples.size] += pre.samples
+    out[lead_gap : lead_gap + pre.size] += pre
     for p in range(n_payload_symbols):
         b = _block_reference(_useful_reference(used, rng, num), num)
         off = lead_gap + (2 + p) * hop
@@ -78,6 +77,11 @@ class TestNumerology:
         assert num.delta_search == 224
         assert num.sample_rate_hz == pytest.approx(2.5e6)
         assert num.subcarrier_spacing_hz == pytest.approx(9765.625)
+        assert num.n_symbol == num.n_cp + num.n_total == 300
+        L = num.l_quarter
+        assert num.lookback == max(4 * L, num.d_template + 2 * L) - 1 == 383
+        with pytest.raises(AttributeError):
+            num.n_cp = 5
 
     def test_used_subcarriers_symmetric(self, num):
         from ldacs_sync.sigmodel import used_subcarriers
@@ -106,16 +110,17 @@ class TestNumerology:
 
 
 class TestPreamble:
+    # the useful parts [n_cp, n_symbol) and [n_symbol + n_cp, 2 * n_symbol)
+    # lie between the window ramps
+
     def test_lengths(self, num, pre):
-        sym = num.n_cp + num.n_total
-        assert pre.samples.size == 2 * sym + num.n_win
-        # unwindowed reference carries no tail ramp
-        assert pre.samples_unwindowed.size == 2 * sym
+        assert pre.shape == (2 * num.n_symbol + num.n_win,)
+        assert pre.dtype == np.complex128
 
     def test_symbol1_quarter_periodicity(self, num):
         for seed in (1, 2, 7, 19):
             pre = generate_preamble(num, seed=seed)
-            u1 = pre.samples_unwindowed[num.n_cp : num.n_cp + num.n_total]
+            u1 = pre[num.n_cp : num.n_symbol]
             L = num.l_quarter
             for q in range(1, 4):
                 assert np.max(np.abs(u1[q * L : (q + 1) * L] - u1[:L])) < 1e-12
@@ -123,62 +128,50 @@ class TestPreamble:
     def test_symbol2_half_periodicity(self, num):
         for seed in (1, 2, 7, 19):
             pre = generate_preamble(num, seed=seed)
-            s2 = num.n_cp + num.n_total + num.n_cp
-            u2 = pre.samples_unwindowed[s2 : s2 + num.n_total]
+            u2 = pre[num.n_symbol + num.n_cp : 2 * num.n_symbol]
             half = num.n_total // 2
             assert np.max(np.abs(u2[half:] - u2[:half])) < 1e-12
 
     def test_useful_parts_unit_power(self, num, pre):
-        for start in (num.n_cp, 2 * num.n_cp + num.n_total):
-            u = pre.samples_unwindowed[start : start + num.n_total]
+        for start in (num.n_cp, num.n_symbol + num.n_cp):
+            u = pre[start : start + num.n_total]
             assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_cyclic_prefix_copies_tail(self, num, pre):
-        u1 = pre.samples_unwindowed[num.n_cp : num.n_cp + num.n_total]
-        cp1 = pre.samples_unwindowed[: num.n_cp]
-        assert np.allclose(cp1, u1[-num.n_cp :], atol=1e-12)
-
-    def test_windowing_touches_only_ramp_regions(self, num, pre):
-        # inside a symbol, away from the n_win edges, both variants agree
-        mid = slice(num.n_cp + num.n_win, num.n_cp + num.n_total - num.n_win)
-        assert np.allclose(pre.samples[mid], pre.samples_unwindowed[mid], atol=1e-12)
+        # the prefix's first n_win samples are ramped; the rest is an exact copy
+        u1 = pre[num.n_cp : num.n_symbol]
+        cp1 = pre[num.n_win : num.n_cp]
+        assert np.array_equal(cp1, u1[num.n_win - num.n_cp :])
 
     def test_deterministic_per_seed(self, num):
         a = generate_preamble(num, seed=5)
         b = generate_preamble(num, seed=5)
         c = generate_preamble(num, seed=6)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_matches_per_symbol_build(self, num, seed):
-        samples, raw = _preamble_reference(num, seed)
-        pre = generate_preamble(num, seed)
-        assert np.array_equal(pre.samples, samples)
-        assert np.array_equal(pre.samples_unwindowed, raw)
+        assert np.array_equal(generate_preamble(num, seed), _preamble_reference(num, seed))
 
 
 class TestEnergyTemplate:
     def test_shape_and_positivity(self, num, template):
-        assert template.a.shape == (num.d_template,)
-        assert np.all(template.a >= 0.0)
-        assert template.a.dtype == np.float64
+        assert template.shape == (num.d_template,)
+        assert np.all(template >= 0.0)
+        assert template.dtype == np.float64
 
     def test_anchor_matches_layout(self, num, pre, template):
         # the last sample of symbol 2's useful part, before the tail ramp
-        assert num.anchor == 2 * (num.n_cp + num.n_total) - 1 == 599
-        mag2 = np.abs(pre.samples) ** 2
-        assert template.a[0] == mag2[num.anchor]
-        assert template.a[-1] == mag2[num.anchor - num.d_template + 1]
+        assert num.anchor == 2 * num.n_symbol - 1 == 599
+        mag2 = np.abs(pre) ** 2
+        assert template[0] == mag2[num.anchor]
+        assert template[-1] == mag2[num.anchor - num.d_template + 1]
 
     def test_scale_quadratic_in_amplitude(self, num, pre):
         t1 = energy_template(pre, num)
-        scaled = type(pre)(
-            samples=2.0 * pre.samples,
-            samples_unwindowed=2.0 * pre.samples_unwindowed,
-        )
-        t2 = energy_template(scaled, num)
-        assert np.allclose(t2.a, 4.0 * t1.a, rtol=1e-12)
+        t2 = energy_template(2.0 * pre, num)
+        assert np.allclose(t2, 4.0 * t1, rtol=1e-12)
 
 
 class TestFrame:
@@ -191,8 +184,8 @@ class TestFrame:
 
     def test_zero_payload(self, num, pre):
         samples, n0 = build_frame(num, pre, n_payload_symbols=0, lead_gap=100, seed=9)
-        assert samples.size == 100 + pre.samples.size
-        assert np.allclose(samples[100:], pre.samples)
+        assert samples.size == 100 + pre.size
+        assert np.allclose(samples[100:], pre)
         assert np.max(np.abs(samples[:100])) == 0.0
 
     def test_payload_useful_parts_unit_power(self, num, pre):

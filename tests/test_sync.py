@@ -126,7 +126,7 @@ class TestMetricProperties:
 
     def test_match_identity_on_clean_preamble(self, num, pre, template):
         # at the symbol-1 match index, both lags see identical content
-        ac1, ac2, ene, _ = metric_stream(pre.samples, num, template)
+        ac1, ac2, ene, _ = metric_stream(pre, num, template)
         n = num.n_cp + num.n_total - 1
         assert abs(ac1[n]) == pytest.approx(ene[n], rel=1e-9)
         assert abs(ac2[n]) == pytest.approx(ene[n], rel=1e-9)
@@ -186,11 +186,10 @@ class TestChunkInvariance:
     @staticmethod
     def _stream(kind, num, pre, template):
         rng = np.random.default_rng(99)
-        lookback = max(4 * num.l_quarter, num.d_template + 2 * num.l_quarter) - 1
         if kind == "noise":
             return _noise(rng, 4000)
         # lead gaps shorter and longer than the retained tail
-        gap = 50 if kind == "short_gap" else 4 * lookback
+        gap = 50 if kind == "short_gap" else 4 * num.lookback
         x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=gap, seed=7)
         x = apply_awgn(apply_cfo(x, -0.7, num), 12.0, rng)
         if kind.startswith("cut"):
