@@ -115,6 +115,7 @@ def _scenario_from_args(args) -> Scenario:
     """Scenario file or --channel, with the given flags overriding; fields
     set by neither keep the Scenario defaults."""
     given = {
+        "channel": args.channel,
         "epsilon": args.epsilon,
         "snr_grid_db": "inf" if args.noiseless else args.snr,
         "n_trials": args.trials,
@@ -125,7 +126,7 @@ def _scenario_from_args(args) -> Scenario:
         return dataclasses.replace(load_scenario(args.scenario), **overrides)
     if args.channel is None:
         raise ValueError("campaign needs --scenario or --channel")
-    return Scenario(name=args.channel.lower(), channel=args.channel, **overrides)
+    return Scenario(name=args.channel.lower(), **overrides)
 
 
 def _print_stats(stats) -> None:
@@ -137,12 +138,7 @@ def _print_stats(stats) -> None:
 
 
 def cmd_campaign(args) -> int:
-    try:
-        scen = _scenario_from_args(args)
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-
+    scen = _scenario_from_args(args)  # main() reports a ValueError, exit 2
     if args.per_trial:
         stats, records = run_campaign(scen, return_records=True)
     else:
@@ -204,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="single-frame timing-metric trace")
     t.add_argument("--out", default=".", help="output directory")
-    t.add_argument("--snr", type=float, default=10.0, help="SNR in dB")
-    t.add_argument("--noiseless", action="store_true")
+    t_noise = t.add_mutually_exclusive_group()
+    t_noise.add_argument("--snr", type=float, default=10.0, help="SNR in dB")
+    t_noise.add_argument("--noiseless", action="store_true")
     t.add_argument("--epsilon", type=float, default=0.0, help="CFO in subcarrier spacings")
     t.add_argument("--channel", choices=CHANNELS, default="AWGN")
     t.add_argument("--seed", type=int, default=1, help="noise and channel draw")
@@ -219,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=".", help="output directory")
     c.add_argument("--channel", choices=CHANNELS)
     c.add_argument("--epsilon", type=float)
-    c.add_argument("--snr", help="comma-separated SNR grid in dB (inf = noiseless)")
-    c.add_argument("--noiseless", action="store_true")
+    c_noise = c.add_mutually_exclusive_group()
+    c_noise.add_argument("--snr", help="comma-separated SNR grid in dB (inf = noiseless)")
+    c_noise.add_argument("--noiseless", action="store_true")
     c.add_argument("--trials", type=int)
     c.add_argument("--seed", type=int)
     c.add_argument("--per-trial", action="store_true", help="also write per-trial records")

@@ -4,7 +4,7 @@ A trial synthesizes one frame (random lead gap, preamble, payload), runs it
 through the impairment pipeline for the scenario's channel, synchronizes,
 and scores:
 
-    fail       = not detected, or |sto_error| > fine_threshold
+    fail       = not detected, or |sto_error| > FINE_THRESHOLD
     sto_error  = sto_estimate - true frame start (detected trials)
     cfo_error  = cfo_estimate - true epsilon     (plain difference)
 
@@ -12,8 +12,10 @@ Seeding is hierarchical and parallel-safe: trial t of SNR point s uses
 SeedSequence([master_seed, s, t]), so every trial is reproducible in
 isolation and campaign statistics are independent of evaluation order.
 
-The link (numerology, preamble and energy template) is fixed for a
-preamble seed; link() builds it once per seed and every trial shares it.
+The frame (lead gap, payload, preamble seed) and the fail threshold are
+the fixed trial protocol below; a Scenario sets only the channel, the CFO,
+the SNR grid and the draw.  link() builds the link (numerology, preamble,
+energy template) once per preamble seed and every trial shares it.
 
 CFO MSE aggregates the squared cfo_error over detected trials that produced
 an estimate.  An infinite SNR entry in the grid means noiseless.
@@ -56,6 +58,12 @@ CHANNEL_MODELS = {
 }
 CHANNELS = tuple(CHANNEL_MODELS)
 
+# the trial protocol
+LEAD_GAP_RANGE = (200, 800)  # frame start, drawn uniformly per trial (inclusive)
+N_PAYLOAD_SYMBOLS = 2  # data symbols after the preamble
+FINE_THRESHOLD = Numerology.n_cp // 11  # = 4: |sto_error| above this fails
+PREAMBLE_SEED = 1  # the training sequence every trial sends
+
 
 def _parse_snr_list(text: str) -> tuple:
     """Comma-separated dB values; "inf" or "noiseless" is a noise-free point."""
@@ -89,10 +97,6 @@ class Scenario:
     snr_grid_db: tuple = (0.0, 5.0, 10.0)
     n_trials: int = 1000
     master_seed: int = 1
-    lead_gap_range: tuple = (200, 800)
-    fine_threshold: Optional[int] = None  # None -> floor(n_cp / 11)
-    n_payload_symbols: int = 2
-    preamble_seed: int = 1
     phase_noise_linewidth_hz: float = 0.0
 
     def __post_init__(self):
@@ -111,13 +115,6 @@ class Scenario:
             )
         _check_int("n_trials", self.n_trials, 1)
         _check_int("master_seed", self.master_seed, 0)
-        _check_int("preamble_seed", self.preamble_seed, 0)
-        _check_int("n_payload_symbols", self.n_payload_symbols, 0)
-        if self.fine_threshold is not None:
-            _check_int("fine_threshold", self.fine_threshold, 0)
-        lo, hi = self.lead_gap_range
-        _check_int("lead_gap_range", lo, 0)
-        _check_int("lead_gap_range", hi, lo)
         if not -2.0 < self.epsilon <= 2.0:
             raise ValueError("epsilon must lie in (-2, 2]")
         if not 0.0 <= self.phase_noise_linewidth_hz < math.inf:  # NaN fails too
@@ -151,9 +148,8 @@ class CampaignStats:
 
 
 def resolve_fine_threshold(scenario: Scenario, num: Numerology) -> int:
-    if scenario.fine_threshold is not None:
-        return scenario.fine_threshold
-    return num.n_cp // 11
+    """FINE_THRESHOLD, whatever the scenario (perfbench/workloads.py calls it)."""
+    return FINE_THRESHOLD
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,23 +170,17 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
     """One frame through the channel and synchronizer.
 
     rng_seed is any SeedSequence entropy (int or sequence of ints).  The
-    link comes from link(scenario.preamble_seed).
+    link comes from link(PREAMBLE_SEED).
     """
-    num, pre, template = link(scenario.preamble_seed)
+    num, pre, template = link(PREAMBLE_SEED)
     ss = np.random.SeedSequence(rng_seed)
     child_trial, child_payload, child_channel = ss.spawn(3)
     rng = np.random.default_rng(child_trial)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
 
-    lo, hi = scenario.lead_gap_range
+    lo, hi = LEAD_GAP_RANGE
     lead_gap = int(rng.integers(lo, hi + 1))
-    frame, n0 = build_frame(
-        num,
-        pre,
-        scenario.n_payload_symbols,
-        lead_gap,
-        seed=child_payload,
-    )
+    frame, n0 = build_frame(num, pre, N_PAYLOAD_SYMBOLS, lead_gap, seed=child_payload)
 
     profile, dme = CHANNEL_MODELS[scenario.channel]
     cfg = ImpairmentConfig(
@@ -204,7 +194,6 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
     r = run_pipeline(frame, cfg, num)
 
     res = synchronize(r, num, template)
-    threshold = resolve_fine_threshold(scenario, num)
 
     rec = TrialRecord(
         seed=seed_id,
@@ -217,7 +206,7 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
     if res.detected and res.sto_estimate is not None:
         rec.sto_est = res.sto_estimate
         rec.sto_error = res.sto_estimate - n0
-        rec.fail = abs(rec.sto_error) > threshold
+        rec.fail = abs(rec.sto_error) > FINE_THRESHOLD
         if res.cfo_estimate is not None:
             rec.cfo_est = res.cfo_estimate
             rec.cfo_error = res.cfo_estimate - scenario.epsilon
@@ -275,17 +264,12 @@ _SCENARIO_FIELDS = {f.name: f for f in fields(Scenario)}
 def _parse_field(key: str, text: str):
     """Scenario-file text for one field, typed like the field's default."""
     default = _SCENARIO_FIELDS[key].default
+    if not isinstance(default, (int, float)):
+        return text  # name, channel, and snr_grid_db, which Scenario parses
     try:
-        if key == "lead_gap_range":
-            lo, hi = text.split(",")
-            return int(lo), int(hi)
-        if key == "fine_threshold":
-            return None if text.lower() in ("auto", "none", "") else int(text)
-        if isinstance(default, (int, float)):
-            return type(default)(text)
+        return type(default)(text)
     except ValueError:
         raise ValueError(f"malformed value for {key}: {text!r}") from None
-    return text  # name, channel, and snr_grid_db, which Scenario parses
 
 
 def load_scenario(path) -> Scenario:

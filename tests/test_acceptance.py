@@ -11,19 +11,24 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
+    ImpairmentConfig,
     Scenario,
     SyncState,
     apply_cfo,
     baseline_xene,
+    baseline_xsig,
     build_frame,
     estimate_cfo,
+    estimate_sto,
     metric_stream,
     metrics_direct,
     run_campaign,
+    run_pipeline,
     synchronize,
 )
 from ldacs_sync._kernels import first_trigger
 from ldacs_sync.cli import main as cli_main
+from ldacs_sync.harness import FINE_THRESHOLD, LEAD_GAP_RANGE, N_PAYLOAD_SYMBOLS
 
 
 def _report(capsys, ok, label, detail):
@@ -301,5 +306,51 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
         ok,
         "criterion 9",
         f"sweep rerun: {len(files)} csv files, byte-identical: {identical}",
+    )
+    assert ok, line
+
+
+def test_criterion_10_timing_survives_large_cfo(num, pre, template, capsys):
+    # xcr against the coherent matched filter xsig, both read over the same
+    # timing window after the same trigger, on the same received frames
+    t0 = time.perf_counter()
+    n_trials = 300
+    grid = (0.0, 0.5, 1.0, 1.5, 1.9)
+    fails = {}
+    for s_idx, snr_db in enumerate((5.0, 10.0)):
+        for e_idx, eps in enumerate(grid):
+            n_xcr = n_xsig = 0
+            for t in range(n_trials):
+                rng = np.random.default_rng([10, s_idx, e_idx, t])
+                gap = int(rng.integers(LEAD_GAP_RANGE[0], LEAD_GAP_RANGE[1] + 1))
+                frame, n0 = build_frame(num, pre, N_PAYLOAD_SYMBOLS, gap, seed=rng)
+                cfg = ImpairmentConfig(epsilon=eps, snr_db=snr_db, seed=int(rng.integers(2**63)))
+                r = run_pipeline(frame, cfg, num)
+                res = synchronize(r, num, template)
+                if res.sto_estimate is None or abs(res.sto_estimate - n0) > FINE_THRESHOLD:
+                    n_xcr += 1
+                if res.trigger_index is None:
+                    n_xsig += 1
+                    continue
+                s0 = res.trigger_index + num.sto_search_gap
+                window = baseline_xsig(r, pre, num)[s0 : s0 + num.delta_search]
+                if abs(estimate_sto(window, s0, num) - n0) > FINE_THRESHOLD:
+                    n_xsig += 1
+            fails[snr_db, eps] = (n_xcr / n_trials, n_xsig / n_trials)
+    elapsed = time.perf_counter() - t0
+
+    worst_xcr = max(x for x, _ in fails.values())
+    xsig_at_1 = min(fails[snr_db, 1.0][1] for snr_db in (5.0, 10.0))
+    ok = worst_xcr <= 0.02 and xsig_at_1 >= 0.9
+    table = "; ".join(
+        f"{snr_db:g} dB eps {eps:g}: {x:.3f}/{b:.3f}" for (snr_db, eps), (x, b) in fails.items()
+    )
+    line = _report(
+        capsys,
+        ok,
+        "criterion 10",
+        f"AWGN, {n_trials} trials per point, fail xcr/xsig when |err| > "
+        f"{FINE_THRESHOLD}: {table}; worst xcr {worst_xcr:.3f} (tol 0.02), "
+        f"xsig at eps 1 {xsig_at_1:.3f} (>= 0.9), {elapsed:.1f} s",
     )
     assert ok, line

@@ -113,6 +113,39 @@ class TestCampaign:
         assert theader.startswith("seed,snr_db,")
         assert len(trows) == 2
 
+    def test_channel_flag_overrides_scenario_file(self, tmp_path):
+        # flags override the file; the name still comes from the file
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name = quick\nchannel = AWGN\n")
+        common = ["--snr", "10", "--trials", "2", "--per-trial"]
+        file_out, flag_out = tmp_path / "file", tmp_path / "flags"
+        argv = ["--scenario", str(cfg), "--channel", "TMA", *common]
+        assert main(["campaign", "--out", str(file_out), *argv]) == 0
+        assert main(["campaign", "--out", str(flag_out), "--channel", "TMA", *common]) == 0
+        assert sorted(p.name for p in file_out.iterdir()) == [
+            "quick.csv",
+            "quick.json",
+            "quick_trials.csv",
+        ]
+        got = (file_out / "quick_trials.csv").read_bytes()
+        assert got == (flag_out / "tma_trials.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--channel", "AWGN", "--noiseless", "--snr", "5"],
+            ["campaign", "--channel", "AWGN", "--snr", "inf", "--noiseless"],
+            ["trace", "--noiseless", "--snr", "10"],
+        ],
+    )
+    def test_noiseless_and_snr_are_exclusive(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scenario_key_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("name = x\nchannel = AWGN\nepsilonn = 1\n")

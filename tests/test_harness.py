@@ -21,7 +21,13 @@ from ldacs_sync import (
     write_campaign_json,
     write_trial_csv,
 )
-from ldacs_sync.harness import aggregate, link, resolve_fine_threshold
+from ldacs_sync.harness import (
+    FINE_THRESHOLD,
+    LEAD_GAP_RANGE,
+    aggregate,
+    link,
+    resolve_fine_threshold,
+)
 
 
 def _scenario(**kw):
@@ -39,9 +45,16 @@ class TestScenario:
         with pytest.raises(ValueError, match="snr_grid_db"):
             _scenario(snr_grid_db=())
 
-    def test_rejects_bad_gap_range(self):
-        with pytest.raises(ValueError, match="lead_gap_range"):
-            _scenario(lead_gap_range=(500, 100))
+    def test_fields_are_channel_grid_and_draw(self):
+        assert [f.name for f in fields(Scenario)] == [
+            "name",
+            "channel",
+            "epsilon",
+            "snr_grid_db",
+            "n_trials",
+            "master_seed",
+            "phase_noise_linewidth_hz",
+        ]
 
     @pytest.mark.parametrize("grid", [(5.0, math.nan), (-math.inf,), "0,-inf", "nan"])
     def test_rejects_nan_or_minus_inf_snr(self, grid):
@@ -63,17 +76,8 @@ class TestScenario:
             ("n_trials", 2.5),
             ("n_trials", True),
             ("n_trials", 0),
-            ("n_payload_symbols", 1.5),
-            ("n_payload_symbols", -1),
-            ("lead_gap_range", (1.5, 3.2)),
-            ("lead_gap_range", (100, 300.0)),
-            ("lead_gap_range", (-1, 300)),
-            ("fine_threshold", 2.5),
-            ("fine_threshold", False),
             ("master_seed", -1),
             ("master_seed", 1.0),
-            ("preamble_seed", -1),
-            ("preamble_seed", True),
         ],
     )
     def test_rejects_non_integer_or_negative_value(self, field, value):
@@ -82,8 +86,9 @@ class TestScenario:
             _scenario(**{field: value})
 
     def test_numpy_integers_accepted(self):
-        sc = _scenario(n_trials=np.int64(3), lead_gap_range=(np.int32(10), 20), master_seed=np.uint8(0))
+        sc = _scenario(n_trials=np.int32(3), master_seed=np.uint8(0))
         assert sc.n_trials == 3
+        assert [s.n_trials for s in run_campaign(sc)] == [3]
 
     @pytest.mark.parametrize("name", ["", ".", "..", "sub/x", "x/", "/tmp/x"])
     def test_rejects_name_that_is_not_a_plain_file_name(self, name):
@@ -91,8 +96,8 @@ class TestScenario:
             _scenario(name=name)
 
     def test_default_fine_threshold_is_cp_fraction(self, num):
-        assert resolve_fine_threshold(_scenario(), num) == num.n_cp // 11
-        assert resolve_fine_threshold(_scenario(fine_threshold=2), num) == 2
+        assert FINE_THRESHOLD == num.n_cp // 11 == 4
+        assert resolve_fine_threshold(_scenario(epsilon=1.5), num) == FINE_THRESHOLD
 
 
 class TestLink:
@@ -149,7 +154,7 @@ class TestRunTrial:
         sc = _scenario()
         gaps = {run_trial(sc, math.inf, rng_seed=[1, 0, t]).true_sto for t in range(8)}
         assert len(gaps) > 1
-        lo, hi = sc.lead_gap_range
+        lo, hi = LEAD_GAP_RANGE
         assert all(lo <= g <= hi for g in gaps)
 
 
@@ -202,8 +207,7 @@ class TestScenarioFile:
             "snr_grid_db = 0, 5, 10\n"
             "n_trials = 50\n"
             "master_seed = 9\n"
-            "lead_gap_range = 100, 300\n"
-            "fine_threshold = auto\n",
+            "phase_noise_linewidth_hz = 25\n",
         )
         sc = load_scenario(p)
         assert sc.name == "demo"
@@ -212,8 +216,7 @@ class TestScenarioFile:
         assert sc.snr_grid_db == (0.0, 5.0, 10.0)
         assert sc.n_trials == 50
         assert sc.master_seed == 9
-        assert sc.lead_gap_range == (100, 300)
-        assert sc.fine_threshold is None
+        assert sc.phase_noise_linewidth_hz == 25.0
 
     def test_noiseless_token(self, tmp_path):
         p = self._write(
@@ -225,6 +228,23 @@ class TestScenarioFile:
     def test_unknown_key_named(self, tmp_path):
         p = self._write(tmp_path, "name = x\nchannel = AWGN\nepsilonn = 1\n")
         with pytest.raises(ValueError, match="epsilonn"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lead_gap_range = 200,800",
+            "fine_threshold = auto",
+            "n_payload_symbols = 2",
+            "preamble_seed = 1",
+        ],
+    )
+    def test_removed_protocol_key_rejected(self, tmp_path, line):
+        # the four trial-protocol settings are constants now, even at their
+        # old defaults
+        p = self._write(tmp_path, f"name = x\nchannel = AWGN\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValueError, match=f"^unknown scenario key: {key}$"):
             load_scenario(p)
 
     def test_duplicate_key_rejected(self, tmp_path):
