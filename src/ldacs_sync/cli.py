@@ -111,9 +111,21 @@ def cmd_trace(args) -> int:
 # campaign
 
 
+def _check_run_flags(args) -> None:
+    """Name --trials and --seed, not the Scenario fields they set, in a
+    ValueError; None (not given) passes."""
+    for flag, field, value, minimum in (
+        ("--trials", "n_trials", args.trials, 1),
+        ("--seed", "master_seed", args.seed, 0),
+    ):
+        if value is not None:
+            _check_int(f"{flag} ({field})", value, minimum)
+
+
 def _scenario_from_args(args) -> Scenario:
     """Scenario file or --channel, with the given flags overriding; fields
     set by neither keep the Scenario defaults."""
+    _check_run_flags(args)
     given = {
         "channel": args.channel,
         "epsilon": args.epsilon,
@@ -180,6 +192,7 @@ def bundled_scenarios(n_trials: int, master_seed: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    _check_run_flags(args)
     scenarios = bundled_scenarios(args.trials, args.seed)
     os.makedirs(args.out, exist_ok=True)
     for scen in scenarios:

@@ -42,7 +42,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import first_trigger, metric_arrays
+from ._kernels import first_trigger, metric_arrays, xcr_window
 from .sigmodel import Numerology
 
 
@@ -112,7 +112,7 @@ def metric_stream(
     that synchronize runs, so they match its pushes to rounding.
     """
     state = SyncState(num, template)
-    parts = [state._push(block) for block in _blocks(_as_stream(stream))]
+    parts = [state._chunk_metrics(*state._push(b)) for b in _blocks(_as_stream(stream))]
     return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
 
@@ -215,13 +215,18 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
-    Each push runs the batch kernels once over [retained tail | chunk].  The
-    tail holds the kernels' look-back, num.lookback = D + 2L - 1 samples, so
-    chunk metrics match one pass over the whole stream up to rounding.  While
-    searching it also holds the m_consec - 1 samples a trigger run may
-    straddle (or more, if the CFO readings can fall further before the
-    trigger); after the trigger it reaches back to the earliest index the
-    timing window and the CFO readings need.
+    Each push runs the detection kernel (ac1, ac2, ene) once over [retained
+    tail | chunk].  The tail holds the kernels' look-back, num.lookback =
+    D + 2L - 1 samples, so chunk metrics match one pass over the whole
+    stream up to rounding.  While searching it also holds the m_consec - 1
+    samples a trigger run may straddle (or more, if the CFO readings can
+    fall further before the trigger); after the trigger it reaches back to
+    the earliest index the timing window and the CFO readings need.
+
+    Timing reads xcr through xcr_window over the delta_search-sample timing
+    window only.  push also returns the chunk's whole xcr, computed through
+    the same function from what the push kept; synchronize never asks for
+    it.
 
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
@@ -254,19 +259,22 @@ class SyncState:
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        return self._push(_as_stream(chunk))
+        return self._chunk_metrics(*self._push(_as_stream(chunk)))
 
     def _push(
         self, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """push for a chunk that _as_stream has already checked."""
+    ) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Detection, timing and CFO for a chunk that _as_stream has already
+        checked.  Returns what the push kept: its buffer [retained tail |
+        chunk], the tail length and the buffer's (ac1, ac2, ene)."""
         num = self.num
         if r.size == 0:
-            return metric_arrays(r, num.l_quarter, self.template)
+            return r, 0, metric_arrays(r, num.l_quarter)
         k = self._tail.size
         buf = np.concatenate((self._tail, r)) if k else r
         base = self._n - k  # stream index of buf[0]
-        ac1, ac2, ene, xcr = metric_arrays(buf, num.l_quarter, self.template)
+        det = metric_arrays(buf, num.l_quarter)
+        ac1, ac2, ene = det
         self._n += r.size
 
         trig = self.result.trigger_index
@@ -279,7 +287,7 @@ class SyncState:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
             if trig is not None and self._n >= trig + self._horizon:
-                self.result = self._estimate(base, ac1, ac2, xcr)
+                self.result = self._estimate(buf, base, ac1, ac2)
                 self.done = True
 
         if self.done:
@@ -289,7 +297,15 @@ class SyncState:
         else:
             hold = max(0, self._n - trig - self._reach)
         self._tail = buf[max(0, buf.size - num.lookback - hold) :].copy()
-        return ac1[k:], ac2[k:], ene[k:], xcr[k:]
+        return buf, k, det
+
+    def _chunk_metrics(
+        self, buf: np.ndarray, k: int, det: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (ac1, ac2, ene, xcr) of a push's chunk buf[k:], from what
+        _push kept."""
+        xcr = xcr_window(buf, self.num.l_quarter, self.template, k, buf.size)
+        return (*(arr[k:] for arr in det), xcr)
 
     def finish(self) -> SyncResult:
         """End of stream: the result as it stands.  A stream that ended
@@ -297,12 +313,14 @@ class SyncState:
         self.done = True
         return self.result
 
-    def _estimate(self, base: int, ac1, ac2, xcr) -> SyncResult:
-        """Timing and CFO from one push's arrays, which start at stream
-        index base and cover the whole timing window and both CFO readings."""
+    def _estimate(self, buf: np.ndarray, base: int, ac1, ac2) -> SyncResult:
+        """Timing and CFO from one push's buffer and detection arrays, which
+        start at stream index base and cover the whole timing window and
+        both CFO readings.  xcr is computed over the timing window only."""
         num, trig = self.num, self.result.trigger_index
-        s0 = trig + num.sto_search_gap
-        n_hat = estimate_sto(xcr[s0 - base : s0 + num.delta_search - base], s0, num)
+        lo = trig + num.sto_search_gap - base
+        xcr = xcr_window(buf, num.l_quarter, self.template, lo, lo + num.delta_search)
+        n_hat = estimate_sto(xcr, lo + base, num)
 
         i1, i2 = cfo_match_indices(n_hat, num)
         a1 = complex(ac1[i1 - base])

@@ -211,6 +211,35 @@ class TestCampaign:
             assert rc == 0 and csv.count(b"\n") == 1 + len(text.split(","))
 
 
+class TestFlagErrors:
+    """campaign and sweep name the flag that set a bad value, like trace."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--trials", "0"], "--trials"),
+            (["sweep", "--seed", "-1"], "--seed"),
+            (["campaign", "--channel", "AWGN", "--trials", "0"], "--trials"),
+            (["campaign", "--channel", "AWGN", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_error_names_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_flag_over_scenario_file_named(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name = x\nchannel = AWGN\n")
+        rc = main(["campaign", "--scenario", str(cfg), "--trials", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_smoke_writes_all_bundles(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path), "--trials", "2"])

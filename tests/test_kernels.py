@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldacs_sync import active_backend
-from ldacs_sync._kernels import first_trigger, metric_arrays
+from ldacs_sync._kernels import first_trigger, metric_arrays, xcr_window
 from ldacs_sync.sync import metrics_direct
 
 
@@ -20,7 +20,8 @@ class TestDispatch:
 class TestAgainstDirectSums:
     def test_metric_arrays_vs_direct(self, num, template, rng):
         r = _random_stream(rng, 1000)
-        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template)
+        ac1, ac2, ene = metric_arrays(r, num.l_quarter)
+        xcr = xcr_window(r, num.l_quarter, template, 0, r.size)
         for n in range(num.lookback, r.size, 17):
             snap = metrics_direct(r[: n + 1], num, template)
             assert abs(ac1[n] - snap.ac1) <= 1e-9 * max(1.0, abs(snap.ac1))
@@ -37,7 +38,7 @@ class TestAgainstDirectSums:
     def test_warmup_region_zero_padded(self, num, template, rng):
         # indices before the first full window see zeros in place of history
         r = _random_stream(rng, 300)
-        ac1, ac2, ene, xcr = metric_arrays(r, num.l_quarter, template)
+        ac1, ac2, ene = metric_arrays(r, num.l_quarter)
         w = 2 * num.l_quarter
         n = 100  # window still reaching past the stream start
         pad = num.d_template + w
@@ -45,6 +46,42 @@ class TestAgainstDirectSums:
         snap = metrics_direct(padded[: pad + n + 1], num, template)
         assert abs(ac1[n] - snap.ac1) < 1e-12
         assert abs(ene[n] - snap.ene) < 1e-12
+
+
+class TestXcrWindow:
+    """xcr over a window equals the slice of one full convolution over the
+    whole stream, bit for bit."""
+
+    @staticmethod
+    def _full(r, num, template):
+        w = 2 * num.l_quarter
+        v = np.zeros(r.size, dtype=np.complex128)
+        v[w:] = np.conj(r[w:]) * r[:-w]
+        return np.convolve(np.abs(v), template)[: r.size]
+
+    @pytest.mark.parametrize("size", [100, 300, 1000, 5000])
+    def test_equals_full_convolution_slice(self, size, num, template, rng):
+        r = _random_stream(rng, size)
+        full = self._full(r, num, template)
+        d = num.d_template
+        windows = [
+            (0, size),  # the whole stream
+            (0, min(size, 40)),  # reaches the stream start
+            (size // 3, size),  # hi at the buffer end
+            (size - 1, size),
+        ]
+        if size > num.lookback + num.delta_search:
+            windows += [
+                (num.lookback, num.lookback + num.delta_search),  # lo at lookback exactly
+                (d - 2, d + 30),  # reaches one sample before r[0]
+                (d - 1, d + 30),  # the first window that needs no padding
+                (d + 5, size),  # lag products padded with zeros before 2L
+            ]
+        windows += [tuple(sorted(rng.integers(0, size + 1, size=2))) for _ in range(40)]
+        for lo, hi in windows:
+            got = xcr_window(r, num.l_quarter, template, int(lo), int(hi))
+            assert got.dtype == np.float64 and got.shape == (hi - lo,)
+            assert np.array_equal(got, full[lo:hi]), (lo, hi)
 
 
 class TestFirstTriggerBruteForce:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
+    ImpairmentConfig,
     SyncResult,
     SyncState,
     apply_awgn,
@@ -21,8 +22,12 @@ from ldacs_sync import (
     generate_preamble,
     metric_stream,
     metrics_direct,
+    run_pipeline,
     synchronize,
 )
+from ldacs_sync import sync as sync_module
+from ldacs_sync._kernels import first_trigger
+from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
@@ -293,6 +298,65 @@ class TestLongStream:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB for a 32 MiB stream"
+
+
+class TestWindowedTiming:
+    """synchronize computes xcr over the timing window only and gets what
+    the whole-stream metric arrays give."""
+
+    @staticmethod
+    def _frame(channel, eps, lead, num, pre, seed=3):
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=lead, seed=seed)
+        profile, dme = CHANNEL_MODELS[channel]
+        cfg = ImpairmentConfig(epsilon=eps, snr_db=15.0, profile=profile, dme=dme, seed=seed)
+        return run_pipeline(f, cfg, num)
+
+    @staticmethod
+    def _reference(x, num, template):
+        """Trigger rule, argmax over [s0, s0 + delta_search) and the CFO
+        readings at both symbols, all read from metric_stream's arrays."""
+        ac1, ac2, ene, xcr = metric_stream(x, num, template)
+        trig = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, num.ac_valid_from)
+        assert trig >= 0
+        s0 = trig + num.sto_search_gap
+        n_hat = s0 + int(np.argmax(xcr[s0 : s0 + num.delta_search])) - num.anchor
+        i2 = n_hat + num.anchor
+        i1 = i2 - num.n_symbol
+        return SyncResult(
+            detected=True,
+            trigger_index=trig,
+            sto_estimate=n_hat,
+            cfo_estimate=estimate_cfo([ac1[i1]], [ac2[i1], ac2[i2]]),
+            cfo_estimate_ac1=float(2.0 * -np.angle(ac1[i1]) / np.pi),
+            cfo_estimate_ac2=estimate_cfo([ac1[i1]], [ac2[i1]]),
+        )
+
+    @pytest.mark.parametrize("channel", ["AWGN", "TMA", "ENR_DME"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, -1.2, 1.9])
+    @pytest.mark.parametrize("lead", [300, _BLOCK - 700])
+    def test_synchronize_equals_metric_stream_reference(self, channel, eps, lead, num, pre, template):
+        x = self._frame(channel, eps, lead, num, pre)
+        res = synchronize(x, num, template)
+        ref = self._reference(x, num, template)
+        # the coarse reading is wrapped into (-2, 2], which may move its last bit
+        assert res.cfo_estimate_ac1 == pytest.approx(ref.cfo_estimate_ac1, abs=1e-12)
+        ref.cfo_estimate_ac1 = res.cfo_estimate_ac1
+        assert res == ref
+
+    def test_scan_asks_for_one_timing_window(self, monkeypatch, num, pre, template):
+        asked = []
+        window = sync_module.xcr_window
+
+        def counted(r, l_quarter, a, lo, hi):
+            asked.append(hi - lo)
+            return window(r, l_quarter, a, lo, hi)
+
+        monkeypatch.setattr(sync_module, "xcr_window", counted)
+        f = self._frame("AWGN", 0.5, 40_000, num, pre)
+        x = np.concatenate([f, _noise(np.random.default_rng(8), (1 << 16) - f.size, 10 ** -1.5)])
+        assert x.size == 1 << 16
+        assert synchronize(x, num, template).sto_estimate is not None
+        assert asked == [num.delta_search]
 
 
 class TestCompleteWindow:
