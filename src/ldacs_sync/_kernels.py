@@ -80,13 +80,10 @@ def xcr_window(
 
 
 def first_trigger(cond: np.ndarray, m: int, start: int) -> int:
-    """First index n with cond[n-m+1..n] all true and n-m+1 >= start; -1 if none."""
-    c = np.asarray(cond, dtype=np.int64)
-    if c.size < start + m:
+    """First index n with cond[n-m+1..n] all true and n-m+1 >= start; -1 if none.
+    With t the true samples' indices, a run of m ends at t[i] iff t[i] - t[i-m+1] == m-1."""
+    t = np.flatnonzero(cond[start:])
+    if t.size < m:
         return -1
-    runs = _sliding_sum(c, m)  # runs[n] = number of true in the last m slots
-    ok = runs[start + m - 1 :] == m
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        return -1
-    return int(hits[0]) + start + m - 1
+    ends = np.flatnonzero(t[m - 1 :] - t[: t.size - m + 1] == m - 1)
+    return start + int(t[ends[0] + m - 1]) if ends.size else -1

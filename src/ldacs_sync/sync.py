@@ -38,7 +38,7 @@ once the estimate is final.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -96,24 +96,23 @@ def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     return r
 
 
-def _blocks(r: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive views of at most _BLOCK samples covering r; an empty
-    stream is one empty block."""
-    return (r[i : i + _BLOCK] for i in range(0, max(r.size, 1), _BLOCK))
-
-
 def metric_stream(
     stream: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
-    The stream must be 1-D and finite (ValueError otherwise).  The arrays
-    are the concatenated metrics of the same fixed-block SyncState scan
-    that synchronize runs, so they match its pushes to rounding.
+    The stream must be 1-D and finite (ValueError otherwise).  Each block of
+    the same SyncState scan that synchronize runs writes its metrics into
+    the four outputs in place, so they match its pushes to rounding and the
+    scan's memory peaks at the outputs plus one block's work.
     """
+    r = _as_stream(stream)
+    out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
     state = SyncState(num, template)
-    parts = [state._chunk_metrics(*state._push(b)) for b in _blocks(_as_stream(stream))]
-    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    for i in range(0, r.size, _BLOCK):
+        for arr, part in zip(out, state._chunk_metrics(*state._push(r[i : i + _BLOCK]))):
+            arr[i : i + part.size] = part
+    return out
 
 
 def metrics_direct(
@@ -216,12 +215,13 @@ class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
     Each push runs the detection kernel (ac1, ac2, ene) once over [retained
-    tail | chunk].  The tail holds the kernels' look-back, num.lookback =
-    D + 2L - 1 samples, so chunk metrics match one pass over the whole
-    stream up to rounding.  While searching it also holds the m_consec - 1
-    samples a trigger run may straddle (or more, if the CFO readings can
-    fall further before the trigger); after the trigger it reaches back to
-    the earliest index the timing window and the CFO readings need.
+    tail | chunk].  One rule sets the tail: the kernels' look-back,
+    num.lookback = D + 2L - 1 samples, before the earliest index an estimate
+    can still read.  That is the symbol-1 CFO reading, trigger + _reach
+    (_reach = -44), with the stream end n in place of the trigger while
+    searching (the 44 samples also hold the m_consec - 1 a trigger run may
+    straddle), and n itself once done.  Chunk metrics thus match one pass
+    over the whole stream to rounding.
 
     Timing reads xcr through xcr_window over the delta_search-sample timing
     window only.  push also returns the chunk's whole xcr, computed through
@@ -233,8 +233,8 @@ class SyncState:
     the timing window and both CFO readings are complete (done turns True).
 
     synchronize and metric_stream feed it blocks of _BLOCK samples.  Each
-    push recomputes its retained tail (about 430 samples); the kernels carry
-    no state across pushes.
+    push recomputes its retained tail (427 samples while searching); the
+    kernels carry no state across pushes.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -248,7 +248,6 @@ class SyncState:
         # the symbol-2 CFO reading at the peak)
         self._reach = num.sto_search_gap - num.n_symbol
         self._horizon = num.sto_search_gap + num.delta_search
-        self._search_hold = max(num.m_consec - 1, -self._reach)
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
 
@@ -291,12 +290,10 @@ class SyncState:
                 self.done = True
 
         if self.done:
-            hold = 0
-        elif trig is None:
-            hold = self._search_hold
+            earliest = self._n
         else:
-            hold = max(0, self._n - trig - self._reach)
-        self._tail = buf[max(0, buf.size - num.lookback - hold) :].copy()
+            earliest = (self._n if trig is None else trig) + self._reach
+        self._tail = buf[max(0, earliest - num.lookback - base) :].copy()
         return buf, k, det
 
     def _chunk_metrics(
@@ -347,9 +344,10 @@ def synchronize(
     pushed into a fresh SyncState in blocks of _BLOCK samples, up to the
     block that makes the estimate final, and finish() gives the result.
     """
+    r = _as_stream(stream)
     state = SyncState(num, template)
-    for block in _blocks(_as_stream(stream)):
-        state._push(block)
+    for i in range(0, r.size, _BLOCK):
+        state._push(r[i : i + _BLOCK])
         if state.done:
             break
     return state.finish()

@@ -93,12 +93,19 @@ class TestFirstTriggerBruteForce:
                 return i
         return -1
 
-    def test_random_patterns(self, rng):
+    def test_random_patterns(self, num, rng):
         for trial in range(50):
             cond = rng.random(size=300) < 0.5
             start = int(rng.integers(0, 50))
             m = int(rng.integers(1, 7))
             assert first_trigger(cond, m, start) == self._brute(cond, start, m)
+        # the detector's own run length, on conditions dense enough to hold it
+        m = num.m_consec
+        for p in (0.8, 0.9, 0.95):
+            for _ in range(20):
+                cond = rng.random(size=500) < p
+                start = int(rng.integers(0, 100))
+                assert first_trigger(cond, m, start) == self._brute(cond, start, m)
 
     def test_no_trigger(self):
         cond = np.zeros(100, dtype=bool)
@@ -108,3 +115,28 @@ class TestFirstTriggerBruteForce:
         cond = np.ones(100, dtype=bool)
         # run counting begins at start, not before
         assert first_trigger(cond, 16, 40) == 55
+
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_start_at_or_near_the_end(self, m, rng):
+        cond = rng.random(size=200) < 0.9
+        cond[-m:] = True
+        for start in [*range(cond.size - m - 1, cond.size + 1), cond.size + 5]:
+            assert first_trigger(cond, m, start) == self._brute(cond, start, m), start
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_uniform_conditions(self, fill, m):
+        cond = np.full(300, fill)
+        for start in (0, 7, 284, 285, 299, 300):
+            assert first_trigger(cond, m, start) == self._brute(cond, start, m), start
+
+    def test_sparse_block_sized_conditions(self, num, rng):
+        # a block's worth of samples with rare true runs, as in a noise scan
+        m = num.m_consec
+        for density in (0.0, 2e-4, 1e-3, 1e-2):
+            for _ in range(5):
+                cond = np.zeros(1 << 14, dtype=bool)
+                for at in rng.integers(0, cond.size, size=int(density * cond.size)):
+                    cond[at : at + int(rng.integers(1, 2 * m))] = True
+                start = int(rng.integers(0, 500))
+                assert first_trigger(cond, m, start) == self._brute(cond, start, m)

@@ -80,6 +80,9 @@ class TestNumerology:
         assert num.n_symbol == num.n_cp + num.n_total == 300
         L = num.l_quarter
         assert num.lookback == max(4 * L, num.d_template + 2 * L) - 1 == 383
+        # SyncState's one tail rule: the look-back it holds before the
+        # symbol-1 CFO reading also covers a trigger run that straddles a push
+        assert num.n_symbol - num.sto_search_gap >= num.m_consec - 1
         with pytest.raises(AttributeError):
             num.n_cp = 5
 

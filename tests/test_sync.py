@@ -31,6 +31,15 @@ from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
+# a known timing limit: a fix XPASSes and must drop the marker
+_SPURIOUS_PEAK = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a spurious xcr peak inside the timing window beats the anchor peak "
+    "(preamble seeds 71, 1817, 2502: off by -145, -150, -129 at every gap and eps)",
+)
+
+
 def _noise(rng, n, power=1.0):
     scale = np.sqrt(power / 2.0)
     return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -287,17 +296,23 @@ class TestLongStream:
             assert abs(got[-1] - want) <= 1e-12 * abs(want)
 
     def test_working_memory_bounded(self, noise, num, template):
+        # beyond what it returns, a scan holds one block's work at a time
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            synchronize(noise, num, template)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            for scan in (synchronize, metric_stream):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = scan(noise, num, template)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                kept = sum(a.nbytes for a in out) if scan is metric_stream else 0
+                assert peak <= kept + (8 << 20), (
+                    f"{scan.__name__}: peak {peak / 2**20:.1f} MiB for a 32 MiB stream "
+                    f"and {kept / 2**20:.0f} MiB of output"
+                )
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB for a 32 MiB stream"
 
 
 class TestWindowedTiming:
@@ -484,9 +499,11 @@ class TestSynchronize:
         assert abs(res.cfo_estimate - 1.5) < 1e-6
 
     # preamble seeds whose noiseless xcr has its global maximum before the
-    # anchor, outside the timing window
+    # anchor, outside the timing window; the last three are a tested limit
     @pytest.mark.parametrize(
-        "seed", [160, 1264, 1362, 1611, 1671, 1691, 2382, 2461, 2515, 3411, 3541]
+        "seed",
+        [160, 1264, 1362, 1611, 1671, 1691, 2382, 2461, 2515, 3411, 3541]
+        + [pytest.param(s, marks=_SPURIOUS_PEAK) for s in (71, 1817, 2502)],
     )
     def test_noiseless_loopback_exact_for_preamble_seed(self, num, seed):
         pre = generate_preamble(num, seed)
@@ -499,6 +516,18 @@ class TestSynchronize:
                     res = synchronize(apply_cfo(x, eps, num), num, tpl)
                     assert res.sto_estimate == n0, (gap, n_payload, eps)
                     assert res.cfo_estimate == pytest.approx(eps, abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="stream-start slip: the kernel warm-up holds the trigger at "
+        "4L - 1 + m_consec - 1 = 270, so the timing window reaches the payload's "
+        "lag-2L image at k0 + 128, which beats the anchor (128 samples late)",
+    )
+    @pytest.mark.parametrize("gap", [0, 10, 22])
+    def test_noiseless_frame_at_stream_start_exact(self, gap, num, pre, template):
+        x, n0 = build_frame(num, pre, n_payload_symbols=2, lead_gap=gap, seed=0)
+        assert synchronize(x, num, template).sto_estimate == n0
 
     def test_readme_quick_start(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
