@@ -29,10 +29,10 @@ n1 and n2 are summed coherently before taking the angle.
 
 SyncState runs this chain over a stream fed in chunks of any size, through
 the same kernels and the same trigger, timing and CFO code.  synchronize and
-metric_stream check the whole stream once and then push it through a
-SyncState in fixed blocks of _BLOCK samples, so their working memory and
-the kernels' cumsums do not grow with the stream; synchronize stops pushing
-once the estimate is final.
+metric_stream push a stream through a SyncState in fixed blocks of _BLOCK
+samples, each checked for finiteness as it is pushed, so their working
+memory and the kernels' cumsums do not grow with the stream.  synchronize
+stops pushing once the estimate is final and only checks the rest.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import first_trigger, metric_arrays, xcr_window
+from ._kernels import metric_arrays, screened_trigger, xcr_window
 from .sigmodel import Numerology
 
 
@@ -87,13 +87,16 @@ _BLOCK = 1 << 14
 
 def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     """The stream as a contiguous complex128 vector; rejects anything that
-    is not 1-D or holds non-finite samples.  An empty stream is valid."""
+    is not 1-D.  An empty stream is valid."""
     r = np.ascontiguousarray(stream, dtype=np.complex128)
     if r.ndim != 1:
         raise ValueError(f"stream must be 1-D, got shape {r.shape}")
+    return r
+
+
+def _check_finite(r: np.ndarray) -> None:
     if not np.isfinite(r).all():
         raise ValueError("stream contains non-finite samples")
-    return r
 
 
 def metric_stream(
@@ -101,10 +104,11 @@ def metric_stream(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
-    The stream must be 1-D and finite (ValueError otherwise).  Each block of
-    the same SyncState scan that synchronize runs writes its metrics into
-    the four outputs in place, so they match its pushes to rounding and the
-    scan's memory peaks at the outputs plus one block's work.
+    The stream must be 1-D and finite (ValueError otherwise; finiteness is
+    checked block by block).  Each block of the same SyncState scan that
+    synchronize runs writes its metrics into the four outputs in place, so
+    they match its pushes to rounding and the scan's memory peaks at the
+    outputs plus one block's work.
     """
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
@@ -214,8 +218,11 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
-    Each push runs the detection kernel (ac1, ac2, ene) once over [retained
-    tail | chunk].  One rule sets the tail: the kernels' look-back,
+    Each push checks the chunk for finiteness, then runs the detection
+    kernel (ac1, ac2, ene) once over [retained tail | chunk] and looks for
+    the trigger with screened_trigger, which evaluates the trigger
+    condition at full rate only next to its hits on a stride-m_consec
+    screen.  One rule sets the tail: the kernels' look-back,
     num.lookback = D + 2L - 1 samples, before the earliest index an estimate
     can still read.  That is the symbol-1 CFO reading, trigger + _reach
     (_reach = -44), with the stream end n in place of the trigger while
@@ -264,8 +271,11 @@ class SyncState:
         self, r: np.ndarray
     ) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Detection, timing and CFO for a chunk that _as_stream has already
-        checked.  Returns what the push kept: its buffer [retained tail |
-        chunk], the tail length and the buffer's (ac1, ac2, ene)."""
+        made a 1-D complex128 vector; a non-finite chunk raises ValueError
+        and leaves the state as it was.  Returns what the push kept: its
+        buffer [retained tail | chunk], the tail length and the buffer's
+        (ac1, ac2, ene)."""
+        _check_finite(r)
         num = self.num
         if r.size == 0:
             return r, 0, metric_arrays(r, num.l_quarter)
@@ -281,7 +291,7 @@ class SyncState:
             if trig is None:
                 # past the stream start, values are exact from num.lookback on
                 start = num.lookback if base else num.ac_valid_from
-                found = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, start)
+                found = screened_trigger(ac1, ac2, ene, num.m_consec, start)
                 if found >= 0:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
@@ -339,17 +349,20 @@ def synchronize(
 ) -> SyncResult:
     """Run detection, timing, and CFO estimation over a sample stream.
 
-    The stream must be 1-D and finite (ValueError otherwise), checked whole
-    before any push; an empty stream reports detected=False.  It is then
-    pushed into a fresh SyncState in blocks of _BLOCK samples, up to the
-    block that makes the estimate final, and finish() gives the result.
+    The stream must be 1-D and finite (ValueError otherwise); an empty
+    stream reports detected=False.  It is pushed into a fresh SyncState in
+    blocks of _BLOCK samples, each checked for finiteness as it is pushed,
+    up to the block that makes the estimate final; the blocks after that
+    are only checked.  finish() gives the result.
     """
     r = _as_stream(stream)
     state = SyncState(num, template)
     for i in range(0, r.size, _BLOCK):
-        state._push(r[i : i + _BLOCK])
+        block = r[i : i + _BLOCK]
         if state.done:
-            break
+            _check_finite(block)
+        else:
+            state._push(block)
     return state.finish()
 
 
@@ -381,7 +394,9 @@ def baseline_xene(
 
     The classic unshaped energy detector.  It rides the raw energy plateau,
     so its normalized curve is a broad dome; the shape contrast against the
-    anchored xcr correlation is the point of the comparison mode.
+    anchored xcr correlation is the point of the comparison mode.  Outside
+    its own tests, its only users are the xene column of `ldacs-sync trace`
+    and acceptance criterion 5; the synchronizer never calls it.
     """
     r = np.ascontiguousarray(window, dtype=np.complex128)
     e = r.real**2 + r.imag**2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ldacs_sync import active_backend
-from ldacs_sync._kernels import first_trigger, metric_arrays, xcr_window
-from ldacs_sync.sync import metrics_direct
+from ldacs_sync._kernels import first_trigger, metric_arrays, screened_trigger, xcr_window
+from ldacs_sync.sync import _BLOCK, metrics_direct
 
 
 def _random_stream(rng, n):
@@ -48,6 +48,40 @@ class TestAgainstDirectSums:
         assert abs(ene[n] - snap.ene) < 1e-12
 
 
+class TestCumsumReference:
+    """metric_arrays has the bits of the plain formula: lag products padded
+    with zeros, one cumsum, then cs[w:] - cs[:-w]."""
+
+    @staticmethod
+    def _reference(r, l_quarter):
+        w = 2 * l_quarter
+
+        def sliding(x):
+            cs = np.cumsum(x)
+            out = cs.copy()
+            if w < x.size:
+                out[w:] = cs[w:] - cs[:-w]
+            return out
+
+        def lagged(lag):
+            v = np.zeros(r.size, dtype=np.complex128)
+            if lag < r.size:
+                v[lag:] = np.conj(r[lag:]) * r[:-lag]
+            return v
+
+        return sliding(lagged(l_quarter)), sliding(lagged(w)), sliding(r.real**2 + r.imag**2)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_byte_identical(self, scale, num, rng):
+        L = num.l_quarter
+        sizes = [0, 1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 4 * L, num.lookback, 2200, _BLOCK + 427]
+        for n in sizes:
+            r = scale * _random_stream(rng, n)
+            for got, want in zip(metric_arrays(r, L), self._reference(r, L)):
+                assert got.dtype == want.dtype and got.shape == want.shape, n
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), n
+
+
 class TestXcrWindow:
     """xcr over a window equals the slice of one full convolution over the
     whole stream, bit for bit."""
@@ -84,6 +118,13 @@ class TestXcrWindow:
             assert np.array_equal(got, full[lo:hi]), (lo, hi)
 
 
+def _screened(cond, m, start):
+    """screened_trigger on metric arrays whose trigger condition is cond:
+    |2| + |0| > 1 where cond holds, |0| + |0| > 1 nowhere."""
+    ac1 = 2.0 * cond.astype(np.complex128)
+    return screened_trigger(ac1, np.zeros_like(ac1), np.ones(cond.size), m, start)
+
+
 class TestFirstTriggerBruteForce:
     def _brute(self, cond, start, m):
         run = 0
@@ -93,19 +134,47 @@ class TestFirstTriggerBruteForce:
                 return i
         return -1
 
+    def _check(self, cond, m, start):
+        want = self._brute(cond, start, m)
+        assert first_trigger(cond, m, start) == want, (m, start)
+        got = _screened(cond, m, start)
+        assert type(got) is int and got == want, (m, start)
+
     def test_random_patterns(self, num, rng):
         for trial in range(50):
             cond = rng.random(size=300) < 0.5
             start = int(rng.integers(0, 50))
             m = int(rng.integers(1, 7))
-            assert first_trigger(cond, m, start) == self._brute(cond, start, m)
+            self._check(cond, m, start)
+        # every run length up to 20, over densities that hold runs of it
+        for trial in range(400):
+            cond = rng.random(size=300) < rng.choice((0.5, 0.8, 0.9, 0.95))
+            start = int(rng.integers(0, 50))
+            m = int(rng.integers(1, 21))
+            self._check(cond, m, start)
         # the detector's own run length, on conditions dense enough to hold it
         m = num.m_consec
         for p in (0.8, 0.9, 0.95):
             for _ in range(20):
                 cond = rng.random(size=500) < p
                 start = int(rng.integers(0, 100))
-                assert first_trigger(cond, m, start) == self._brute(cond, start, m)
+                self._check(cond, m, start)
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_runs_around_every_screened_index(self, m, rng):
+        # single runs of length m - 1, m and m + 1 that begin at, end at or
+        # straddle each screened index start + m - 1 + k*m, alone and over
+        # a sparse random background that holds no run of its own
+        n, start = 12 * m + 7, int(rng.integers(0, 2 * m + 1))
+        for screened in range(start + m - 1, n, m):
+            for length in (m - 1, m, m + 1):
+                for first in (screened, screened - length + 1, screened - length // 2):
+                    for background in (0.0, 0.3):
+                        cond = rng.random(size=n) < background
+                        if m > 1:
+                            cond[np.arange(m - 1, n, m)] = False  # break any run of m
+                        cond[max(first, 0) : first + length] = True
+                        self._check(cond, m, start)
 
     def test_no_trigger(self):
         cond = np.zeros(100, dtype=bool)
@@ -116,12 +185,12 @@ class TestFirstTriggerBruteForce:
         # run counting begins at start, not before
         assert first_trigger(cond, 16, 40) == 55
 
-    @pytest.mark.parametrize("m", [1, 3, 16])
+    @pytest.mark.parametrize("m", range(1, 21))
     def test_start_at_or_near_the_end(self, m, rng):
         cond = rng.random(size=200) < 0.9
         cond[-m:] = True
-        for start in [*range(cond.size - m - 1, cond.size + 1), cond.size + 5]:
-            assert first_trigger(cond, m, start) == self._brute(cond, start, m), start
+        for start in [*range(cond.size - 2 * m - 1, cond.size + 1), cond.size + 5]:
+            self._check(cond, m, start)
 
     @pytest.mark.parametrize("fill", [False, True])
     @pytest.mark.parametrize("m", [1, 3, 16])

@@ -314,6 +314,22 @@ class TestLongStream:
             if not tracing:
                 tracemalloc.stop()
 
+    def test_synchronize_peak_independent_of_length(self, noise, num, template):
+        # finiteness is checked block by block: no mask of the whole stream
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            peaks = []
+            for n in (1 << 17, noise.size):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                synchronize(noise[:n], num, template)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
 
 class TestWindowedTiming:
     """synchronize computes xcr over the timing window only and gets what
@@ -596,10 +612,18 @@ class TestInputContract:
     @pytest.mark.parametrize("fn", [synchronize, metric_stream])
     @pytest.mark.parametrize(
         "bad, at",
-        [(np.nan, slice(None)), (np.nan, 1234), (np.inf, 1234), (complex(0.0, -np.inf), 1234)],
+        [
+            (np.nan, slice(None)),
+            (np.nan, 1234),
+            (np.inf, 1234),
+            (complex(0.0, -np.inf), 1234),
+            (np.nan, _BLOCK + 5),  # a later block
+            (np.inf, -1),  # the last sample, in the final partial block
+        ],
     )
     def test_non_finite_rejected(self, fn, bad, at, num, template, rng):
-        x = _noise(rng, 2000)
+        # more than two blocks: each is checked as it is pushed
+        x = _noise(rng, 2 * _BLOCK + 2000)
         x[at] = bad
         with pytest.raises(ValueError, match="non-finite"):
             fn(x, num, template)
