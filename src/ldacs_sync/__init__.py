@@ -3,8 +3,8 @@
 The package splits into five layers:
 
     sigmodel   numerology, preamble/frame synthesis, energy template
-    _kernels   hot metric kernels (cumsum sliding sums; xcr by np.convolve
-               over a window)
+    _kernels   hot metric kernels (cumsum sliding sums, a strided trigger
+               search, xcr by np.convolve over a window)
     sync       metrics, detection, STO and CFO estimation over a stream fed
                in chunks (SyncState) or whole (synchronize)
     channel    CFO, AWGN, Rician multipath, phase noise, DME interference

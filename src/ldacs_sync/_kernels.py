@@ -1,5 +1,5 @@
 """Hot metric kernels: in-place cumsum sliding sums, a strided trigger
-screen, and np.convolve over a window.
+search, and np.convolve over a window.
 
 Per stream index n (L = quarter period, window w = 2L, template length D):
 
@@ -10,10 +10,11 @@ Per stream index n (L = quarter period, window w = 2L, template length D):
 
 metric_arrays gives the detection arrays (ac1, ac2, ene) over the whole
 stream.  Each sliding sum is one buffer of n + 2L entries whose first 2L
-are zero: the summands go in behind the zeros, a cumsum runs over them in
+are zero: the summands go in behind the zeros (the lag products through
+_lag_products, which also feeds xcr_window), a cumsum runs over them in
 place, and one subtraction of the buffer's first n entries takes away the
 sum from 2L samples back (or a zero, and cs - 0 is cs exactly).
-screened_trigger finds the first run of m_consec samples with
+first_trigger finds the first run of m_consec samples with
 |ac1| + |ac2| > ene, evaluating that condition at every m-th index and at
 full rate only next to the hits.  xcr_window gives xcr over one index range
 only: the synchronizer reads it inside the delta_search-sample timing
@@ -36,10 +37,12 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _lag_products(r: np.ndarray, lag: int) -> np.ndarray:
-    out = np.zeros(r.size, dtype=np.complex128)
-    if lag < r.size:
-        out[lag:] = np.conj(r[lag:]) * r[:-lag]
+def _lag_products(r: np.ndarray, lag: int, lead: int = 0) -> np.ndarray:
+    """conj(r[j]) * r[j-lag] for every j (zero for j < lag), behind lead
+    zeros."""
+    out = np.empty(lead + r.size, dtype=np.complex128)
+    out[: lead + lag] = 0.0
+    np.multiply(np.conj(r[lag:]), r[:-lag], out=out[lead + lag :])
     return out
 
 
@@ -57,17 +60,12 @@ def metric_arrays(
     """(ac1, ac2, ene) over the whole stream; empty in, empty out."""
     r = np.ascontiguousarray(r, dtype=np.complex128)
     n, w = r.size, 2 * l_quarter
-    ac = []
-    for lag in (l_quarter, w):
-        buf = np.empty(n + w, dtype=np.complex128)
-        buf[: w + lag] = 0.0  # the zeros, then the products before r[0]
-        np.multiply(np.conj(r[lag:]), r[:-lag], out=buf[w + lag :])
-        ac.append(_window_sums(buf, w))
+    ac1, ac2 = (_window_sums(_lag_products(r, lag, w), w) for lag in (l_quarter, w))
     buf = np.empty(n + w, dtype=np.float64)
     buf[:w] = 0.0
     np.multiply(r.real, r.real, out=buf[w:])
     buf[w:] += r.imag * r.imag
-    return ac[0], ac[1], _window_sums(buf, w)
+    return ac1, ac2, _window_sums(buf, w)
 
 
 def xcr_window(
@@ -94,28 +92,19 @@ def xcr_window(
     return np.convolve(vm, a, "valid")
 
 
-def first_trigger(cond: np.ndarray, m: int, start: int) -> int:
-    """First index n with cond[n-m+1..n] all true and n-m+1 >= start; -1 if none.
-    With t the true samples' indices, a run of m ends at t[i] iff t[i] - t[i-m+1] == m-1."""
-    t = np.flatnonzero(cond[start:])
-    if t.size < m:
-        return -1
-    ends = np.flatnonzero(t[m - 1 :] - t[: t.size - m + 1] == m - 1)
-    return start + int(t[ends[0] + m - 1]) if ends.size else -1
-
-
-def screened_trigger(
+def first_trigger(
     ac1: np.ndarray, ac2: np.ndarray, ene: np.ndarray, m: int, start: int
 ) -> int:
-    """first_trigger((|ac1| + |ac2|) > ene, m, start), without evaluating
-    the condition at every index.
+    """First index n where |ac1| + |ac2| > ene has held at n-m+1..n, with
+    n-m+1 >= start; -1 if none.
 
     Every run of m samples from start on holds one index of the screen
     start + m - 1, start + 2m - 1, ...  Around each screen hit i, in order,
     the condition is evaluated over [i-m+1, i+m), which holds every run
-    through i.  The first such slice that holds a run gives first_trigger's
-    answer: it holds the earliest run, and no earlier slice reaches that
-    run's end.
+    through i; with t the true samples' offsets there, a run of m ends at
+    t[j] iff t[j] - t[j-m+1] == m-1.  The first such slice that holds a run
+    gives the answer: it holds the earliest run, and no earlier slice
+    reaches that run's end.
     """
 
     def cond(s: slice) -> np.ndarray:
@@ -123,7 +112,8 @@ def screened_trigger(
 
     for k in np.flatnonzero(cond(slice(start + m - 1, None, m))):
         lo = start + m * int(k)  # the hit is lo + m - 1
-        found = first_trigger(cond(slice(lo, lo + 2 * m - 1)), m, 0)
-        if found >= 0:
-            return lo + found
+        t = np.flatnonzero(cond(slice(lo, lo + 2 * m - 1)))
+        ends = t[m - 1 :][t[m - 1 :] - t[: max(t.size - m + 1, 0)] == m - 1]
+        if ends.size:
+            return lo + int(ends[0])
     return -1

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import metric_arrays, screened_trigger, xcr_window
+from ._kernels import first_trigger, metric_arrays, xcr_window
 from .sigmodel import Numerology
 
 
@@ -105,16 +105,16 @@ def metric_stream(
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
     The stream must be 1-D and finite (ValueError otherwise; finiteness is
-    checked block by block).  Each block of the same SyncState scan that
-    synchronize runs writes its metrics into the four outputs in place, so
-    they match its pushes to rounding and the scan's memory peaks at the
-    outputs plus one block's work.
+    checked block by block).  The stream is pushed into one SyncState in the
+    blocks synchronize uses, and each push's metrics go into the four
+    outputs in place, so they match its pushes to rounding and the scan's
+    memory peaks at the outputs plus one block's work.
     """
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
     state = SyncState(num, template)
     for i in range(0, r.size, _BLOCK):
-        for arr, part in zip(out, state._chunk_metrics(*state._push(r[i : i + _BLOCK]))):
+        for arr, part in zip(out, state.push(r[i : i + _BLOCK])):
             arr[i : i + part.size] = part
     return out
 
@@ -220,28 +220,28 @@ class SyncState:
 
     Each push checks the chunk for finiteness, then runs the detection
     kernel (ac1, ac2, ene) once over [retained tail | chunk] and looks for
-    the trigger with screened_trigger, which evaluates the trigger
-    condition at full rate only next to its hits on a stride-m_consec
-    screen.  One rule sets the tail: the kernels' look-back,
-    num.lookback = D + 2L - 1 samples, before the earliest index an estimate
-    can still read.  That is the symbol-1 CFO reading, trigger + _reach
-    (_reach = -44), with the stream end n in place of the trigger while
-    searching (the 44 samples also hold the m_consec - 1 a trigger run may
-    straddle), and n itself once done.  Chunk metrics thus match one pass
-    over the whole stream to rounding.
+    the trigger with first_trigger, which evaluates the trigger condition
+    at full rate only next to its hits on a stride-m_consec screen.  One
+    rule sets the tail: the kernels' look-back, num.lookback = D + 2L - 1
+    samples, before the earliest index an estimate can still read.  That is
+    the symbol-1 CFO reading, trigger + _reach (_reach = -44), with the
+    stream end n in place of the trigger while searching (the 44 samples
+    also hold the m_consec - 1 a trigger run may straddle), and n itself
+    once done.  Chunk metrics thus match one pass over the whole stream to
+    rounding.  An empty chunk re-scans the tail and changes nothing.
 
     Timing reads xcr through xcr_window over the delta_search-sample timing
-    window only.  push also returns the chunk's whole xcr, computed through
-    the same function from what the push kept; synchronize never asks for
-    it.
+    window only.  push returns the chunk's metrics, with its whole xcr from
+    the same function; _push is the same step without them, for
+    synchronize, which never reads xcr outside the timing window.
 
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
     the timing window and both CFO readings are complete (done turns True).
 
     synchronize and metric_stream feed it blocks of _BLOCK samples.  Each
-    push recomputes its retained tail (427 samples while searching); the
-    kernels carry no state across pushes.
+    push recomputes its retained tail (lookback + 44 = 427 samples while
+    searching); the kernels carry no state across pushes.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -265,7 +265,9 @@ class SyncState:
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        return self._chunk_metrics(*self._push(_as_stream(chunk)))
+        buf, k, det = self._push(_as_stream(chunk))
+        xcr = xcr_window(buf, self.num.l_quarter, self.template, k, buf.size)
+        return (*(arr[k:] for arr in det), xcr)
 
     def _push(
         self, r: np.ndarray
@@ -277,8 +279,6 @@ class SyncState:
         (ac1, ac2, ene)."""
         _check_finite(r)
         num = self.num
-        if r.size == 0:
-            return r, 0, metric_arrays(r, num.l_quarter)
         k = self._tail.size
         buf = np.concatenate((self._tail, r)) if k else r
         base = self._n - k  # stream index of buf[0]
@@ -291,7 +291,7 @@ class SyncState:
             if trig is None:
                 # past the stream start, values are exact from num.lookback on
                 start = num.lookback if base else num.ac_valid_from
-                found = screened_trigger(ac1, ac2, ene, num.m_consec, start)
+                found = first_trigger(ac1, ac2, ene, num.m_consec, start)
                 if found >= 0:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
@@ -305,14 +305,6 @@ class SyncState:
             earliest = (self._n if trig is None else trig) + self._reach
         self._tail = buf[max(0, earliest - num.lookback - base) :].copy()
         return buf, k, det
-
-    def _chunk_metrics(
-        self, buf: np.ndarray, k: int, det: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The (ac1, ac2, ene, xcr) of a push's chunk buf[k:], from what
-        _push kept."""
-        xcr = xcr_window(buf, self.num.l_quarter, self.template, k, buf.size)
-        return (*(arr[k:] for arr in det), xcr)
 
     def finish(self) -> SyncResult:
         """End of stream: the result as it stands.  A stream that ended

@@ -244,12 +244,11 @@ def test_criterion_7_false_alarm_bound(num, template, capsys):
     n = 1_000_000
     x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
     ac1, ac2, ene, _ = metric_stream(x, num, template)
-    cond = (np.abs(ac1) + np.abs(ac2)) > ene
 
     triggers = 0
     start = num.ac_valid_from
     while True:
-        trig = first_trigger(cond, num.m_consec, start)
+        trig = first_trigger(ac1, ac2, ene, num.m_consec, start)
         if trig < 0:
             break
         triggers += 1

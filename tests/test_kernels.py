@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ldacs_sync import active_backend
-from ldacs_sync._kernels import first_trigger, metric_arrays, screened_trigger, xcr_window
+from ldacs_sync import ImpairmentConfig, active_backend, build_frame, metric_stream, run_pipeline
+from conftest import full_rate_trigger
+from ldacs_sync._kernels import first_trigger, metric_arrays, xcr_window
+from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync.sync import _BLOCK, metrics_direct
 
 
@@ -119,13 +121,16 @@ class TestXcrWindow:
 
 
 def _screened(cond, m, start):
-    """screened_trigger on metric arrays whose trigger condition is cond:
+    """first_trigger on metric arrays whose trigger condition is cond:
     |2| + |0| > 1 where cond holds, |0| + |0| > 1 nowhere."""
     ac1 = 2.0 * cond.astype(np.complex128)
-    return screened_trigger(ac1, np.zeros_like(ac1), np.ones(cond.size), m, start)
+    return first_trigger(ac1, np.zeros_like(ac1), np.ones(cond.size), m, start)
 
 
 class TestFirstTriggerBruteForce:
+    """first_trigger and the full-rate reference against a sample-by-sample
+    run counter."""
+
     def _brute(self, cond, start, m):
         run = 0
         for i in range(start, cond.size):
@@ -136,7 +141,7 @@ class TestFirstTriggerBruteForce:
 
     def _check(self, cond, m, start):
         want = self._brute(cond, start, m)
-        assert first_trigger(cond, m, start) == want, (m, start)
+        assert full_rate_trigger(cond, m, start) == want, (m, start)
         got = _screened(cond, m, start)
         assert type(got) is int and got == want, (m, start)
 
@@ -178,12 +183,12 @@ class TestFirstTriggerBruteForce:
 
     def test_no_trigger(self):
         cond = np.zeros(100, dtype=bool)
-        assert first_trigger(cond, 3, 0) == -1
+        assert full_rate_trigger(cond, 3, 0) == _screened(cond, 3, 0) == -1
 
     def test_run_must_not_predate_start(self):
         cond = np.ones(100, dtype=bool)
         # run counting begins at start, not before
-        assert first_trigger(cond, 16, 40) == 55
+        assert full_rate_trigger(cond, 16, 40) == _screened(cond, 16, 40) == 55
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_start_at_or_near_the_end(self, m, rng):
@@ -197,7 +202,7 @@ class TestFirstTriggerBruteForce:
     def test_uniform_conditions(self, fill, m):
         cond = np.full(300, fill)
         for start in (0, 7, 284, 285, 299, 300):
-            assert first_trigger(cond, m, start) == self._brute(cond, start, m), start
+            self._check(cond, m, start)
 
     def test_sparse_block_sized_conditions(self, num, rng):
         # a block's worth of samples with rare true runs, as in a noise scan
@@ -207,5 +212,41 @@ class TestFirstTriggerBruteForce:
                 cond = np.zeros(1 << 14, dtype=bool)
                 for at in rng.integers(0, cond.size, size=int(density * cond.size)):
                     cond[at : at + int(rng.integers(1, 2 * m))] = True
-                start = int(rng.integers(0, 500))
-                assert first_trigger(cond, m, start) == self._brute(cond, start, m)
+                self._check(cond, m, int(rng.integers(0, 500)))
+
+
+class TestFirstTriggerOnMetricArrays:
+    """first_trigger equals the full-rate reference on the metric arrays of
+    real streams, for starts every 61 samples and around each trigger."""
+
+    @staticmethod
+    def _stream(kind, num, pre):
+        if kind.startswith("enr_dme"):
+            # DME pulse trains fire the detector in a lead longer than a block
+            f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=_BLOCK + 500, seed=5)
+            profile, dme = CHANNEL_MODELS["ENR_DME"]
+            snr = float(kind.split("_")[-1])
+            cfg = ImpairmentConfig(epsilon=0.5, snr_db=snr, profile=profile, dme=dme, seed=5)
+            return run_pipeline(f, cfg, num)
+        n = 3 * _BLOCK if kind == "noise" else _BLOCK + 1000
+        x = _random_stream(np.random.default_rng(11), n)
+        if kind == "dc":
+            x += 1.0
+        elif kind == "cw":
+            x += np.exp(2j * np.pi * np.arange(n) / num.l_quarter)
+        return x
+
+    @pytest.mark.parametrize("kind", ["enr_dme_16", "enr_dme_20", "enr_dme_24", "dc", "cw", "noise"])
+    def test_equals_full_rate_reference(self, kind, num, pre, template):
+        ac1, ac2, ene, _ = metric_stream(self._stream(kind, num, pre), num, template)
+        cond = (np.abs(ac1) + np.abs(ac2)) > ene
+        m = num.m_consec
+        starts = set(range(0, cond.size, 61))
+        triggers = {full_rate_trigger(cond, m, s) for s in starts} - {-1}
+        for t in triggers:
+            starts.update(range(max(t - 2 * m, 0), t + 2))
+        for s in sorted(starts):
+            assert first_trigger(ac1, ac2, ene, m, s) == full_rate_trigger(cond, m, s), s
+        if kind != "noise":
+            # the condition holds runs before the frame (DME) or throughout
+            assert min(triggers) < _BLOCK, sorted(triggers)[:5]

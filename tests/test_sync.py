@@ -26,7 +26,7 @@ from ldacs_sync import (
     synchronize,
 )
 from ldacs_sync import sync as sync_module
-from ldacs_sync._kernels import first_trigger
+from conftest import full_rate_trigger
 from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
@@ -347,7 +347,7 @@ class TestWindowedTiming:
         """Trigger rule, argmax over [s0, s0 + delta_search) and the CFO
         readings at both symbols, all read from metric_stream's arrays."""
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
-        trig = first_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, num.ac_valid_from)
+        trig = full_rate_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, num.ac_valid_from)
         assert trig >= 0
         s0 = trig + num.sto_search_gap
         n_hat = s0 + int(np.argmax(xcr[s0 : s0 + num.delta_search])) - num.anchor
