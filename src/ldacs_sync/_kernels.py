@@ -20,10 +20,10 @@ full rate only next to the hits.  xcr_window gives xcr over one index range
 only: the synchronizer reads it inside the delta_search-sample timing
 window and nowhere else.
 
-Samples before the stream start are treated as zeros, matching a streaming
-correlator whose delay lines power up cleared.  Values are fully warmed up
-once n >= num.ac_valid_from = 4L - 1 (ac/ene) resp. n >= num.lookback =
-D + 2L - 1 (xcr, which reaches furthest back).
+Samples before the stream start are literal zeros in every metric, as in a
+streaming correlator whose delay lines power up cleared.  Values are fully
+warmed up once n >= num.ac_valid_from = 4L - 1 (ac/ene) resp. n >=
+num.lookback = D + 2L - 1 (xcr, which reaches furthest back).
 """
 
 from __future__ import annotations
@@ -73,22 +73,20 @@ def xcr_window(
 ) -> np.ndarray:
     """xcr(n) for lo <= n < hi, in the stream indices of r.
 
-    Builds |conj(r[j]) * r[j-2L]| over [lo-D+1, hi) only and convolves it
-    with a in "valid" mode, which equals the matching slice of the full
-    convolution bit for bit.  A window that reaches before r[0] takes the
-    full convolution over all of r instead: a prefix shorter than D would
-    make np.convolve swap its operands and move last bits.
+    Convolves |conj(r[j]) * r[j-2L]| over [lo-D+1, hi), zero for j < 2L
+    and before r[0], with a in "valid" mode; that operand is never shorter
+    than a, so np.convolve keeps it first.  Each value is one dot product
+    of the same D terms wherever the window sits, so a zero prefix shifts
+    the output exactly, and for lo >= D - 1 it is the full convolution's
+    slice bit for bit.
     """
     if hi <= lo:
         return np.zeros(0, dtype=np.float64)
     r = np.ascontiguousarray(r, dtype=np.complex128)
     a = np.asarray(a, dtype=np.float64)
     w = 2 * l_quarter
-    j0 = lo - a.size + 1
-    if j0 < 0:
-        return np.convolve(np.abs(_lag_products(r, w)), a)[lo:hi]
-    s = max(j0 - w, 0)  # first sample the lag products over [j0, hi) read
-    vm = np.abs(_lag_products(r[s:hi], w)[j0 - s :])
+    s = lo - a.size + 1 - w  # first sample the lag products over [lo-D+1, hi) read
+    vm = np.abs(_lag_products(r[max(s, 0) : hi], w, max(-s, 0))[w:])
     return np.convolve(vm, a, "valid")
 
 

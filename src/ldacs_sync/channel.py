@@ -262,10 +262,8 @@ def apply_multipath(
         else:
             fractions, phases = np.cos(u[:N_SINUSOIDS]), u[N_SINUSOIDS:]
         omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
-        # in place, with the roundings of sqrt(p) * (tones / sqrt(K))
         gain = _tones(omegas, phases, n)
-        gain /= math.sqrt(fractions.size)
-        gain *= math.sqrt(p)
+        gain *= math.sqrt(p / fractions.size)
         y[d:] += gain[d:] * x[: max(n - d, 0)]
     return y
 

@@ -107,8 +107,9 @@ def metric_stream(
     The stream must be 1-D and finite (ValueError otherwise; finiteness is
     checked block by block).  The stream is pushed into one SyncState in the
     blocks synchronize uses, and each push's metrics go into the four
-    outputs in place, so they match its pushes to rounding and the scan's
-    memory peaks at the outputs plus one block's work.
+    outputs in place, so they match pushes of any other chunk sizes (xcr bit
+    for bit, the rest to rounding) and the scan's memory peaks at the
+    outputs plus one block's work.
     """
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
@@ -227,8 +228,9 @@ class SyncState:
     the symbol-1 CFO reading, trigger + _reach (_reach = -44), with the
     stream end n in place of the trigger while searching (the 44 samples
     also hold the m_consec - 1 a trigger run may straddle), and n itself
-    once done.  Chunk metrics thus match one pass over the whole stream to
-    rounding.  An empty chunk re-scans the tail and changes nothing.
+    once done.  Chunk metrics thus match one pass over the whole stream, xcr
+    bit for bit and ac1, ac2, ene and CFO to rounding (their cumsums re-base
+    per push).  An empty chunk re-scans the tail and changes nothing.
 
     Timing reads xcr through xcr_window over the delta_search-sample timing
     window only.  push returns the chunk's metrics, with its whole xcr from

@@ -5,6 +5,7 @@ a single PASS/FAIL line with the observed numbers (visible without -s).
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from ldacs_sync import (
     metrics_direct,
     run_campaign,
     run_pipeline,
+    run_trial,
     synchronize,
 )
 from ldacs_sync._kernels import first_trigger
@@ -351,5 +353,62 @@ def test_criterion_10_timing_survives_large_cfo(num, pre, template, capsys):
         f"AWGN, {n_trials} trials per point, fail xcr/xsig when |err| > "
         f"{FINE_THRESHOLD}: {table}; worst xcr {worst_xcr:.3f} (tol 0.02), "
         f"xsig at eps 1 {xsig_at_1:.3f} (>= 0.9), {elapsed:.1f} s",
+    )
+    assert ok, line
+
+
+def _chi2_mean_interval(n, level):
+    """Two-sided interval of chi2_n / n at the given level, by the
+    Wilson-Hilferty cube-root normal approximation."""
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
+    c = 2.0 / (9.0 * n)
+    return tuple((1.0 - c + sign * z * math.sqrt(c)) ** 3 for sign in (-1.0, 1.0))
+
+
+def test_criterion_11_cfo_variance_meets_first_order_theory(num, capsys):
+    # The combined estimate sums two lag-2L readings of 2L products each,
+    # N = 2 * 2L = 256; at noise variance s2 per sample (unit-power signal)
+    # its first-order variance is (2 s2 + s2^2) / (2 N pi^2), and the
+    # symbol-1-only ac2 estimate, with N/2 products, has twice that.  For n
+    # unbiased Gaussian errors the mean squared error over that variance is
+    # chi2_n / n.  The coarse lag-L estimate reads about 4 and is printed
+    # only: its factor is not derived yet.
+    t0 = time.perf_counter()
+    grid = (0.0, 0.5, 1.5, -1.9)
+    n_trials = 400
+    n_products = 2 * 2 * num.l_quarter
+    rows, ok = [], True
+    for s_idx, snr_db in enumerate((10.0, 20.0)):
+        s2 = 10.0 ** (-snr_db / 10.0)
+        var = (2.0 * s2 + s2**2) / (2.0 * n_products * math.pi**2)
+        err, err1, err2 = [], [], []
+        for e_idx, eps in enumerate(grid):
+            sc = Scenario(name="cfo", channel="AWGN", epsilon=eps, snr_grid_db=(snr_db,))
+            for t in range(n_trials):
+                rec = run_trial(sc, snr_db, [18, e_idx, s_idx, t])
+                if rec.cfo_error is not None:
+                    err.append(rec.cfo_error)
+                if rec.cfo_est_ac1 is not None:
+                    err1.append(rec.cfo_est_ac1 - eps)
+                if rec.cfo_est_ac2 is not None:
+                    err2.append(rec.cfo_est_ac2 - eps)
+        lo, hi = _chi2_mean_interval(len(err), 0.999)
+        lo2, hi2 = _chi2_mean_interval(len(err2), 0.999)
+        ratio = float(np.mean(np.square(err))) / var
+        ratio2 = float(np.mean(np.square(err2))) / (2.0 * var)
+        ratio1 = float(np.mean(np.square(err1))) / var
+        ok = ok and lo <= ratio <= hi and lo2 <= ratio2 <= hi2
+        rows.append(
+            f"{snr_db:g} dB: combined {ratio:.3f} in [{lo:.3f}, {hi:.3f}] (n {len(err)}), "
+            f"ac2/2 {ratio2:.3f} in [{lo2:.3f}, {hi2:.3f}], coarse {ratio1:.2f} (not asserted)"
+        )
+    elapsed = time.perf_counter() - t0
+
+    line = _report(
+        capsys,
+        ok,
+        "criterion 11",
+        f"AWGN, eps {grid} pooled, {n_trials} trials each: mse / first-order "
+        f"variance, 99.9% chi-square interval: {'; '.join(rows)}; {elapsed:.1f} s",
     )
     assert ok, line

@@ -85,20 +85,30 @@ class TestCumsumReference:
 
 
 class TestXcrWindow:
-    """xcr over a window equals the slice of one full convolution over the
-    whole stream, bit for bit."""
+    """xcr over a window is one "valid" convolution of lag-product
+    magnitudes that hold zeros before r[0]: bit for bit the slice of the
+    full convolution once the window starts at D - 1, and a zero-led
+    "valid" convolution before that."""
 
     @staticmethod
-    def _full(r, num, template):
+    def _lag_magnitudes(r, num):
         w = 2 * num.l_quarter
         v = np.zeros(r.size, dtype=np.complex128)
         v[w:] = np.conj(r[w:]) * r[:-w]
-        return np.convolve(np.abs(v), template)[: r.size]
+        return np.abs(v)
+
+    def _full(self, r, num, template):
+        return np.convolve(self._lag_magnitudes(r, num), template)[: r.size]
+
+    def _zero_led(self, r, num, template):
+        lead = np.zeros(num.d_template - 1)
+        return np.convolve(np.concatenate([lead, self._lag_magnitudes(r, num)]), template, "valid")
 
     @pytest.mark.parametrize("size", [100, 300, 1000, 5000])
     def test_equals_full_convolution_slice(self, size, num, template, rng):
         r = _random_stream(rng, size)
         full = self._full(r, num, template)
+        zero_led = self._zero_led(r, num, template)
         d = num.d_template
         windows = [
             (0, size),  # the whole stream
@@ -117,7 +127,23 @@ class TestXcrWindow:
         for lo, hi in windows:
             got = xcr_window(r, num.l_quarter, template, int(lo), int(hi))
             assert got.dtype == np.float64 and got.shape == (hi - lo,)
-            assert np.array_equal(got, full[lo:hi]), (lo, hi)
+            if lo >= d - 1:
+                assert np.array_equal(got, full[lo:hi]), (lo, hi)
+            else:
+                assert np.array_equal(got, zero_led[lo:hi]), (lo, hi)
+                np.testing.assert_allclose(got, full[lo:hi], rtol=1e-12, atol=0.0)
+
+    def test_zero_prefix_shifts_exactly(self, num, template, rng):
+        # zeros before r[0] are literal: prepending z of them and shifting
+        # the window by z gives the same bits, wherever the window reaches
+        L = num.l_quarter
+        for _ in range(300):
+            r = _random_stream(rng, int(rng.integers(1, 1200)))
+            lo, hi = sorted(int(i) for i in rng.integers(0, r.size + 1, size=2))
+            z = int(rng.integers(1, 2 * num.lookback))
+            padded = np.concatenate([np.zeros(z, dtype=np.complex128), r])
+            got = xcr_window(padded, L, template, lo + z, hi + z)
+            assert np.array_equal(got, xcr_window(r, L, template, lo, hi)), (r.size, lo, hi, z)
 
 
 def _screened(cond, m, start):

@@ -100,9 +100,10 @@ class TestStreamingMetrics:
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
         state = SyncState(num, template)
         got = _push_all(state, x, _chunk_sizes(np.random.default_rng(3), x.size))
-        for g, want in zip(got, (ac1, ac2, ene, xcr)):
+        for g, want in zip(got[:3], (ac1, ac2, ene)):
             assert g.shape == want.shape
             assert np.max(np.abs(g - want)) < 1e-9
+        assert np.array_equal(got[3], xcr)
         n = 700
         snap = metrics_direct(x[: n + 1], num, template)
         assert abs(ac1[n] - snap.ac1) < 1e-9
@@ -220,9 +221,13 @@ class TestChunkInvariance:
         state = SyncState(num, template)
         sizes = [x.size] if chunk is None else [chunk] * -(-x.size // chunk)
         got = _push_all(state, x, sizes)
-        for g, want in zip(got, metric_stream(x, num, template)):
-            assert g.shape == want.shape
-            assert np.max(np.abs(g - want)) < 1e-9
+        want = metric_stream(x, num, template)
+        # the detection cumsums re-base on every push; xcr is one dot
+        # product of the same D terms wherever the push starts
+        for g, w in zip(got[:3], want[:3]):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) < 1e-9
+        assert np.array_equal(got[3], want[3])
 
         ref = synchronize(x, num, template)
         assert ref.detected == (kind != "noise")
@@ -274,9 +279,11 @@ class TestChunkInvariance:
             }[kind]
             assert lo < _BLOCK <= hi  # the second block starts in (lo, hi]
         _assert_same_result(synchronize(x, num, template), ref)
-        for g, w in zip(metric_stream(x, num, template), want):
+        got = metric_stream(x, num, template)
+        for g, w in zip(got[:3], want[:3]):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) < 1e-9
+        assert np.array_equal(got[3], want[3])
 
 
 class TestLongStream:
