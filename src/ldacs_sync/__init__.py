@@ -7,7 +7,7 @@ The package splits into five layers:
                search, xcr by np.convolve over a window)
     sync       metrics, detection, STO and CFO estimation over a stream fed
                in chunks (SyncState) or whole (synchronize)
-    channel    CFO, AWGN, Rician multipath, phase noise, DME interference
+    channel    CFO, AWGN, Rician multipath, DME interference
     harness    Monte Carlo trials, campaigns, CSV/JSON emitters
 """
 
@@ -41,7 +41,6 @@ from .channel import (
     apply_cfo,
     apply_awgn,
     apply_multipath,
-    apply_phase_noise,
     apply_dme,
     make_enr_profile,
     make_tma_profile,
@@ -88,7 +87,6 @@ __all__ = [
     "apply_cfo",
     "apply_awgn",
     "apply_multipath",
-    "apply_phase_noise",
     "apply_dme",
     "make_enr_profile",
     "make_tma_profile",

@@ -1,4 +1,4 @@
-"""Channel impairments: CFO, AWGN, Rician multipath, phase noise, DME pulses.
+"""Channel impairments: CFO, AWGN, Rician multipath, DME pulses.
 
 The CFO and every multipath tap gain are sums of sinusoids from one
 generator, _tones.  It uses angle addition over blocks of about sqrt(n)
@@ -29,13 +29,10 @@ power (DME_REFERENCE_DBM) that sets each interferer's peak amplitude
 relative to the unit-power signal.  apply_dme builds all pulses of an
 interferer in one pass.
 
-Oscillator phase noise is a Wiener process with increment variance
-2*pi*linewidth/sample_rate.
-
-run_pipeline applies: multipath -> phase noise -> CFO -> DME -> AWGN, each
-stage drawing from its own child generator so that enabling one stage never
-shifts another stage's random stream.  A child generator is made only for a
-stage that runs.
+run_pipeline applies: multipath -> CFO -> DME -> AWGN, each stage drawing
+from its own child generator so that enabling one stage never shifts
+another stage's random stream.  A child generator is made only for a stage
+that runs.
 """
 
 from __future__ import annotations
@@ -268,27 +265,6 @@ def apply_multipath(
     return y
 
 
-def wiener_phase(
-    n: int, linewidth_hz: float, num: Numerology, rng: np.random.Generator
-) -> np.ndarray:
-    """Phase random walk with increment variance 2*pi*linewidth/fs."""
-    var = 2.0 * np.pi * linewidth_hz / num.sample_rate_hz
-    inc = rng.normal(0.0, math.sqrt(var), n)
-    return np.cumsum(inc)
-
-
-def apply_phase_noise(
-    x: np.ndarray, linewidth_hz: float, num: Numerology, rng: np.random.Generator
-) -> np.ndarray:
-    """Multiply by a Wiener phase process; linewidth 0 is the identity."""
-    x = np.asarray(x, dtype=np.complex128)
-    if not 0.0 <= linewidth_hz < math.inf:
-        raise ValueError(f"linewidth_hz must be finite and >= 0, got {linewidth_hz}")
-    if linewidth_hz == 0.0:
-        return x.copy()
-    return x * np.exp(1j * wiener_phase(x.size, linewidth_hz, num, rng))
-
-
 def apply_dme(
     x: np.ndarray, interferers: tuple, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
@@ -335,19 +311,20 @@ class ImpairmentConfig:
     snr_db: float = math.inf  # inf -> noiseless
     profile: Optional[ChannelProfile] = None
     dme: tuple = ()  # DmeInterferers; empty -> no DME stage
-    phase_noise_linewidth_hz: float = 0.0
     seed: int = 0
 
 
 def _stage_rng(seed, stage: int) -> np.random.Generator:
-    """Generator of pipeline stage 0..3 (multipath, phase noise, DME, AWGN):
-    child `stage` of SeedSequence(seed).spawn(4), built without spawning
-    the other three."""
+    """Child `stage` of SeedSequence(seed).spawn(4), built without spawning
+    the other three: multipath draws from child 0, DME from 2 and AWGN
+    from 3.  Child 1 fed a phase-noise stage that is gone; the others keep
+    their numbers so that every recorded fading, pulse and noise stream
+    stays the same."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
 
 
 def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.ndarray:
-    """multipath -> phase noise -> CFO -> DME -> AWGN.
+    """multipath -> CFO -> DME -> AWGN.
 
     Each stage draws from its own child of SeedSequence(cfg.seed), so
     enabling one stage never shifts another's stream.  A generator is made
@@ -357,8 +334,6 @@ def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.nd
     y = np.asarray(x, dtype=np.complex128)
     if cfg.profile is not None:
         y = apply_multipath(y, cfg.profile, num, _stage_rng(cfg.seed, 0))
-    if cfg.phase_noise_linewidth_hz != 0.0:
-        y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, _stage_rng(cfg.seed, 1))
     if cfg.epsilon != 0.0:
         y = apply_cfo(y, cfg.epsilon, num)
     if cfg.dme:

@@ -97,7 +97,6 @@ class Scenario:
     snr_grid_db: tuple = (0.0, 5.0, 10.0)
     n_trials: int = 1000
     master_seed: int = 1
-    phase_noise_linewidth_hz: float = 0.0
 
     def __post_init__(self):
         # the name becomes the output file stem: <out>/<name>.csv
@@ -117,8 +116,6 @@ class Scenario:
         _check_int("master_seed", self.master_seed, 0)
         if not -2.0 < self.epsilon <= 2.0:
             raise ValueError("epsilon must lie in (-2, 2]")
-        if not 0.0 <= self.phase_noise_linewidth_hz < math.inf:  # NaN fails too
-            raise ValueError("phase_noise_linewidth_hz must be finite and >= 0")
 
 
 @dataclass
@@ -188,7 +185,6 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
         snr_db=float(snr_db),
         profile=profile,
         dme=dme,
-        phase_noise_linewidth_hz=scenario.phase_noise_linewidth_hz,
         seed=int(child_channel.generate_state(1, np.uint64)[0]),
     )
     r = run_pipeline(frame, cfg, num)

@@ -1,4 +1,4 @@
-"""Impairment stages: CFO, AWGN, fading, DME pulses, phase noise, pipeline."""
+"""Impairment stages: CFO, AWGN, fading, DME pulses, pipeline."""
 
 import dataclasses
 import itertools
@@ -17,7 +17,6 @@ from ldacs_sync import (
     apply_cfo,
     apply_dme,
     apply_multipath,
-    apply_phase_noise,
     make_dme_scenario,
     make_enr_profile,
     make_tma_profile,
@@ -30,7 +29,6 @@ from ldacs_sync.channel import (
     N_SINUSOIDS,
     _tones,
     pulse_pair_times,
-    wiener_phase,
 )
 
 
@@ -409,37 +407,6 @@ class TestDme:
             DmeInterferer(0.0, math.nan, 3600.0)
 
 
-class TestPhaseNoise:
-    def test_zero_linewidth_identity(self, num, rng):
-        x = rng.normal(size=100) + 1j * rng.normal(size=100)
-        assert np.array_equal(apply_phase_noise(x, 0.0, num, rng), x)
-
-    def test_magnitude_preserved(self, num, rng):
-        x = rng.normal(size=500) + 1j * rng.normal(size=500)
-        y = apply_phase_noise(x, 1000.0, num, rng)
-        assert np.allclose(np.abs(y), np.abs(x), atol=1e-12)
-
-    def test_variance_grows_linearly(self, num):
-        rng = np.random.default_rng(5)
-        lw = 500.0
-        n = 100_000
-        paths = np.stack([wiener_phase(n, lw, num, rng) for k in range(64)])
-        idx = np.arange(1, n + 1)
-        var = np.var(paths, axis=0)
-        slope = np.sum(idx * var) / np.sum(idx * idx)  # least squares through 0
-        theory = 2.0 * np.pi * lw / num.sample_rate_hz
-        assert slope == pytest.approx(theory, rel=0.10)
-
-    def test_negative_linewidth_rejected(self, num, rng):
-        with pytest.raises(ValueError):
-            apply_phase_noise(np.ones(10, complex), -1.0, num, rng)
-
-    @pytest.mark.parametrize("linewidth_hz", [math.nan, math.inf])
-    def test_non_finite_linewidth_rejected(self, linewidth_hz, num, rng):
-        with pytest.raises(ValueError, match="linewidth_hz"):
-            apply_phase_noise(np.ones(10, complex), linewidth_hz, num, rng)
-
-
 class TestPipeline:
     def test_everything_off_is_identity(self, num, rng):
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
@@ -450,12 +417,6 @@ class TestPipeline:
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
         y = run_pipeline(x, ImpairmentConfig(epsilon=1.5), num)
         assert np.array_equal(y, apply_cfo(x, 1.5, num))
-
-    @pytest.mark.parametrize("linewidth_hz", [-1.0, math.nan])
-    def test_bad_linewidth_raises(self, linewidth_hz, num):
-        cfg = ImpairmentConfig(phase_noise_linewidth_hz=linewidth_hz)
-        with pytest.raises(ValueError, match="linewidth_hz"):
-            run_pipeline(np.ones(10, complex), cfg, num)
 
     def test_deterministic_per_seed(self, num, rng):
         x = rng.normal(size=300) + 1j * rng.normal(size=300)
@@ -485,18 +446,19 @@ class TestPipeline:
         assert np.allclose(with_dme - base, dme_only - x, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "multipath, phase_noise, cfo, dme, snr_db",
+        "multipath, cfo, dme, snr_db",
         [
             (*flags, snr_db)
-            for flags in itertools.product((False, True), repeat=4)
+            for flags in itertools.product((False, True), repeat=3)
             for snr_db in (7.0, math.inf)
         ],
     )
     def test_stages_draw_from_their_spawned_child(
-        self, multipath, phase_noise, cfo, dme, snr_db, num, rng
+        self, multipath, cfo, dme, snr_db, num, rng
     ):
-        # the hand-made composition takes stage i's generator from child i
-        # of SeedSequence(seed).spawn(4); a stage on the wrong child differs
+        # the hand-made composition takes multipath, DME and AWGN from
+        # children 0, 2 and 3 of SeedSequence(seed).spawn(4); a stage on the
+        # wrong child differs
         x = rng.normal(size=500) + 1j * rng.normal(size=500)
         seed = 2024
         cfg = ImpairmentConfig(
@@ -504,17 +466,14 @@ class TestPipeline:
             snr_db=snr_db,
             profile=make_tma_profile() if multipath else None,
             dme=make_dme_scenario() if dme else (),
-            phase_noise_linewidth_hz=300.0 if phase_noise else 0.0,
             seed=seed,
         )
-        rng_mp, rng_pn, rng_dme, rng_awgn = (
+        rng_mp, _, rng_dme, rng_awgn = (
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
         )
         y = x
         if multipath:
             y = apply_multipath(y, cfg.profile, num, rng_mp)
-        if phase_noise:
-            y = apply_phase_noise(y, cfg.phase_noise_linewidth_hz, num, rng_pn)
         if cfo:
             y = apply_cfo(y, cfg.epsilon, num)
         if dme:

@@ -53,18 +53,12 @@ class TestScenario:
             "snr_grid_db",
             "n_trials",
             "master_seed",
-            "phase_noise_linewidth_hz",
         ]
 
     @pytest.mark.parametrize("grid", [(5.0, math.nan), (-math.inf,), "0,-inf", "nan"])
     def test_rejects_nan_or_minus_inf_snr(self, grid):
         with pytest.raises(ValueError, match="snr_grid_db"):
             _scenario(snr_grid_db=grid)
-
-    @pytest.mark.parametrize("linewidth", [-1.0, math.nan, math.inf])
-    def test_rejects_negative_linewidth(self, linewidth):
-        with pytest.raises(ValueError, match="phase_noise_linewidth_hz"):
-            _scenario(phase_noise_linewidth_hz=linewidth)
 
     def test_rejects_out_of_range_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -206,8 +200,7 @@ class TestScenarioFile:
             "epsilon = 0.5\n"
             "snr_grid_db = 0, 5, 10\n"
             "n_trials = 50\n"
-            "master_seed = 9\n"
-            "phase_noise_linewidth_hz = 25\n",
+            "master_seed = 9\n",
         )
         sc = load_scenario(p)
         assert sc.name == "demo"
@@ -216,7 +209,6 @@ class TestScenarioFile:
         assert sc.snr_grid_db == (0.0, 5.0, 10.0)
         assert sc.n_trials == 50
         assert sc.master_seed == 9
-        assert sc.phase_noise_linewidth_hz == 25.0
 
     def test_noiseless_token(self, tmp_path):
         p = self._write(
@@ -237,11 +229,13 @@ class TestScenarioFile:
             "fine_threshold = auto",
             "n_payload_symbols = 2",
             "preamble_seed = 1",
+            "phase_noise_linewidth_hz = 0",
         ],
     )
     def test_removed_protocol_key_rejected(self, tmp_path, line):
-        # the four trial-protocol settings are constants now, even at their
-        # old defaults
+        # the four trial-protocol settings are constants now and the
+        # phase-noise stage is gone: an old file's key fails even at its
+        # old default
         p = self._write(tmp_path, f"name = x\nchannel = AWGN\n{line}\n")
         key = line.split(" =")[0]
         with pytest.raises(ValueError, match=f"^unknown scenario key: {key}$"):
