@@ -18,7 +18,10 @@ first_trigger finds the first run of m_consec samples with
 |ac1| + |ac2| > ene, evaluating that condition at every m-th index and at
 full rate only next to the hits.  xcr_window gives xcr over one index range
 only: the synchronizer reads it inside the delta_search-sample timing
-window and nowhere else.
+window and nowhere else.  may_trigger is the cheap screen in front of the
+first two: it evaluates |ac1| + |ac2| - ene at one index in m_consec from
+m_consec-sample row sums and tells whether a trigger can fall in a buffer at
+all.
 
 Samples before the stream start are literal zeros in every metric, as in a
 streaming correlator whose delay lines power up cleared.  Values are fully
@@ -29,6 +32,11 @@ num.lookback = D + 2L - 1 (xcr, which reaches furthest back).
 from __future__ import annotations
 
 import numpy as np
+
+# unit roundoff of float64, and its smallest subnormal: twice the absolute
+# error of a rounding that underflows
+_U = np.finfo(np.float64).eps / 2
+_ETA = np.finfo(np.float64).smallest_subnormal
 
 
 def active_backend() -> str:
@@ -115,3 +123,73 @@ def first_trigger(
         if ends.size:
             return lo + int(ends[0])
     return -1
+
+
+def trigger_margins(
+    r: np.ndarray, l_quarter: int, m: int, start: int
+) -> tuple[int, np.ndarray, float]:
+    """(first, margin, tol): margin[i] is |ac1| + |ac2| - ene of r at index
+    first + i*m, the last index of each m-sample row of r (rows from r[0])
+    at or after start, and every computed margin is within tol of its exact
+    value.  Needs m | L and start >= 4L - 1, where no window reaches before
+    r[0]; r must be complex128 and contiguous.
+
+    With rows of m samples, the lag-L and lag-2L products of a row pair it
+    with the row L/m resp. 2L/m before, so each row's three sums are batched
+    dot products of whole rows, and a window of 2L is 2L/m rows: the row
+    sums' sliding sums give ac1, ac2 and ene at each row's last index, with
+    no lag-product array.
+
+    tol bounds the rounding of this function and of metric_arrays, so a
+    margin <= -tol proves that metric_arrays' |ac1| + |ac2| > ene is false
+    at that index.  Let N = r.size, u the unit roundoff and E the energy of
+    the rows.  Each |lag product| is at most (|r_j|^2 + |r_{j-lag}|^2) / 2,
+    so the products of either lag, like the energies, sum to at most E in
+    magnitude.  Any summation of n terms, in any order, ends within
+    (n - 1)u times their magnitude sum; the real and imaginary parts of a
+    complex sum do so separately, within sqrt(2)(n - 1)u together.  In
+    metric_arrays each window value is the difference of two cumsum entries
+    (n <= N) over products, which carry 2 sqrt(2)u relative rounding, resp.
+    squares, which carry 2u.  With the subtraction and the magnitude, |ac1|
+    and |ac2| are each within 2 sqrt(2) N u E + 11u E and ene within
+    2 N u E + 5u E, and the sum |ac1| + |ac2| adds 2u E: all told
+    (4 sqrt(2) + 2) N u E + 29u E < 8 N u E once N >= 86.  The margins here
+    go through the same steps with fewer terms per sum, so they are within
+    8 N u E as well.  tol = 32 N (u E + eta) doubles the 16 N u E of
+    both sides, which covers the second-order terms.  A rounding that
+    underflows errs by up to eta/2 in absolute terms instead, eta the
+    smallest subnormal, and fewer than 64 N roundings feed the two sides:
+    32 N eta covers them.
+    """
+    q, w = l_quarter // m, 2 * l_quarter // m  # rows per lag L, per window 2L
+    if q * m != l_quarter or start < 4 * l_quarter - 1:
+        raise ValueError("trigger_margins needs m | L and start >= 4L - 1")
+    nr = r.size // m
+    b0 = -(-(start + 1) // m) - 1  # the first row ending at or after start
+    c0 = b0 - w + 1  # the first row of its window
+    k = max(nr - c0, 0)
+    rows = r[: nr * m].reshape(nr, m)
+    flat = r[: nr * m].view(np.float64).reshape(nr, 2 * m)
+    energy = np.einsum("ij,ij->i", flat, flat)
+    cur = rows[c0:].conj()[:, None, :]
+    sums = []
+    for lag in (q, w):
+        p = np.empty(w + k, dtype=np.complex128)
+        p[:w] = 0.0
+        np.matmul(cur, rows[c0 - lag : c0 - lag + k, :, None], out=p[w:].reshape(k, 1, 1))
+        sums.append(np.abs(_window_sums(p, w)[w - 1 :]))
+    p = np.empty(w + k, dtype=np.float64)
+    p[:w] = 0.0
+    p[w:] = energy[c0:]
+    margin = sums[0] + sums[1] - _window_sums(p, w)[w - 1 :]
+    tol = 32.0 * r.size * (_U * float(energy.sum()) + _ETA)
+    return m * b0 + m - 1, margin, tol
+
+
+def may_trigger(r: np.ndarray, l_quarter: int, m: int, start: int) -> bool:
+    """False only when first_trigger on metric_arrays(r) cannot find a run
+    of m from start on: at one index in every m, the last of each row in
+    trigger_margins, the margin is at most -tol.  Every run of m samples
+    holds one such index.  A non-finite tol or margin answers True."""
+    _, margin, tol = trigger_margins(r, l_quarter, m, start)
+    return not (np.isfinite(tol) and (margin <= -tol).all())

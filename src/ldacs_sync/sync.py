@@ -32,7 +32,12 @@ the same kernels and the same trigger, timing and CFO code.  synchronize and
 metric_stream push a stream through a SyncState in fixed blocks of _BLOCK
 samples, each checked for finiteness as it is pushed, so their working
 memory and the kernels' cumsums do not grow with the stream.  synchronize
-stops pushing once the estimate is final and only checks the rest.
+stops pushing once the estimate is final and only checks the rest.  While
+it searches, it screens each full block first (_kernels.may_trigger, from
+m_consec-sample row sums): a block where no trigger can fall skips the
+detection kernels, and the result keeps every bit.  A noise block costs
+the screen about a quarter of the kernels' time; a block that may trigger
+pays both.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import first_trigger, metric_arrays, xcr_window
+from ._kernels import first_trigger, may_trigger, metric_arrays, xcr_window
 from .sigmodel import Numerology
 
 
@@ -205,6 +210,13 @@ def estimate_cfo(
     return float(_wrap_eps(best))
 
 
+def timing_window(trigger: int, num: Numerology) -> tuple[int, int]:
+    """Stream indices [lo, hi) of the timing window that follows a trigger:
+    delta_search samples from sto_search_gap past it."""
+    lo = trigger + num.sto_search_gap
+    return lo, lo + num.delta_search
+
+
 def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
     """Stream indices where the correlators align with symbol 1 resp. 2:
     one symbol span before the anchor, and the anchor."""
@@ -243,7 +255,14 @@ class SyncState:
 
     synchronize and metric_stream feed it blocks of _BLOCK samples.  Each
     push recomputes its retained tail (lookback + 44 = 427 samples while
-    searching); the kernels carry no state across pushes.
+    searching); the kernels carry no state across pushes.  synchronize
+    hands _push a view [tail | block] of its own array, since the tail is
+    always the samples just before the block, and has each full block
+    screened while the search is on: when may_trigger shows that no run of
+    m_consec can meet the trigger condition in the push, the kernels do not
+    run and only the tail moves on, exactly as after a push that found
+    nothing.  push, which returns the metrics, and the partial last block,
+    which holds every campaign frame, always run the kernels.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -255,8 +274,8 @@ class SyncState:
         # (the symbol-1 CFO reading, one symbol span before the xcr peak)
         # and to the end of its last read (the timing window, which holds
         # the symbol-2 CFO reading at the peak)
-        self._reach = num.sto_search_gap - num.n_symbol
-        self._horizon = num.sto_search_gap + num.delta_search
+        lo, self._horizon = timing_window(0, num)
+        self._reach = lo - num.n_symbol
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
 
@@ -267,37 +286,43 @@ class SyncState:
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        buf, k, det = self._push(_as_stream(chunk))
+        r = _as_stream(chunk)
+        k = self._tail.size
+        buf = np.concatenate((self._tail, r)) if k else r
+        det = self._push(buf, k)
         xcr = xcr_window(buf, self.num.l_quarter, self.template, k, buf.size)
         return (*(arr[k:] for arr in det), xcr)
 
     def _push(
-        self, r: np.ndarray
-    ) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Detection, timing and CFO for a chunk that _as_stream has already
-        made a 1-D complex128 vector; a non-finite chunk raises ValueError
-        and leaves the state as it was.  Returns what the push kept: its
-        buffer [retained tail | chunk], the tail length and the buffer's
-        (ac1, ac2, ene)."""
-        _check_finite(r)
+        self, buf: np.ndarray, k: int, screen: bool = False
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Detection, timing and CFO for buf = [retained tail | chunk], a
+        contiguous complex128 vector whose first k samples are the tail; a
+        non-finite chunk raises ValueError and leaves the state as it was.
+        Returns buf's (ac1, ac2, ene), or None when screen is set, the
+        search is still on and may_trigger shows that no trigger can fall in
+        this push: then the kernels do not run and only the tail moves on,
+        as it would after a push that found nothing."""
+        _check_finite(buf[k:])
         num = self.num
-        k = self._tail.size
-        buf = np.concatenate((self._tail, r)) if k else r
         base = self._n - k  # stream index of buf[0]
-        det = metric_arrays(buf, num.l_quarter)
-        ac1, ac2, ene = det
-        self._n += r.size
-
+        self._n += buf.size - k
         trig = self.result.trigger_index
-        if not self.done:
-            if trig is None:
-                # past the stream start, values are exact from num.lookback on
-                start = num.lookback if base else num.ac_valid_from
+        searching = trig is None and not self.done
+        # past the stream start, values are exact from num.lookback on
+        start = num.lookback if base else num.ac_valid_from
+        # a screened push while searching runs the kernels only if a trigger
+        # can fall in it
+        det = None
+        if not (screen and searching) or may_trigger(buf, num.l_quarter, num.m_consec, start):
+            det = metric_arrays(buf, num.l_quarter)
+            ac1, ac2, ene = det
+            if searching:
                 found = first_trigger(ac1, ac2, ene, num.m_consec, start)
                 if found >= 0:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
-            if trig is not None and self._n >= trig + self._horizon:
+            if not self.done and trig is not None and self._n >= trig + self._horizon:
                 self.result = self._estimate(buf, base, ac1, ac2)
                 self.done = True
 
@@ -306,7 +331,7 @@ class SyncState:
         else:
             earliest = (self._n if trig is None else trig) + self._reach
         self._tail = buf[max(0, earliest - num.lookback - base) :].copy()
-        return buf, k, det
+        return det
 
     def finish(self) -> SyncResult:
         """End of stream: the result as it stands.  A stream that ended
@@ -319,9 +344,9 @@ class SyncState:
         start at stream index base and cover the whole timing window and
         both CFO readings.  xcr is computed over the timing window only."""
         num, trig = self.num, self.result.trigger_index
-        lo = trig + num.sto_search_gap - base
-        xcr = xcr_window(buf, num.l_quarter, self.template, lo, lo + num.delta_search)
-        n_hat = estimate_sto(xcr, lo + base, num)
+        lo, hi = timing_window(trig, num)
+        xcr = xcr_window(buf, num.l_quarter, self.template, lo - base, hi - base)
+        n_hat = estimate_sto(xcr, lo, num)
 
         i1, i2 = cfo_match_indices(n_hat, num)
         a1 = complex(ac1[i1 - base])
@@ -347,16 +372,19 @@ def synchronize(
     stream reports detected=False.  It is pushed into a fresh SyncState in
     blocks of _BLOCK samples, each checked for finiteness as it is pushed,
     up to the block that makes the estimate final; the blocks after that
-    are only checked.  finish() gives the result.
+    are only checked.  A full block pushed while the search is on runs the
+    detection kernels only if the screen finds that a trigger can fall in
+    it (see SyncState).  finish() gives the result.
     """
     r = _as_stream(stream)
     state = SyncState(num, template)
     for i in range(0, r.size, _BLOCK):
-        block = r[i : i + _BLOCK]
         if state.done:
-            _check_finite(block)
+            _check_finite(r[i : i + _BLOCK])
         else:
-            state._push(block)
+            # the retained tail is the k samples before the block
+            k = state._tail.size
+            state._push(r[i - k : i + _BLOCK], k, screen=i + _BLOCK <= r.size)
     return state.finish()
 
 

@@ -31,6 +31,7 @@ from ldacs_sync import (
 from ldacs_sync._kernels import first_trigger
 from ldacs_sync.cli import main as cli_main
 from ldacs_sync.harness import FINE_THRESHOLD, LEAD_GAP_RANGE, N_PAYLOAD_SYMBOLS
+from ldacs_sync.sync import timing_window
 
 
 def _report(capsys, ok, label, detail):
@@ -333,8 +334,8 @@ def test_criterion_10_timing_survives_large_cfo(num, pre, template, capsys):
                 if res.trigger_index is None:
                     n_xsig += 1
                     continue
-                s0 = res.trigger_index + num.sto_search_gap
-                window = baseline_xsig(r, pre, num)[s0 : s0 + num.delta_search]
+                s0, s1 = timing_window(res.trigger_index, num)
+                window = baseline_xsig(r, pre, num)[s0:s1]
                 if abs(estimate_sto(window, s0, num) - n0) > FINE_THRESHOLD:
                     n_xsig += 1
             fails[snr_db, eps] = (n_xcr / n_trials, n_xsig / n_trials)

@@ -5,7 +5,7 @@ import pytest
 
 from ldacs_sync import ImpairmentConfig, active_backend, build_frame, metric_stream, run_pipeline
 from conftest import full_rate_trigger
-from ldacs_sync._kernels import first_trigger, metric_arrays, xcr_window
+from ldacs_sync._kernels import first_trigger, may_trigger, metric_arrays, trigger_margins, xcr_window
 from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync.sync import _BLOCK, metrics_direct
 
@@ -276,3 +276,42 @@ class TestFirstTriggerOnMetricArrays:
         if kind != "noise":
             # the condition holds runs before the frame (DME) or throughout
             assert min(triggers) < _BLOCK, sorted(triggers)[:5]
+
+
+class TestTriggerMargins:
+    """trigger_margins puts one index in every m_consec from start on, each
+    margin within tol of metric_arrays' |ac1| + |ac2| - ene there, so
+    may_trigger answers False only where first_trigger finds nothing."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e140])
+    @pytest.mark.parametrize("kind", ["enr_dme_8", "enr_dme_16", "enr_dme_24", "dc", "cw", "noise"])
+    def test_within_tol_of_the_kernels(self, kind, scale, num, pre):
+        x = scale * TestFirstTriggerOnMetricArrays._stream(kind, num, pre)
+        L, m = num.l_quarter, num.m_consec
+        # a stream start, and a buffer that begins with a retained tail
+        for buf, start in ((x, num.ac_valid_from), (x[1000:], num.lookback)):
+            first, margin, tol = trigger_margins(buf, L, m, start)
+            # every run of m from start on holds one of the indices
+            assert start <= first < start + m
+            assert buf.size - m <= first + m * (margin.size - 1) < buf.size
+            ac1, ac2, ene = metric_arrays(buf, L)
+            kernels = (np.abs(ac1) + np.abs(ac2) - ene)[first::m]
+            assert kernels.shape == margin.shape
+            assert np.all(np.abs(margin - kernels) <= tol), np.max(np.abs(margin - kernels)) / tol
+            if not may_trigger(buf, L, m, start):
+                assert first_trigger(ac1, ac2, ene, m, start) == -1
+            if kind != "noise" and scale == 1.0:
+                # the condition holds runs before the frame (DME) or throughout
+                assert may_trigger(buf, L, m, start)
+
+    def test_short_buffers_hold_no_index(self, num, rng):
+        L, m = num.l_quarter, num.m_consec
+        # lookback = 24m - 1 ends a row: its margin exists once r holds it
+        for n, size in ((0, 0), (100, 0), (num.lookback, 0), (num.lookback + 1, 1), (num.lookback + m, 1)):
+            first, margin, tol = trigger_margins(_random_stream(rng, n), L, m, num.lookback)
+            assert first == num.lookback and margin.size == size, n
+
+    def test_needs_complete_windows(self, num, rng):
+        r = _random_stream(rng, 1000)
+        with pytest.raises(ValueError, match="start"):
+            trigger_margins(r, num.l_quarter, num.m_consec, num.ac_valid_from - 1)

@@ -28,6 +28,7 @@ from ldacs_sync import (
 from ldacs_sync import sync as sync_module
 from conftest import full_rate_trigger
 from ldacs_sync.harness import CHANNEL_MODELS
+from ldacs_sync._kernels import may_trigger, trigger_margins
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
@@ -336,6 +337,121 @@ class TestLongStream:
             if not tracing:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 64 << 10, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
+
+class TestScreen:
+    """synchronize asks may_trigger about each full block it pushes while
+    searching and skips the kernels on those where no trigger can fall; its
+    result equals an unscreened scan's (SyncState.push over the same
+    blocks), field for field."""
+
+    @staticmethod
+    def _unscreened(x, num, template):
+        state = SyncState(num, template)
+        for i in range(0, x.size, _BLOCK):
+            state.push(x[i : i + _BLOCK])
+        return state.finish()
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Counts the pushes that run metric_arrays."""
+        calls = []
+        kernel = sync_module.metric_arrays
+
+        def counted(r, l_quarter):
+            calls.append(r.size)
+            return kernel(r, l_quarter)
+
+        monkeypatch.setattr(sync_module, "metric_arrays", counted)
+        return calls
+
+    @staticmethod
+    def _stream(kind, num, pre):
+        """A frame at 15 dB whose preamble sits in the third and last full
+        block, behind a noise lead that carries a DC offset or a CW tone
+        (weak: 0.25 of the noise power, strong: 4 times it), or ENR_DME
+        fading and pulses at the given SNR."""
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=3 * _BLOCK - 1000, seed=3)
+        channel, snr = ("ENR_DME", float(kind.split("_")[-1])) if kind.startswith("enr_dme") else ("AWGN", 15.0)
+        profile, dme = CHANNEL_MODELS[channel]
+        x = run_pipeline(f, ImpairmentConfig(epsilon=0.7, snr_db=snr, profile=profile, dme=dme, seed=9), num)
+        level = {"weak": 0.5, "strong": 2.0}.get(kind.split("_")[-1], 0.0) * 10 ** (-snr / 20)
+        if kind.startswith("dc"):
+            x += level
+        elif kind.startswith("cw"):
+            x += level * np.exp(2j * np.pi * 0.1234 * np.arange(x.size))
+        return x
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["noise", "dc_weak", "dc_strong", "cw_weak", "cw_strong"]
+        + [f"enr_dme_{snr}" for snr in (8, 12, 16, 20, 24)],
+    )
+    def test_equals_unscreened_scan(self, kind, monkeypatch, num, pre, template):
+        x = self._stream(kind, num, pre)
+        assert 3 * _BLOCK < x.size < 4 * _BLOCK
+        calls = self._counting(monkeypatch)
+        res = synchronize(x, num, template)
+        ran = len(calls)
+        assert res == self._unscreened(x, num, template)
+        assert res.detected
+        if kind in ("noise", "dc_weak", "cw_weak"):
+            # the lead's blocks are screened out; the frame's block is not
+            assert ran == 1 and 2 * _BLOCK < res.trigger_index < 3 * _BLOCK
+        elif kind.endswith("strong"):
+            assert ran == 1 and res.trigger_index < _BLOCK
+
+    def test_long_capture_runs_the_kernels_near_its_frame_only(self, monkeypatch, num, pre, template):
+        # a 2 Mi-sample capture of noise with a frame near its end
+        rng = np.random.default_rng(23)
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=4)
+        x = _noise(rng, 1 << 21, 10**-1.5)
+        n0 = x.size - 3000
+        x[n0 : n0 + f.size] += apply_cfo(f, -1.3, num)
+        calls = self._counting(monkeypatch)
+        res = synchronize(x, num, template)
+        assert len(calls) <= 2, len(calls)
+        assert res.sto_estimate == n0
+        assert res == self._unscreened(x, num, template)
+
+    def test_near_threshold_block_takes_the_kernels(self, monkeypatch, num, template):
+        # noise, with a period-L tone in block 1 whose amplitude puts the
+        # screen's margin within tol of the threshold at one index
+        L, m = num.l_quarter, num.m_consec
+        x = _noise(np.random.default_rng(31), 3 * _BLOCK)
+        state = SyncState(num, template)
+        state.push(x[:_BLOCK])
+        k = state._tail.size
+        buf = x[_BLOCK - k : 2 * _BLOCK]  # block 1's push: [tail | block]
+        first = trigger_margins(buf, L, m, num.lookback)[0]
+        at = first + 300 * m
+        seg = slice(at - 4 * L + 1, at + 1)
+        tone = np.exp(2j * np.pi * np.arange(4 * L) / L)
+
+        def margins(a):
+            y = buf.copy()
+            y[seg] += a * tone
+            return trigger_margins(y, L, m, num.lookback)[1:]
+
+        lo, hi = 0.0, 3.0
+        assert np.max(margins(lo)[0]) < 0 < np.max(margins(hi)[0])
+        for _ in range(200):  # bisect to a margin of about -tol/2
+            mid = (lo + hi) / 2
+            margin, tol = margins(mid)
+            lo, hi = (lo, mid) if np.max(margin) > -tol / 2 else (mid, hi)
+        margin, tol = margins(hi)
+        assert -tol < np.max(margin) <= 0 and np.sum(margin > -tol) == 1
+        assert may_trigger(buf, L, m, num.lookback) is False
+        y = x.copy()
+        y[_BLOCK - k + seg.start : _BLOCK - k + seg.stop] += hi * tone
+        assert may_trigger(y[_BLOCK - k : 2 * _BLOCK], L, m, num.lookback)
+
+        calls = self._counting(monkeypatch)
+        assert synchronize(x, num, template) == SyncResult(detected=False)
+        assert calls == []
+        res = synchronize(y, num, template)
+        assert calls == [k + _BLOCK]  # block 1 only
+        assert res == self._unscreened(y, num, template)
 
 
 class TestWindowedTiming:
