@@ -3,9 +3,10 @@
 The package splits into five layers:
 
     sigmodel   numerology, preamble/frame synthesis, energy template
-    _kernels   hot metric kernels (cumsum sliding sums, a strided trigger
-               search, xcr by np.convolve over a window, and a row-sum
-               screen that shows where no trigger can fall)
+    _kernels   hot metric kernels (cumsum sliding sums, the same sums at a
+               stride from row sums, a strided trigger search, xcr by
+               np.convolve over a window, and a screen that shows where no
+               trigger can fall)
     sync       metrics, detection, STO and CFO estimation over a stream fed
                in chunks (SyncState) or whole (synchronize)
     channel    CFO, AWGN, Rician multipath, DME interference

@@ -18,10 +18,11 @@ first_trigger finds the first run of m_consec samples with
 |ac1| + |ac2| > ene, evaluating that condition at every m-th index and at
 full rate only next to the hits.  xcr_window gives xcr over one index range
 only: the synchronizer reads it inside the delta_search-sample timing
-window and nowhere else.  may_trigger is the cheap screen in front of the
-first two: it evaluates |ac1| + |ac2| - ene at one index in m_consec from
-m_consec-sample row sums and tells whether a trigger can fall in a buffer at
-all.
+window and nowhere else.  metric_arrays at a stride of m_consec gives the
+same windows at one index in m_consec, from m_consec-sample row sums, and
+may_trigger reads the trigger condition there, with a derived rounding
+bound, to tell whether a trigger can fall in a buffer at all: it is the
+cheap screen in front of the full-rate kernels.
 
 Samples before the stream start are literal zeros in every metric, as in a
 streaming correlator whose delay lines power up cleared.  Values are fully
@@ -63,10 +64,21 @@ def _window_sums(buf: np.ndarray, w: int) -> np.ndarray:
 
 
 def metric_arrays(
-    r: np.ndarray, l_quarter: int
+    r: np.ndarray, l_quarter: int, m: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ac1, ac2, ene) over the whole stream; empty in, empty out."""
+    """(ac1, ac2, ene) over the whole stream; empty in, empty out.
+
+    With m > 1 (m must divide L), the same windows at every m-th index only:
+    entry b is the value at b*m + m - 1, the last index of the b-th whole
+    m-sample row of r, to rounding (trigger_margins bounds it).  Row b's
+    lag-L and lag-2L products pair it with the row L/m resp. 2L/m before
+    (none before r[0]), so each row's three sums are batched dot products
+    of whole rows, and a window of 2L is 2L/m rows: the row sums' sliding
+    sums are the windows at the row ends, with no lag-product array.
+    """
     r = np.ascontiguousarray(r, dtype=np.complex128)
+    if m > 1:
+        return _row_windows(r, l_quarter, m)
     n, w = r.size, 2 * l_quarter
     ac1, ac2 = (_window_sums(_lag_products(r, lag, w), w) for lag in (l_quarter, w))
     buf = np.empty(n + w, dtype=np.float64)
@@ -74,6 +86,31 @@ def metric_arrays(
     np.multiply(r.real, r.real, out=buf[w:])
     buf[w:] += r.imag * r.imag
     return ac1, ac2, _window_sums(buf, w)
+
+
+def _row_windows(
+    r: np.ndarray, l_quarter: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """metric_arrays(r, l_quarter, m) for m > 1."""
+    q, w = l_quarter // m, 2 * l_quarter // m  # rows per lag L, per window 2L
+    if q * m != l_quarter:
+        raise ValueError("metric_arrays needs m | L")
+    nr = r.size // m
+    rows = r[: nr * m].reshape(nr, m)
+    cur = rows.conj()[:, None, :]
+    out = []
+    for lag in (q, w):
+        k = max(nr - lag, 0)  # rows with a partner
+        p = np.empty(w + nr, dtype=np.complex128)
+        p[: w + nr - k] = 0.0
+        np.matmul(cur[nr - k :], rows[:k, :, None], out=p[w + nr - k :].reshape(k, 1, 1))
+        out.append(_window_sums(p, w))
+    flat = r[: nr * m].view(np.float64).reshape(nr, 2 * m)
+    p = np.empty(w + nr, dtype=np.float64)
+    p[:w] = 0.0
+    np.einsum("ij,ij->i", flat, flat, out=p[w:])
+    out.append(_window_sums(p, w))
+    return tuple(out)
 
 
 def xcr_window(
@@ -130,59 +167,36 @@ def trigger_margins(
 ) -> tuple[int, np.ndarray, float]:
     """(first, margin, tol): margin[i] is |ac1| + |ac2| - ene of r at index
     first + i*m, the last index of each m-sample row of r (rows from r[0])
-    at or after start, and every computed margin is within tol of its exact
-    value.  Needs m | L and start >= 4L - 1, where no window reaches before
-    r[0]; r must be complex128 and contiguous.
+    at or after start, from metric_arrays(r, l_quarter, m), and every
+    margin is within tol of the value metric_arrays(r, l_quarter) gives.
+    Needs m | L.
 
-    With rows of m samples, the lag-L and lag-2L products of a row pair it
-    with the row L/m resp. 2L/m before, so each row's three sums are batched
-    dot products of whole rows, and a window of 2L is 2L/m rows: the row
-    sums' sliding sums give ac1, ac2 and ene at each row's last index, with
-    no lag-product array.
-
-    tol bounds the rounding of this function and of metric_arrays, so a
-    margin <= -tol proves that metric_arrays' |ac1| + |ac2| > ene is false
-    at that index.  Let N = r.size, u the unit roundoff and E the energy of
-    the rows.  Each |lag product| is at most (|r_j|^2 + |r_{j-lag}|^2) / 2,
-    so the products of either lag, like the energies, sum to at most E in
-    magnitude.  Any summation of n terms, in any order, ends within
-    (n - 1)u times their magnitude sum; the real and imaginary parts of a
-    complex sum do so separately, within sqrt(2)(n - 1)u together.  In
-    metric_arrays each window value is the difference of two cumsum entries
-    (n <= N) over products, which carry 2 sqrt(2)u relative rounding, resp.
-    squares, which carry 2u.  With the subtraction and the magnitude, |ac1|
-    and |ac2| are each within 2 sqrt(2) N u E + 11u E and ene within
-    2 N u E + 5u E, and the sum |ac1| + |ac2| adds 2u E: all told
-    (4 sqrt(2) + 2) N u E + 29u E < 8 N u E once N >= 86.  The margins here
-    go through the same steps with fewer terms per sum, so they are within
-    8 N u E as well.  tol = 32 N (u E + eta) doubles the 16 N u E of
-    both sides, which covers the second-order terms.  A rounding that
-    underflows errs by up to eta/2 in absolute terms instead, eta the
-    smallest subnormal, and fewer than 64 N roundings feed the two sides:
-    32 N eta covers them.
+    tol bounds the rounding of both sides, so a margin <= -tol proves that
+    metric_arrays' |ac1| + |ac2| > ene is false at that index.  Let N =
+    r.size, u the unit roundoff and E the energy of r.  Each |lag product|
+    is at most (|r_j|^2 + |r_{j-lag}|^2) / 2, so the products of either lag,
+    like the energies, sum to at most E in magnitude.  Any summation of n
+    terms, in any order, ends within (n - 1)u times their magnitude sum; the
+    real and imaginary parts of a complex sum do so separately, within
+    sqrt(2)(n - 1)u together.  In metric_arrays each window value is the
+    difference of two cumsum entries (n <= N) over products, which carry
+    2 sqrt(2)u relative rounding, resp. squares, which carry 2u.  With the
+    subtraction and the magnitude, |ac1| and |ac2| are each within
+    2 sqrt(2) N u E + 11u E and ene within 2 N u E + 5u E, and the sum
+    |ac1| + |ac2| adds 2u E: all told (4 sqrt(2) + 2) N u E + 29u E
+    < 8 N u E once N >= 86.  The row windows go through the same steps with
+    fewer terms per sum, so they are within 8 N u E as well.  E is itself
+    summed within N u E, and tol = 32 N (u E + eta) doubles the 16 N u E
+    of both sides, which covers that and the second-order terms.  A
+    rounding that underflows errs by up to eta/2 in absolute terms instead,
+    eta the smallest subnormal, and fewer than 64 N roundings feed the two
+    sides: 32 N eta covers them.
     """
-    q, w = l_quarter // m, 2 * l_quarter // m  # rows per lag L, per window 2L
-    if q * m != l_quarter or start < 4 * l_quarter - 1:
-        raise ValueError("trigger_margins needs m | L and start >= 4L - 1")
-    nr = r.size // m
+    r = np.ascontiguousarray(r, dtype=np.complex128)
+    ac1, ac2, ene = metric_arrays(r, l_quarter, m)
     b0 = -(-(start + 1) // m) - 1  # the first row ending at or after start
-    c0 = b0 - w + 1  # the first row of its window
-    k = max(nr - c0, 0)
-    rows = r[: nr * m].reshape(nr, m)
-    flat = r[: nr * m].view(np.float64).reshape(nr, 2 * m)
-    energy = np.einsum("ij,ij->i", flat, flat)
-    cur = rows[c0:].conj()[:, None, :]
-    sums = []
-    for lag in (q, w):
-        p = np.empty(w + k, dtype=np.complex128)
-        p[:w] = 0.0
-        np.matmul(cur, rows[c0 - lag : c0 - lag + k, :, None], out=p[w:].reshape(k, 1, 1))
-        sums.append(np.abs(_window_sums(p, w)[w - 1 :]))
-    p = np.empty(w + k, dtype=np.float64)
-    p[:w] = 0.0
-    p[w:] = energy[c0:]
-    margin = sums[0] + sums[1] - _window_sums(p, w)[w - 1 :]
-    tol = 32.0 * r.size * (_U * float(energy.sum()) + _ETA)
+    margin = np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]
+    tol = 32.0 * r.size * (_U * float(np.vdot(r, r).real) + _ETA)
     return m * b0 + m - 1, margin, tol
 
 

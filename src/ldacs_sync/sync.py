@@ -33,11 +33,11 @@ metric_stream push a stream through a SyncState in fixed blocks of _BLOCK
 samples, each checked for finiteness as it is pushed, so their working
 memory and the kernels' cumsums do not grow with the stream.  synchronize
 stops pushing once the estimate is final and only checks the rest.  While
-it searches, it screens each full block first (_kernels.may_trigger, from
-m_consec-sample row sums): a block where no trigger can fall skips the
-detection kernels, and the result keeps every bit.  A noise block costs
-the screen about a quarter of the kernels' time; a block that may trigger
-pays both.
+it searches, it screens each full block first (_kernels.may_trigger, on
+the detection kernel's windows at a stride of m_consec, from row sums): a
+block where no trigger can fall skips the full-rate kernels, and the
+result keeps every bit.  A noise block costs the screen about a quarter of
+the full-rate kernels' time; a block that may trigger pays both.
 """
 
 from __future__ import annotations
@@ -258,11 +258,12 @@ class SyncState:
     searching); the kernels carry no state across pushes.  synchronize
     hands _push a view [tail | block] of its own array, since the tail is
     always the samples just before the block, and has each full block
-    screened while the search is on: when may_trigger shows that no run of
-    m_consec can meet the trigger condition in the push, the kernels do not
+    screened while the search is on: when may_trigger, reading
+    metric_arrays at a stride of m_consec, shows that no run of m_consec
+    can meet the trigger condition in the push, the full-rate kernels do not
     run and only the tail moves on, exactly as after a push that found
     nothing.  push, which returns the metrics, and the partial last block,
-    which holds every campaign frame, always run the kernels.
+    which holds every campaign frame, always run the full-rate kernels.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -301,8 +302,8 @@ class SyncState:
         non-finite chunk raises ValueError and leaves the state as it was.
         Returns buf's (ac1, ac2, ene), or None when screen is set, the
         search is still on and may_trigger shows that no trigger can fall in
-        this push: then the kernels do not run and only the tail moves on,
-        as it would after a push that found nothing."""
+        this push: then the full-rate kernels do not run and only the tail
+        moves on, as it would after a push that found nothing."""
         _check_finite(buf[k:])
         num = self.num
         base = self._n - k  # stream index of buf[0]
@@ -311,8 +312,8 @@ class SyncState:
         searching = trig is None and not self.done
         # past the stream start, values are exact from num.lookback on
         start = num.lookback if base else num.ac_valid_from
-        # a screened push while searching runs the kernels only if a trigger
-        # can fall in it
+        # a screened push while searching runs the full-rate kernels only if
+        # a trigger can fall in it
         det = None
         if not (screen and searching) or may_trigger(buf, num.l_quarter, num.m_consec, start):
             det = metric_arrays(buf, num.l_quarter)
@@ -373,7 +374,7 @@ def synchronize(
     blocks of _BLOCK samples, each checked for finiteness as it is pushed,
     up to the block that makes the estimate final; the blocks after that
     are only checked.  A full block pushed while the search is on runs the
-    detection kernels only if the screen finds that a trigger can fall in
+    full-rate detection kernels only if the screen finds that a trigger can fall in
     it (see SyncState).  finish() gives the result.
     """
     r = _as_stream(stream)

@@ -279,9 +279,11 @@ class TestFirstTriggerOnMetricArrays:
 
 
 class TestTriggerMargins:
-    """trigger_margins puts one index in every m_consec from start on, each
-    margin within tol of metric_arrays' |ac1| + |ac2| - ene there, so
-    may_trigger answers False only where first_trigger finds nothing."""
+    """metric_arrays at a stride of m_consec gives the full-rate windows at
+    each row end; trigger_margins puts one of them in every m_consec from
+    start on, each margin within tol of metric_arrays' |ac1| + |ac2| - ene
+    there, so may_trigger answers False only where first_trigger finds
+    nothing."""
 
     @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e140])
     @pytest.mark.parametrize("kind", ["enr_dme_8", "enr_dme_16", "enr_dme_24", "dc", "cw", "noise"])
@@ -304,14 +306,25 @@ class TestTriggerMargins:
                 # the condition holds runs before the frame (DME) or throughout
                 assert may_trigger(buf, L, m, start)
 
+    def test_rows_from_the_stream_start(self, num, rng):
+        # the windows that reach before r[0] read zeros there, as at full rate
+        L, m = num.l_quarter, num.m_consec
+        r = _random_stream(rng, 5 * L + 7)
+        tol = trigger_margins(r, L, m, 0)[2]
+        for got, want in zip(metric_arrays(r, L, m), metric_arrays(r, L)):
+            assert got.dtype == want.dtype and got.size == r.size // m
+            assert np.all(np.abs(got - want[m - 1 :: m]) <= tol)
+
     def test_short_buffers_hold_no_index(self, num, rng):
         L, m = num.l_quarter, num.m_consec
         # lookback = 24m - 1 ends a row: its margin exists once r holds it
         for n, size in ((0, 0), (100, 0), (num.lookback, 0), (num.lookback + 1, 1), (num.lookback + m, 1)):
             first, margin, tol = trigger_margins(_random_stream(rng, n), L, m, num.lookback)
             assert first == num.lookback and margin.size == size, n
+        for n in (0, m - 1, m, L + m):
+            assert all(a.size == n // m for a in metric_arrays(_random_stream(rng, n), L, m)), n
 
-    def test_needs_complete_windows(self, num, rng):
+    def test_needs_whole_rows_per_lag(self, num, rng):
         r = _random_stream(rng, 1000)
-        with pytest.raises(ValueError, match="start"):
-            trigger_margins(r, num.l_quarter, num.m_consec, num.ac_valid_from - 1)
+        with pytest.raises(ValueError, match="m [|] L"):
+            metric_arrays(r, num.l_quarter, 3)

@@ -354,7 +354,8 @@ class TestScreen:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Counts the pushes that run metric_arrays."""
+        """Counts the pushes that run metric_arrays at full rate (the
+        screen calls it at a stride through _kernels, not through sync)."""
         calls = []
         kernel = sync_module.metric_arrays
 
