@@ -9,15 +9,16 @@ Under default BLAS threads on a 2-CPU host, one stacked (42x129) @
 (129x42) product for all 129 TMA tones stalled for 24 ms or more in 1% of
 calls, while the 16-tone products never took over 0.2 ms.
 
-The multipath model is a tapped delay line with one line-of-sight tap and
-a Rician power split.  The LOS tap is one tone at LOS_DOPPLER_FRACTION of
-the maximum Doppler and carries K/(K+1) of the power; each scattered tap
-is a Jakes process of N_SINUSOIDS tones at the maximum Doppler times the
-cosine of a random angle and carries its share of 1/(K+1) (proportional
-to its dB weight).  Every tone has a random phase, and every tap draws
-its angles and phases even at zero power, so the generator stream does
-not depend on K.  Tap delays are given in seconds, rounded to whole
-samples at apply time and limited to the cyclic prefix.
+The multipath model is a tapped delay line: a line-of-sight (LOS) tone at
+delay 0, then the profile's scattered taps, with a Rician power split.
+The LOS tone sits at LOS_DOPPLER_FRACTION of the maximum Doppler and
+carries K/(K+1) of the power; each scattered tap is a Jakes process of
+N_SINUSOIDS tones at the maximum Doppler times the cosine of a random
+angle and carries its share of 1/(K+1) (proportional to its dB weight).
+Every tone has a random phase, and every tap draws its angles and phases
+even at zero power, so the generator stream does not depend on K.
+Scattered tap delays are given in seconds; a profile rounds them to whole
+samples and checks them against the cyclic prefix when it is built.
 
 A DME environment is a tuple of DmeInterferers; the empty tuple is no DME.
 Each interferer emits Gaussian-envelope X-mode pulse pairs: Poisson pair
@@ -26,8 +27,9 @@ per pair.  The standard fixes the pulse shape, so the width at half
 amplitude (DME_PULSE_WIDTH_S, 3.5 us) and the pair spacing
 (DME_PAIR_SPACING_S, 12 us) are constants, as is the -80 dBm signal
 power (DME_REFERENCE_DBM) that sets each interferer's peak amplitude
-relative to the unit-power signal.  apply_dme builds all pulses of an
-interferer in one pass.
+relative to the unit-power signal.  An interferer checks its offset
+against Nyquist when it is built, so, as apply_multipath, apply_dme raises
+nothing of its own; it builds all pulses of an interferer in one pass.
 
 run_pipeline applies: multipath -> CFO -> DME -> AWGN, each stage drawing
 from its own child generator so that enabling one stage never shifts
@@ -57,33 +59,35 @@ DME_REFERENCE_DBM = -80.0  # received signal power, the unit-power reference
 
 @dataclass(frozen=True)
 class ChannelTap:
+    """One scattered tap: its delay and its dB weight in the scattered share."""
+
     delay_s: float
     power_db: float
-    kind: str  # "los" | "scattered"
 
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Tapped-delay-line profile with a Rician LOS/scattered power split."""
+    """Tapped delay line: an implicit LOS tone at delay 0, then the
+    scattered taps, with a Rician LOS/scattered power split."""
 
-    taps: tuple
+    taps: tuple  # scattered ChannelTaps, delays strictly increasing and > 0
     rician_k_db: float
     max_doppler_hz: float
 
     def __post_init__(self):
-        if not self.taps:
-            raise ValueError("profile needs at least one tap")
-        kinds = [t.kind for t in self.taps]
-        if any(k not in ("los", "scattered") for k in kinds):
-            raise ValueError("tap kind must be 'los' or 'scattered'")
-        if kinds.count("los") != 1:
-            raise ValueError("profile must contain exactly one los tap")
         delays = [t.delay_s for t in self.taps]
         # the range checks below fail on NaN too
-        if not all(0.0 <= d < math.inf for d in delays):
-            raise ValueError("tap delays must be finite and >= 0")
+        if not all(0.0 < d < math.inf for d in delays):
+            raise ValueError("tap delays must be finite and > 0")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be strictly increasing")
+        for d in delays:
+            samples = round(d * Numerology.sample_rate_hz)
+            if samples > Numerology.n_cp:
+                raise ValueError(
+                    f"tap delay {d} s rounds to {samples} samples, "
+                    f"beyond the limit of {Numerology.n_cp}"
+                )
         if not all(math.isfinite(t.power_db) for t in self.taps):
             raise ValueError("tap power_db must be finite")
         if math.isnan(self.rician_k_db):
@@ -92,32 +96,22 @@ class ChannelProfile:
             raise ValueError("max_doppler_hz must be finite and >= 0")
 
     def linear_powers(self) -> np.ndarray:
-        """Per-tap linear powers, normalized to sum to 1."""
+        """The LOS power, then each scattered tap's; they sum to 1."""
         k_lin = 10.0 ** (self.rician_k_db / 10.0)
         if math.isinf(k_lin):
             p_los, p_scat = 1.0, 0.0
         else:
             p_los = k_lin / (k_lin + 1.0)
             p_scat = 1.0 / (k_lin + 1.0)
-        los = np.array([t.kind == "los" for t in self.taps])
-        weights = np.array(
-            [
-                0.0 if t.kind == "los" else 10.0 ** (t.power_db / 10.0)
-                for t in self.taps
-            ]
-        )
+        weights = np.array([10.0 ** (t.power_db / 10.0) for t in self.taps])
         total = weights.sum()
-        return np.where(los, p_los, p_scat * weights / total if total > 0 else 0.0)
+        return np.append(p_los, p_scat * weights / total if total > 0 else 0.0 * weights)
 
 
 def make_enr_profile() -> ChannelProfile:
     """En-route: strong LOS (K = 15 dB) plus two weak equal-power echoes,
     1250 Hz maximum Doppler."""
-    taps = (
-        ChannelTap(0.0, 0.0, "los"),
-        ChannelTap(0.3e-6, 0.0, "scattered"),
-        ChannelTap(15.0e-6, 0.0, "scattered"),
-    )
+    taps = (ChannelTap(0.3e-6, 0.0), ChannelTap(15.0e-6, 0.0))
     return ChannelProfile(taps, 15.0, 1250.0)
 
 
@@ -128,10 +122,10 @@ def make_tma_profile() -> ChannelProfile:
     max_delay = 10.0e-6
     tau_c = max_delay / 4.0
     delays = np.linspace(1.25e-6, max_delay, 8)
-    taps = [ChannelTap(0.0, 0.0, "los")]
-    for d in delays:
-        taps.append(ChannelTap(float(d), 10.0 * math.log10(math.exp(-d / tau_c)), "scattered"))
-    return ChannelProfile(tuple(taps), 10.0, 624.0)
+    taps = tuple(
+        ChannelTap(float(d), 10.0 * math.log10(math.exp(-d / tau_c))) for d in delays
+    )
+    return ChannelProfile(taps, 10.0, 624.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +139,8 @@ class DmeInterferer:
     rate_pps: float  # pulse pairs per second
 
     def __post_init__(self):
+        if not abs(self.offset_hz) < Numerology.sample_rate_hz / 2.0:  # NaN fails too
+            raise ValueError("interferer offset_hz must be below Nyquist")
         if not math.isfinite(self.power_dbm):
             raise ValueError("power_dbm must be finite")
         if not 0.0 < self.rate_pps < math.inf:  # NaN fails too
@@ -224,40 +220,31 @@ def _tones(omegas, phases, n: int) -> np.ndarray:
 def apply_multipath(
     x: np.ndarray, profile: ChannelProfile, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
-    """Tapped-delay-line fading channel.  Tap delays round to whole samples
-    and must stay within the cyclic prefix.
+    """Tapped-delay-line fading channel: the LOS tone, then the scattered
+    taps at their delays in whole samples.
 
-    The generator draws, tap by tap, the LOS tone's phase or a scattered
-    tap's N_SINUSOIDS angles and then its N_SINUSOIDS phases, all in one
-    call: uniform doubles come in sequence, so one draw of the total is
-    the same stream as one draw per tap.
+    The generator draws the LOS tone's phase, then tap by tap a scattered
+    tap's N_SINUSOIDS angles and its N_SINUSOIDS phases, all in one call:
+    uniform doubles come in sequence, so one draw of the total is the same
+    stream as one draw per tap.
     """
     x = np.asarray(x, dtype=np.complex128)
     fs = num.sample_rate_hz
     n = x.size
-    delays = np.round(np.array([tap.delay_s for tap in profile.taps]) * fs).astype(np.int64)
-    over = np.flatnonzero(delays > num.n_cp)
-    if over.size:
-        i = over[0]
-        raise ValueError(
-            f"tap delay {profile.taps[i].delay_s} s rounds to {delays[i]} samples, "
-            f"beyond the limit of {num.n_cp}"
-        )
-    sizes = [1 if tap.kind == "los" else 2 * N_SINUSOIDS for tap in profile.taps]
-    draws = rng.uniform(0.0, 2.0 * np.pi, sum(sizes))
+    u = rng.uniform(0.0, 2.0 * np.pi, 1 + 2 * N_SINUSOIDS * len(profile.taps))
+    # the LOS tone's phase, then per scattered tap its angles and its phases
+    los_phase, scattered = u[:1], u[1:].reshape(-1, 2, N_SINUSOIDS)
+    delays = [0] + [round(tap.delay_s * fs) for tap in profile.taps]
     y = np.zeros_like(x)
-    start = 0
-    for tap, d, p, size in zip(profile.taps, delays.tolist(), profile.linear_powers(), sizes):
+    for i, (d, p) in enumerate(zip(delays, profile.linear_powers())):
         # every tap draws even at zero power, so the stream does not depend on K
-        u = draws[start : start + size]
-        start += size
         if p == 0.0:
             continue
         # each tone's Doppler as a fraction of the maximum
-        if tap.kind == "los":
-            fractions, phases = np.array([LOS_DOPPLER_FRACTION]), u
+        if i == 0:
+            fractions, phases = np.array([LOS_DOPPLER_FRACTION]), los_phase
         else:
-            fractions, phases = np.cos(u[:N_SINUSOIDS]), u[N_SINUSOIDS:]
+            fractions, phases = np.cos(scattered[i - 1, 0]), scattered[i - 1, 1]
         omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
         gain = _tones(omegas, phases, n)
         gain *= math.sqrt(p / fractions.size)
@@ -280,8 +267,6 @@ def apply_dme(
     support = 5.0 * alpha
     out = np.zeros(n, dtype=np.complex128)
     for intf in interferers:
-        if not abs(intf.offset_hz) < fs / 2.0:  # NaN fails too
-            raise ValueError("interferer offset_hz must be below Nyquist")
         amp = math.sqrt(10.0 ** ((intf.power_dbm - DME_REFERENCE_DBM) / 10.0))
         starts = pulse_pair_times(n / fs, intf.rate_pps, rng)
         phases = rng.uniform(0.0, 2.0 * np.pi, starts.size)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -58,7 +57,7 @@ def cmd_trace(args) -> int:
     profile, dme = CHANNEL_MODELS[args.channel]
     cfg = ImpairmentConfig(
         epsilon=args.epsilon,
-        snr_db=math.inf if args.noiseless else args.snr,
+        snr_db=args.snr,
         profile=profile,
         dme=dme,
         seed=args.seed,
@@ -127,7 +126,7 @@ def _scenario_from_args(args) -> Scenario:
     given = {
         "channel": args.channel,
         "epsilon": args.epsilon,
-        "snr_grid_db": "inf" if args.noiseless else args.snr,
+        "snr_grid_db": args.snr,
         "n_trials": args.trials,
         "master_seed": args.seed,
     }
@@ -211,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="single-frame timing-metric trace")
     t.add_argument("--out", default=".", help="output directory")
-    t_noise = t.add_mutually_exclusive_group()
-    t_noise.add_argument("--snr", type=float, default=10.0, help="SNR in dB")
-    t_noise.add_argument("--noiseless", action="store_true")
+    t.add_argument("--snr", type=float, default=10.0, help="SNR in dB (inf = noiseless)")
     t.add_argument("--epsilon", type=float, default=0.0, help="CFO in subcarrier spacings")
     t.add_argument("--channel", choices=CHANNELS, default="AWGN")
     t.add_argument("--seed", type=int, default=1, help="noise and channel draw")
@@ -227,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=".", help="output directory")
     c.add_argument("--channel", choices=CHANNELS)
     c.add_argument("--epsilon", type=float)
-    c_noise = c.add_mutually_exclusive_group()
-    c_noise.add_argument("--snr", help="comma-separated SNR grid in dB (inf = noiseless)")
-    c_noise.add_argument("--noiseless", action="store_true")
+    c.add_argument("--snr", help="comma-separated SNR grid in dB (inf = noiseless)")
     c.add_argument("--trials", type=int)
     c.add_argument("--seed", type=int)
     c.add_argument("--per-trial", action="store_true", help="also write per-trial records")

@@ -41,7 +41,6 @@ symbol-by-symbol build would use, so the samples are the same bits.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -101,6 +100,12 @@ class Numerology:
     sto_search_gap: ClassVar[int] = n_total
 
 
+# the read-only rising raised-cosine ramp of the windowed overlap-add; the
+# half-sample offset keeps both ends strictly inside (0, 1)
+_RAMP = 0.5 * (1.0 - np.cos(np.pi * ((np.arange(Numerology.n_win) + 0.5) / Numerology.n_win)))
+_RAMP.flags.writeable = False
+
+
 def make_numerology() -> Numerology:
     """The L-DACS1 numerology at 4x oversampling: 2.5 MHz, n_total 256."""
     return Numerology()
@@ -136,25 +141,14 @@ def _ofdm_useful(k_indices: np.ndarray, values: np.ndarray, num: Numerology) -> 
     return x / np.sqrt(power)
 
 
-@functools.lru_cache(maxsize=None)
-def _raised_cosine_ramp(n_win: int) -> np.ndarray:
-    """Read-only rising ramp, computed once per length."""
-    # half-sample offset keeps both ends strictly inside (0, 1)
-    t = (np.arange(n_win) + 0.5) / n_win
-    ramp = 0.5 * (1.0 - np.cos(np.pi * t))
-    ramp.flags.writeable = False
-    return ramp
-
-
 def _windowed_blocks(useful: np.ndarray, num: Numerology) -> np.ndarray:
     """[CP | useful | cyclic suffix] per row of useful parts (rows,
     n_total), with raised-cosine ramps on both ends."""
     blocks = np.concatenate(
         [useful[:, -num.n_cp:], useful, useful[:, : num.n_win]], axis=-1
     )
-    ramp = _raised_cosine_ramp(num.n_win)
-    blocks[:, : num.n_win] *= ramp
-    blocks[:, -num.n_win:] *= ramp[::-1]
+    blocks[:, : num.n_win] *= _RAMP
+    blocks[:, -num.n_win:] *= _RAMP[::-1]
     return blocks
 
 

@@ -85,7 +85,7 @@ class TestProfiles:
         p = make_enr_profile()
         assert p.max_doppler_hz == 1250.0
         assert p.rician_k_db == 15.0
-        assert [t.delay_s for t in p.taps] == [0.0, 0.3e-6, 15.0e-6]
+        assert [t.delay_s for t in p.taps] == [0.3e-6, 15.0e-6]
 
     def test_tma_parameters(self):
         p = make_tma_profile()
@@ -97,28 +97,19 @@ class TestProfiles:
         for p in (make_enr_profile(), make_tma_profile()):
             assert p.linear_powers().sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_requires_exactly_one_los(self):
-        with pytest.raises(ValueError, match="los"):
-            ChannelProfile(
-                (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, 0.0, "los")), 10.0, 100.0
-            )
-
     def test_requires_increasing_delays(self):
         with pytest.raises(ValueError, match="delays"):
-            ChannelProfile(
-                (ChannelTap(1e-6, 0.0, "los"), ChannelTap(1e-6, 0.0, "scattered")),
-                10.0,
-                100.0,
-            )
+            ChannelProfile((ChannelTap(1e-6, 0.0), ChannelTap(1e-6, 0.0)), 10.0, 100.0)
+
+    def test_scattered_tap_at_delay_zero_rejected(self):
+        # delay 0 belongs to the implicit LOS tone
+        with pytest.raises(ValueError, match=r"^tap delays must be finite and > 0$"):
+            ChannelProfile((ChannelTap(0.0, 0.0), ChannelTap(1e-6, 0.0)), 10.0, 100.0)
 
     def test_linear_powers_split_by_k(self):
         # K = 10 dB: LOS 10/11, scattered 1/11 shared by dB weight
         p = ChannelProfile(
-            (
-                ChannelTap(0.0, 0.0, "los"),
-                ChannelTap(1e-6, 0.0, "scattered"),
-                ChannelTap(2e-6, -10.0 * math.log10(3.0), "scattered"),
-            ),
+            (ChannelTap(1e-6, 0.0), ChannelTap(2e-6, -10.0 * math.log10(3.0))),
             10.0,
             100.0,
         )
@@ -126,18 +117,18 @@ class TestProfiles:
 
     @pytest.mark.parametrize("max_doppler_hz", [math.nan, math.inf])
     def test_non_finite_max_doppler_rejected(self, max_doppler_hz):
-        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, 0.0, "scattered"))
+        taps = (ChannelTap(1e-6, 0.0),)
         with pytest.raises(ValueError, match="max_doppler_hz"):
             ChannelProfile(taps, 10.0, max_doppler_hz)
 
     def test_nan_tap_power_rejected(self):
-        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, math.nan, "scattered"))
+        taps = (ChannelTap(1e-6, math.nan),)
         with pytest.raises(ValueError, match="power_db"):
             ChannelProfile(taps, 10.0, 100.0)
 
     @pytest.mark.parametrize("delay_s", [math.nan, math.inf])
     def test_non_finite_delay_rejected(self, delay_s):
-        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(delay_s, 0.0, "scattered"))
+        taps = (ChannelTap(1e-6, 0.0), ChannelTap(delay_s, 0.0))
         with pytest.raises(ValueError, match="delays"):
             ChannelProfile(taps, 10.0, 100.0)
 
@@ -185,17 +176,18 @@ class TestTones:
 
 
 def _multipath_reference(x, profile, num, rng):
-    """Tap-by-tap loop with a delay rounding, a draw and a gain scaling
-    per tap: the reference apply_multipath must match bit for bit."""
+    """Tap-by-tap loop, the LOS tone at delay 0 first, with a delay
+    rounding, a draw and a gain scaling per tap: the reference
+    apply_multipath must match bit for bit."""
     x = np.asarray(x, dtype=np.complex128)
     fs = num.sample_rate_hz
     n = x.size
     y = np.zeros_like(x)
-    for tap, p in zip(profile.taps, profile.linear_powers()):
-        d = int(np.round(tap.delay_s * fs))
-        if d > num.n_cp:
-            raise ValueError(f"tap delay {tap.delay_s} s rounds to {d} samples")
-        if tap.kind == "los":
+    delays = (0.0,) + tuple(tap.delay_s for tap in profile.taps)
+    for i, (delay_s, p) in enumerate(zip(delays, profile.linear_powers())):
+        d = int(np.round(delay_s * fs))
+        assert d <= num.n_cp
+        if i == 0:
             fractions = np.array([LOS_DOPPLER_FRACTION])
             phases = rng.uniform(0.0, 2.0 * np.pi, 1)
         else:
@@ -223,11 +215,7 @@ class TestMultipath:
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_pure_los_is_flat(self, num, rng):
-        profile = ChannelProfile(
-            (ChannelTap(0.0, 0.0, "los"),),
-            rician_k_db=math.inf,
-            max_doppler_hz=0.0,
-        )
+        profile = ChannelProfile((), rician_k_db=math.inf, max_doppler_hz=0.0)
         x = rng.normal(size=400) + 1j * rng.normal(size=400)
         y = apply_multipath(x, profile, num, rng)
         g = y[0] / x[0]
@@ -265,7 +253,7 @@ class TestMultipath:
 
     def test_los_rotates_at_half_max_doppler(self, num, rng):
         fd = 1000.0
-        profile = ChannelProfile((ChannelTap(0.0, 0.0, "los"),), math.inf, fd)
+        profile = ChannelProfile((), math.inf, fd)
         x = rng.normal(size=5000) + 1j * rng.normal(size=5000)
         g = apply_multipath(x, profile, num, rng) / x
         assert np.allclose(np.abs(g), 1.0, atol=1e-12)
@@ -274,11 +262,7 @@ class TestMultipath:
 
     def test_scattered_spectrum_within_max_doppler(self, num):
         fd = 1250.0
-        profile = ChannelProfile(
-            (ChannelTap(0.0, 0.0, "los"), ChannelTap(1e-6, 0.0, "scattered")),
-            -math.inf,
-            fd,
-        )
+        profile = ChannelProfile((ChannelTap(1e-6, 0.0),), -math.inf, fd)
         n = 2**16
         y = apply_multipath(np.ones(n + 3, complex), profile, num, np.random.default_rng(8))
         psd = np.abs(np.fft.fft(y[3:] * np.hanning(n))) ** 2
@@ -297,24 +281,28 @@ class TestMultipath:
             states.append(rng.bit_generator.state)
         assert states[0] == states[1] == states[2]
 
-    def test_delay_beyond_limit_rejected(self, num, rng):
-        profile = ChannelProfile(
-            (ChannelTap(0.0, 0.0, "los"), ChannelTap(20.0e-6, 0.0, "scattered")),
-            10.0,
-            100.0,
-        )
-        with pytest.raises(ValueError, match="delay"):
-            apply_multipath(np.ones(100, complex), profile, num, rng)
+    # the delay limit is checked once, when the profile is built, so a
+    # profile that apply_multipath receives is always within it
 
-    def test_delay_limit_names_the_first_tap_beyond_it(self, num, rng):
-        taps = (ChannelTap(0.0, 0.0, "los"), ChannelTap(18.0e-6, 0.0, "scattered"))
-        taps += (ChannelTap(20.0e-6, 0.0, "scattered"),)
-        profile = ChannelProfile(taps, 10.0, 100.0)
+    def test_delay_beyond_limit_rejected(self):
+        with pytest.raises(ValueError, match="delay"):
+            ChannelProfile((ChannelTap(20.0e-6, 0.0),), 10.0, 100.0)
+
+    def test_delay_limit_names_the_first_tap_beyond_it(self):
+        taps = (ChannelTap(1e-6, 0.0), ChannelTap(18.0e-6, 0.0), ChannelTap(20.0e-6, 0.0))
         with pytest.raises(
             ValueError,
             match=r"^tap delay 1.8e-05 s rounds to 45 samples, beyond the limit of 44$",
         ):
-            apply_multipath(np.ones(100, complex), profile, num, rng)
+            ChannelProfile(taps, 10.0, 100.0)
+
+    def test_delay_at_the_limit_is_applied(self, num):
+        # 17.6 us rounds to 44 samples, the whole cyclic prefix
+        profile = ChannelProfile((ChannelTap(17.6e-6, 0.0),), -math.inf, 0.0)
+        x = np.zeros(64, dtype=complex)
+        x[0] = 1.0
+        y = apply_multipath(x, profile, num, np.random.default_rng(1))
+        assert np.flatnonzero(np.abs(y) > 1e-12).tolist() == [44]
 
 
 def _dme_reference(n, interferers, num, rng):
@@ -383,15 +371,16 @@ class TestDme:
         bin_width = num.sample_rate_hz / nseg
         assert abs(peak - (-0.5e6)) <= bin_width
 
-    def test_offset_beyond_nyquist_rejected(self, num, rng):
-        interferers = (DmeInterferer(2.0e6, -70.0, 100.0),)
-        with pytest.raises(ValueError, match="offset"):
-            apply_dme(np.zeros(1000), interferers, num, rng)
+    # the Nyquist limit is checked once, when the interferer is built
 
-    def test_nan_offset_rejected(self, num, rng):
-        interferers = (DmeInterferer(math.nan, -70.0, 100.0),)
-        with pytest.raises(ValueError, match="offset"):
-            apply_dme(np.zeros(1000), interferers, num, rng)
+    def test_offset_beyond_nyquist_rejected(self):
+        for offset_hz in (2.0e6, -1.25e6):  # -1.25 MHz is Nyquist itself
+            with pytest.raises(ValueError, match=r"^interferer offset_hz must be below Nyquist$"):
+                DmeInterferer(offset_hz, -70.0, 100.0)
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(ValueError, match=r"^interferer offset_hz must be below Nyquist$"):
+            DmeInterferer(math.nan, -70.0, 100.0)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="rate_pps"):

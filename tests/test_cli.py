@@ -25,7 +25,7 @@ class TestTrace:
         assert max(xcr) == 1.0  # normalized to own peak
 
     def test_noiseless_both_correlators_peak_at_zero(self, tmp_path):
-        rc = main(["trace", "--out", str(tmp_path), "--noiseless"])
+        rc = main(["trace", "--out", str(tmp_path), "--snr", "inf"])
         assert rc == 0
         header, rows = _read_csv(tmp_path / "trace.csv")
         taus = [int(r.split(",")[0]) for r in rows]
@@ -40,7 +40,8 @@ class TestTrace:
                 "trace",
                 "--out",
                 str(tmp_path),
-                "--noiseless",
+                "--snr",
+                "inf",
                 "--metrics",
                 "--write-iq",
             ]
@@ -70,7 +71,7 @@ class TestTrace:
 
     def test_preamble_seed_flag(self, tmp_path):
         rc = main(
-            ["trace", "--out", str(tmp_path), "--noiseless", "--preamble-seed", "3"]
+            ["trace", "--out", str(tmp_path), "--snr", "inf", "--preamble-seed", "3"]
         )
         assert rc == 0
 
@@ -130,20 +131,14 @@ class TestCampaign:
         got = (file_out / "quick_trials.csv").read_bytes()
         assert got == (flag_out / "tma_trials.csv").read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["campaign", "--channel", "AWGN", "--noiseless", "--snr", "5"],
-            ["campaign", "--channel", "AWGN", "--snr", "inf", "--noiseless"],
-            ["trace", "--noiseless", "--snr", "10"],
-        ],
-    )
-    def test_noiseless_and_snr_are_exclusive(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv", [["campaign", "--channel", "AWGN"], ["trace"]])
+    def test_noiseless_flag_is_unknown(self, tmp_path, capsys, argv):
+        # --snr inf is the one way to ask for a noiseless run
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(out)])
+            main([*argv, "--noiseless", "--out", str(out)])
         assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "unrecognized arguments: --noiseless" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_scenario_key_is_an_error(self, tmp_path, capsys):

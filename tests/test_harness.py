@@ -321,7 +321,11 @@ class TestGoldenTrials:
 
     @pytest.mark.parametrize(
         "channel, epsilon, filename",
-        [("AWGN", 1.5, "awgn_eps1p5_trials.csv"), ("TMA", 0.5, "tma_eps0p5_trials.csv")],
+        [
+            ("AWGN", 1.5, "awgn_eps1p5_trials.csv"),
+            ("ENR_DME", 0.5, "enr_dme_eps0p5_trials.csv"),
+            ("TMA", 0.5, "tma_eps0p5_trials.csv"),
+        ],
     )
     def test_records_match_recorded_csv(self, tmp_path, channel, epsilon, filename):
         sc = Scenario(
