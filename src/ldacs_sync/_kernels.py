@@ -1,5 +1,5 @@
-"""Hot metric kernels: in-place cumsum sliding sums, a strided trigger
-search, and np.convolve over a window.
+"""Hot metric kernels: in-place cumsum sliding sums, a trigger search, and
+np.convolve over a window.
 
 Per stream index n (L = quarter period, window w = 2L, template length D):
 
@@ -15,14 +15,14 @@ _lag_products, which also feeds xcr_window), a cumsum runs over them in
 place, and one subtraction of the buffer's first n entries takes away the
 sum from 2L samples back (or a zero, and cs - 0 is cs exactly).
 first_trigger finds the first run of m_consec samples with
-|ac1| + |ac2| > ene, evaluating that condition at every m-th index and at
-full rate only next to the hits.  xcr_window gives xcr over one index range
-only: the synchronizer reads it inside the delta_search-sample timing
-window and nowhere else.  metric_arrays at a stride of m_consec gives the
-same windows at one index in m_consec, from m_consec-sample row sums, and
-may_trigger reads the trigger condition there, with a derived rounding
-bound, to tell whether a trigger can fall in a buffer at all: it is the
-cheap screen in front of the full-rate kernels.
+|ac1| + |ac2| > ene in one pass over the condition.  xcr_window gives xcr
+over one index range only: the synchronizer reads it inside the
+delta_search-sample timing window and nowhere else.  metric_arrays at a
+stride of m_consec gives the same windows at one index in m_consec, from
+m_consec-sample row sums, and may_trigger reads the trigger condition
+there, with a derived rounding bound, to tell whether a trigger can fall
+in a buffer at all: it is the cheap screen in front of the full-rate
+kernels.
 
 Samples before the stream start are literal zeros in every metric, as in a
 streaming correlator whose delay lines power up cleared.  Values are fully
@@ -141,25 +141,13 @@ def first_trigger(
     """First index n where |ac1| + |ac2| > ene has held at n-m+1..n, with
     n-m+1 >= start; -1 if none.
 
-    Every run of m samples from start on holds one index of the screen
-    start + m - 1, start + 2m - 1, ...  Around each screen hit i, in order,
-    the condition is evaluated over [i-m+1, i+m), which holds every run
-    through i; with t the true samples' offsets there, a run of m ends at
-    t[j] iff t[j] - t[j-m+1] == m-1.  The first such slice that holds a run
-    gives the answer: it holds the earliest run, and no earlier slice
-    reaches that run's end.
+    One pass over [start, n): with t the offsets where the condition holds,
+    a run of m ends at t[j] iff t[j] - t[j-m+1] == m-1.
     """
-
-    def cond(s: slice) -> np.ndarray:
-        return np.abs(ac1[s]) + np.abs(ac2[s]) > ene[s]
-
-    for k in np.flatnonzero(cond(slice(start + m - 1, None, m))):
-        lo = start + m * int(k)  # the hit is lo + m - 1
-        t = np.flatnonzero(cond(slice(lo, lo + 2 * m - 1)))
-        ends = t[m - 1 :][t[m - 1 :] - t[: max(t.size - m + 1, 0)] == m - 1]
-        if ends.size:
-            return lo + int(ends[0])
-    return -1
+    s = slice(start, None)
+    t = np.flatnonzero(np.abs(ac1[s]) + np.abs(ac2[s]) > ene[s])
+    ends = np.flatnonzero(t[m - 1 :] - t[: max(t.size - m + 1, 0)] == m - 1)
+    return start + int(t[ends[0] + m - 1]) if ends.size else -1
 
 
 def trigger_margins(

@@ -18,7 +18,8 @@ angle and carries its share of 1/(K+1) (proportional to its dB weight).
 Every tone has a random phase, and every tap draws its angles and phases
 even at zero power, so the generator stream does not depend on K.
 Scattered tap delays are given in seconds; a profile rounds them to whole
-samples and checks them against the cyclic prefix when it is built.
+samples and checks, when it is built, that each lies from 1 sample behind
+the LOS tone to the end of the cyclic prefix.
 
 A DME environment is a tuple of DmeInterferers; the empty tuple is no DME.
 Each interferer emits Gaussian-envelope X-mode pulse pairs: Poisson pair
@@ -70,7 +71,7 @@ class ChannelProfile:
     """Tapped delay line: an implicit LOS tone at delay 0, then the
     scattered taps, with a Rician LOS/scattered power split."""
 
-    taps: tuple  # scattered ChannelTaps, delays strictly increasing and > 0
+    taps: tuple  # scattered ChannelTaps, delays strictly increasing, 1..n_cp samples
     rician_k_db: float
     max_doppler_hz: float
 
@@ -83,6 +84,11 @@ class ChannelProfile:
             raise ValueError("tap delays must be strictly increasing")
         for d in delays:
             samples = round(d * Numerology.sample_rate_hz)
+            if samples < 1:
+                raise ValueError(
+                    f"tap delay {d} s rounds to {samples} samples: a scattered "
+                    "tap must lie at least 1 sample behind the LOS tone"
+                )
             if samples > Numerology.n_cp:
                 raise ValueError(
                     f"tap delay {d} s rounds to {samples} samples, "

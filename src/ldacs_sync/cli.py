@@ -26,6 +26,7 @@ from .harness import (
     CHANNELS,
     Scenario,
     _check_int,
+    _parse_snr_list,
     fmt,
     link,
     load_scenario,
@@ -46,6 +47,9 @@ from .sync import baseline_xene, baseline_xsig, metric_stream
 def cmd_trace(args) -> int:
     _check_int("--seed", args.seed, 0)
     _check_int("--preamble-seed", args.preamble_seed, 0)
+    snr = _parse_snr_list(args.snr)  # the grammar of campaign --snr
+    if len(snr) != 1:
+        raise ValueError(f"--snr takes one value, got {args.snr!r}")
     num, pre, template = link(args.preamble_seed)
 
     # no payload: at lag 2L a trailing unit-power symbol images into the
@@ -57,7 +61,7 @@ def cmd_trace(args) -> int:
     profile, dme = CHANNEL_MODELS[args.channel]
     cfg = ImpairmentConfig(
         epsilon=args.epsilon,
-        snr_db=args.snr,
+        snr_db=snr[0],
         profile=profile,
         dme=dme,
         seed=args.seed,
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="single-frame timing-metric trace")
     t.add_argument("--out", default=".", help="output directory")
-    t.add_argument("--snr", type=float, default=10.0, help="SNR in dB (inf = noiseless)")
+    t.add_argument("--snr", default="10", help="SNR in dB (inf or noiseless = noise-free)")
     t.add_argument("--epsilon", type=float, default=0.0, help="CFO in subcarrier spacings")
     t.add_argument("--channel", choices=CHANNELS, default="AWGN")
     t.add_argument("--seed", type=int, default=1, help="noise and channel draw")

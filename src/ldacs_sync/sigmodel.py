@@ -131,13 +131,13 @@ def _qpsk(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
 
 def _ofdm_useful(k_indices: np.ndarray, values: np.ndarray, num: Numerology) -> np.ndarray:
     """Useful parts of OFDM symbols, one per row of values (rows, k):
-    the IFFT of the loaded bins, each row normalized to unit average power."""
+    the IFFT of the loaded bins, each row normalized to unit average power.
+    Every allocation is fixed and non-empty and every value unit-magnitude
+    QPSK, so no row has zero power."""
     spec = np.zeros((values.shape[0], num.n_total), dtype=np.complex128)
     spec[:, np.mod(k_indices, num.n_total)] = values
     x = np.fft.ifft(spec, axis=-1)
     power = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
-    if np.any(power <= 0):
-        raise ValueError("empty subcarrier allocation")
     return x / np.sqrt(power)
 
 

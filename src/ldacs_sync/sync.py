@@ -233,14 +233,13 @@ class SyncState:
 
     Each push checks the chunk for finiteness, then runs the detection
     kernel (ac1, ac2, ene) once over [retained tail | chunk] and looks for
-    the trigger with first_trigger, which evaluates the trigger condition
-    at full rate only next to its hits on a stride-m_consec screen.  One
-    rule sets the tail: the kernels' look-back, num.lookback = D + 2L - 1
-    samples, before the earliest index an estimate can still read.  That is
-    the symbol-1 CFO reading, trigger + _reach (_reach = -44), with the
-    stream end n in place of the trigger while searching (the 44 samples
-    also hold the m_consec - 1 a trigger run may straddle), and n itself
-    once done.  Chunk metrics thus match one pass over the whole stream, xcr
+    the trigger with first_trigger, one pass over the trigger condition
+    from the first index whose values are exact.  One rule sets the tail:
+    the kernels' look-back, num.lookback = D + 2L - 1 samples, before the
+    earliest index an estimate can still read.  That is the symbol-1 CFO
+    reading, trigger + _reach (_reach = -44), with the stream end n in
+    place of the trigger while searching (the 44 samples also hold the
+    m_consec - 1 a trigger run may straddle), and n itself once done.  Chunk metrics thus match one pass over the whole stream, xcr
     bit for bit and ac1, ac2, ene and CFO to rounding (their cumsums re-base
     per push).  An empty chunk re-scans the tail and changes nothing.
 

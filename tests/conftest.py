@@ -8,7 +8,8 @@ def full_rate_trigger(cond, m, start):
     """Reference trigger search over a boolean condition evaluated at every
     index: the first n with cond[n-m+1..n] all true and n-m+1 >= start, -1
     if none.  With t the true samples' indices, a run of m ends at t[i] iff
-    t[i] - t[i-m+1] == m-1.  Independent of the package's strided screen."""
+    t[i] - t[i-m+1] == m-1.  Written apart from the package's first_trigger;
+    both are checked against a sample-by-sample run counter."""
     t = np.flatnonzero(cond[start:])
     if t.size < m:
         return -1

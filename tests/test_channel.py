@@ -106,6 +106,17 @@ class TestProfiles:
         with pytest.raises(ValueError, match=r"^tap delays must be finite and > 0$"):
             ChannelProfile((ChannelTap(0.0, 0.0), ChannelTap(1e-6, 0.0)), 10.0, 100.0)
 
+    @pytest.mark.parametrize("delay_s", [0.1e-6, 0.2e-6])
+    def test_scattered_tap_below_one_sample_rejected(self, delay_s):
+        # 0.25 and 0.5 samples round to 0: the tap would fade on the LOS
+        # tone's own sample
+        with pytest.raises(
+            ValueError,
+            match=rf"^tap delay {delay_s} s rounds to 0 samples: a scattered tap "
+            "must lie at least 1 sample behind the LOS tone$",
+        ):
+            ChannelProfile((ChannelTap(delay_s, 0.0),), 10.0, 100.0)
+
     def test_linear_powers_split_by_k(self):
         # K = 10 dB: LOS 10/11, scattered 1/11 shared by dB weight
         p = ChannelProfile(

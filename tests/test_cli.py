@@ -52,6 +52,24 @@ class TestTrace:
         iq = read_iq(tmp_path / "rx_iq.fc32")
         assert len(rows) == iq.size
 
+    def test_snr_noiseless_same_bytes_as_inf(self, tmp_path):
+        # one SNR grammar: the campaign parser's "noiseless" token works here
+        for text in ("inf", "noiseless"):
+            argv = ["trace", "--out", str(tmp_path / text), "--snr", text]
+            assert main([*argv, "--channel", "TMA", "--metrics", "--write-iq"]) == 0
+        for name in ("trace.csv", "metrics.csv", "rx_iq.fc32"):
+            got = (tmp_path / "noiseless" / name).read_bytes()
+            assert got == (tmp_path / "inf" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("text", ["1,2", "x", ",", "nan"])
+    def test_bad_snr_fails_before_any_output(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        rc = main(["trace", "--out", str(out), "--snr", text])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "snr" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--preamble-seed"])
     def test_negative_seed_named(self, tmp_path, capsys, flag):
         out = tmp_path / "out"

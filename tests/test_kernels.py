@@ -240,6 +240,17 @@ class TestFirstTriggerBruteForce:
                     cond[at : at + int(rng.integers(1, 2 * m))] = True
                 self._check(cond, m, int(rng.integers(0, 500)))
 
+    @pytest.mark.parametrize("period, true_per_period", [(2, 1), (16, 15)])
+    def test_dense_block_sized_conditions(self, period, true_per_period, num, rng):
+        # a block's worth of samples true at every other sample, or at 15 of
+        # every 16: dense, yet without a run of m, then with one run planted
+        m = num.m_consec
+        cond = np.arange(1 << 14) % period < true_per_period
+        for start in (0, 1, int(rng.integers(2, 500))):
+            self._check(cond, m, start)
+        cond[-3 * m : -2 * m] = True
+        self._check(cond, m, int(rng.integers(0, 500)))
+
 
 class TestFirstTriggerOnMetricArrays:
     """first_trigger equals the full-rate reference on the metric arrays of
