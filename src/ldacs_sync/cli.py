@@ -47,9 +47,10 @@ from .sync import baseline_xene, baseline_xsig, metric_stream
 def cmd_trace(args) -> int:
     _check_int("--seed", args.seed, 0)
     _check_int("--preamble-seed", args.preamble_seed, 0)
-    snr = _parse_snr_list(args.snr)  # the grammar of campaign --snr
-    if len(snr) != 1:
-        raise ValueError(f"--snr takes one value, got {args.snr!r}")
+    try:
+        (snr,) = _parse_snr_list(args.snr)  # the grammar of campaign --snr
+    except ValueError:  # malformed, or not one value
+        raise ValueError(f"--snr takes one value in dB or inf, got {args.snr!r}") from None
     num, pre, template = link(args.preamble_seed)
 
     # no payload: at lag 2L a trailing unit-power symbol images into the
@@ -61,7 +62,7 @@ def cmd_trace(args) -> int:
     profile, dme = CHANNEL_MODELS[args.channel]
     cfg = ImpairmentConfig(
         epsilon=args.epsilon,
-        snr_db=snr[0],
+        snr_db=snr,
         profile=profile,
         dme=dme,
         seed=args.seed,
@@ -152,11 +153,7 @@ def _print_stats(stats) -> None:
 
 def cmd_campaign(args) -> int:
     scen = _scenario_from_args(args)  # main() reports a ValueError, exit 2
-    if args.per_trial:
-        stats, records = run_campaign(scen, return_records=True)
-    else:
-        stats = run_campaign(scen)
-        records = None
+    stats, records = run_campaign(scen, return_records=True)
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{scen.name}.csv")
@@ -167,7 +164,7 @@ def cmd_campaign(args) -> int:
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
 
-    if records is not None:
+    if args.per_trial:
         flat = [r for s_idx in sorted(records) for r in records[s_idx]]
         tpath = os.path.join(args.out, f"{scen.name}_trials.csv")
         write_trial_csv(tpath, flat)

@@ -191,24 +191,23 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
 
     res = synchronize(r, num, template)
 
-    rec = TrialRecord(
+    # an STO implies a detection; CFO fields are None without one
+    sto, cfo = res.sto_estimate, res.cfo_estimate
+    sto_error = None if sto is None else sto - n0
+    return TrialRecord(
         seed=seed_id,
         snr_db=float(snr_db),
         true_sto=n0,
         true_epsilon=scenario.epsilon,
         detected=res.detected,
-        fail=True,
+        fail=sto_error is None or abs(sto_error) > FINE_THRESHOLD,
+        sto_est=sto,
+        cfo_est=cfo,
+        sto_error=sto_error,
+        cfo_error=None if cfo is None else cfo - scenario.epsilon,
+        cfo_est_ac1=res.cfo_estimate_ac1,
+        cfo_est_ac2=res.cfo_estimate_ac2,
     )
-    if res.detected and res.sto_estimate is not None:
-        rec.sto_est = res.sto_estimate
-        rec.sto_error = res.sto_estimate - n0
-        rec.fail = abs(rec.sto_error) > FINE_THRESHOLD
-        if res.cfo_estimate is not None:
-            rec.cfo_est = res.cfo_estimate
-            rec.cfo_error = res.cfo_estimate - scenario.epsilon
-        rec.cfo_est_ac1 = res.cfo_estimate_ac1
-        rec.cfo_est_ac2 = res.cfo_estimate_ac2
-    return rec
 
 
 def aggregate(scenario_name: str, snr_db: float, records: Sequence[TrialRecord]) -> CampaignStats:

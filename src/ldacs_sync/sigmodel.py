@@ -95,8 +95,11 @@ class Numerology:
     # start of the timing search window, relative to the trigger.  The
     # trigger fires while symbol 1 is still passing through the
     # correlators, about one symbol span before the xcr peak (which sits at
-    # frame start + anchor).  Opening the window one n_total past the
-    # trigger centres the peak for any trigger inside symbol 1.
+    # frame start n0 + anchor).  The window [trigger + n_total, trigger +
+    # n_total + delta_search) holds that peak for a trigger in (n0 + 119,
+    # n0 + 343] and centres it only at n0 + 231.  Measured triggers land at
+    # n0 + 201 to n0 + 312 (AWGN, eps 0, 0-5 dB), so past n0 + 247 the
+    # window also holds the first payload symbol's lag-2L image at n0 + 727.
     sto_search_gap: ClassVar[int] = n_total
 
 

@@ -27,17 +27,17 @@ nearest candidate; equivalent to the usual three-branch rule on phi1 but
 well-behaved when phi1 sits numerically on a branch boundary).  Readings at
 n1 and n2 are summed coherently before taking the angle.
 
-SyncState runs this chain over a stream fed in chunks of any size, through
-the same kernels and the same trigger, timing and CFO code.  synchronize and
-metric_stream push a stream through a SyncState in fixed blocks of _BLOCK
-samples, each checked for finiteness as it is pushed, so their working
-memory and the kernels' cumsums do not grow with the stream.  synchronize
-stops pushing once the estimate is final and only checks the rest.  While
-it searches, it screens each full block first (_kernels.may_trigger, on
-the detection kernel's windows at a stride of m_consec, from row sums): a
-block where no trigger can fall skips the full-rate kernels, and the
-result keeps every bit.  A noise block costs the screen about a quarter of
-the full-rate kernels' time; a block that may trigger pays both.
+SyncState runs this chain over a stream fed in chunks of any size, in one
+step (SyncState._push) through the same kernels and trigger, timing and
+CFO code.  synchronize and metric_stream drive that step over a stream in
+blocks of _BLOCK samples (SyncState._scan), each a view of the stream that
+is checked for finiteness as it is pushed, so their memory and the
+kernels' cumsums do not grow with the stream.  The step picks the kernels:
+always when asked for the metrics, else only while the estimate is open,
+and on a full block while searching only if the screen (_kernels.may_trigger,
+the detection kernel at a stride of m_consec) finds that a trigger can fall
+in it.  Every bit of the result stays; a screened noise block costs about a
+quarter of the kernels' time.
 """
 
 from __future__ import annotations
@@ -99,29 +99,23 @@ def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     return r
 
 
-def _check_finite(r: np.ndarray) -> None:
-    if not np.isfinite(r).all():
-        raise ValueError("stream contains non-finite samples")
-
-
 def metric_stream(
     stream: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
     The stream must be 1-D and finite (ValueError otherwise; finiteness is
-    checked block by block).  The stream is pushed into one SyncState in the
-    blocks synchronize uses, and each push's metrics go into the four
-    outputs in place, so they match pushes of any other chunk sizes (xcr bit
-    for bit, the rest to rounding) and the scan's memory peaks at the
-    outputs plus one block's work.
+    checked block by block).  The stream goes through the block driver
+    synchronize uses, asking each push for its metrics, which go into the
+    four outputs in place.  They match pushes of any other chunk sizes (xcr
+    bit for bit, the rest to rounding; pushes of the same blocks bit for
+    bit), and the scan's memory peaks at the outputs plus one block's work.
     """
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
-    state = SyncState(num, template)
-    for i in range(0, r.size, _BLOCK):
-        for arr, part in zip(out, state.push(r[i : i + _BLOCK])):
-            arr[i : i + part.size] = part
+    for i, parts in enumerate(SyncState(num, template)._scan(r, metrics=True)):
+        for arr, part in zip(out, parts):
+            arr[i * _BLOCK : (i + 1) * _BLOCK] = part
     return out
 
 
@@ -231,38 +225,33 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
-    Each push checks the chunk for finiteness, then runs the detection
-    kernel (ac1, ac2, ene) once over [retained tail | chunk] and looks for
-    the trigger with first_trigger, one pass over the trigger condition
-    from the first index whose values are exact.  One rule sets the tail:
-    the kernels' look-back, num.lookback = D + 2L - 1 samples, before the
-    earliest index an estimate can still read.  That is the symbol-1 CFO
-    reading, trigger + _reach (_reach = -44), with the stream end n in
-    place of the trigger while searching (the 44 samples also hold the
-    m_consec - 1 a trigger run may straddle), and n itself once done.  Chunk metrics thus match one pass over the whole stream, xcr
-    bit for bit and ac1, ac2, ene and CFO to rounding (their cumsums re-base
-    per push).  An empty chunk re-scans the tail and changes nothing.
-
-    Timing reads xcr through xcr_window over the delta_search-sample timing
-    window only.  push returns the chunk's metrics, with its whole xcr from
-    the same function; _push is the same step without them, for
-    synchronize, which never reads xcr outside the timing window.
+    Every push, from push or from the block driver _scan, is one step,
+    _push, over [retained tail | chunk]: it checks the chunk for
+    finiteness, runs the detection kernel (ac1, ac2, ene) over the buffer
+    and looks for the trigger with first_trigger, one pass over the trigger
+    condition from the first index whose values are exact.  One rule sets
+    the tail: the kernels' look-back, num.lookback = D + 2L - 1 samples,
+    before the earliest index an estimate can still read.  That is the
+    symbol-1 CFO reading, trigger + _reach (_reach = -44), with the stream
+    end n in place of the trigger while searching (the 44 samples also hold
+    the m_consec - 1 a trigger run may straddle), and n itself once done.
+    Chunk metrics thus match one pass over the whole stream, xcr bit for
+    bit and ac1, ac2, ene and CFO to rounding (their cumsums re-base per
+    push).  An empty chunk re-scans the tail and changes nothing.
 
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
     the timing window and both CFO readings are complete (done turns True).
+    Timing reads xcr through xcr_window over the timing window only.
 
-    synchronize and metric_stream feed it blocks of _BLOCK samples.  Each
-    push recomputes its retained tail (lookback + 44 = 427 samples while
-    searching); the kernels carry no state across pushes.  synchronize
-    hands _push a view [tail | block] of its own array, since the tail is
-    always the samples just before the block, and has each full block
-    screened while the search is on: when may_trigger, reading
-    metric_arrays at a stride of m_consec, shows that no run of m_consec
-    can meet the trigger condition in the push, the full-rate kernels do not
-    run and only the tail moves on, exactly as after a push that found
-    nothing.  push, which returns the metrics, and the partial last block,
-    which holds every campaign frame, always run the full-rate kernels.
+    The step picks the kernels.  A push that returns the metrics (push,
+    metric_stream) always runs them, its whole xcr from the same
+    xcr_window.  One that does not (synchronize) runs them only while the
+    estimate is open, and on a full _BLOCK pushed while searching only if
+    may_trigger (metric_arrays at a stride of m_consec) finds that a
+    trigger can fall in it; otherwise only the tail moves on, exactly as
+    after a push that found nothing.  The partial last block, which holds
+    every campaign frame, is never screened.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -286,24 +275,28 @@ class SyncState:
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        r = _as_stream(chunk)
-        k = self._tail.size
-        buf = np.concatenate((self._tail, r)) if k else r
-        det = self._push(buf, k)
-        xcr = xcr_window(buf, self.num.l_quarter, self.template, k, buf.size)
-        return (*(arr[k:] for arr in det), xcr)
+        buf = np.concatenate((self._tail, _as_stream(chunk)))
+        return self._push(buf, self._tail.size, metrics=True)
+
+    def _scan(self, r: np.ndarray, metrics: bool = False):
+        """Push a whole stream r (contiguous complex128, 1-D) into this
+        fresh state in blocks of _BLOCK samples; yields each push's return.
+        The tail is always the samples just before the block, so each push
+        is a view [tail | block] of r, not a copy."""
+        for i in range(0, r.size, _BLOCK):
+            k = self._tail.size
+            yield self._push(r[i - k : i + _BLOCK], k, metrics)
 
     def _push(
-        self, buf: np.ndarray, k: int, screen: bool = False
-    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Detection, timing and CFO for buf = [retained tail | chunk], a
-        contiguous complex128 vector whose first k samples are the tail; a
-        non-finite chunk raises ValueError and leaves the state as it was.
-        Returns buf's (ac1, ac2, ene), or None when screen is set, the
-        search is still on and may_trigger shows that no trigger can fall in
-        this push: then the full-rate kernels do not run and only the tail
-        moves on, as it would after a push that found nothing."""
-        _check_finite(buf[k:])
+        self, buf: np.ndarray, k: int, metrics: bool = False
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The one step, over buf = [retained tail | chunk], a contiguous
+        complex128 vector whose first k samples are the tail; a non-finite
+        chunk raises ValueError and leaves the state as it was.  Returns the
+        chunk's (ac1, ac2, ene, xcr) with metrics, else None; the kernels
+        run as the class docstring sets out."""
+        if not np.isfinite(buf[k:]).all():
+            raise ValueError("stream contains non-finite samples")
         num = self.num
         base = self._n - k  # stream index of buf[0]
         self._n += buf.size - k
@@ -311,12 +304,12 @@ class SyncState:
         searching = trig is None and not self.done
         # past the stream start, values are exact from num.lookback on
         start = num.lookback if base else num.ac_valid_from
-        # a screened push while searching runs the full-rate kernels only if
-        # a trigger can fall in it
-        det = None
-        if not (screen and searching) or may_trigger(buf, num.l_quarter, num.m_consec, start):
-            det = metric_arrays(buf, num.l_quarter)
-            ac1, ac2, ene = det
+        run = metrics or not self.done
+        if not metrics and searching and buf.size - k == _BLOCK:
+            run = may_trigger(buf, num.l_quarter, num.m_consec, start)
+        out = None
+        if run:
+            ac1, ac2, ene = metric_arrays(buf, num.l_quarter)
             if searching:
                 found = first_trigger(ac1, ac2, ene, num.m_consec, start)
                 if found >= 0:
@@ -325,13 +318,16 @@ class SyncState:
             if not self.done and trig is not None and self._n >= trig + self._horizon:
                 self.result = self._estimate(buf, base, ac1, ac2)
                 self.done = True
+            if metrics:
+                xcr = xcr_window(buf, num.l_quarter, self.template, k, buf.size)
+                out = (ac1[k:], ac2[k:], ene[k:], xcr)
 
         if self.done:
             earliest = self._n
         else:
             earliest = (self._n if trig is None else trig) + self._reach
         self._tail = buf[max(0, earliest - num.lookback - base) :].copy()
-        return det
+        return out
 
     def finish(self) -> SyncResult:
         """End of stream: the result as it stands.  A stream that ended
@@ -369,22 +365,16 @@ def synchronize(
     """Run detection, timing, and CFO estimation over a sample stream.
 
     The stream must be 1-D and finite (ValueError otherwise); an empty
-    stream reports detected=False.  It is pushed into a fresh SyncState in
-    blocks of _BLOCK samples, each checked for finiteness as it is pushed,
-    up to the block that makes the estimate final; the blocks after that
-    are only checked.  A full block pushed while the search is on runs the
-    full-rate detection kernels only if the screen finds that a trigger can fall in
-    it (see SyncState).  finish() gives the result.
+    stream reports detected=False.  A fresh SyncState scans it in blocks of
+    _BLOCK samples without asking for the metrics: every block is checked
+    for finiteness, and the step runs the full-rate kernels only while the
+    estimate is open, on a full block while searching only if the screen
+    finds that a trigger can fall in it (see SyncState).  finish() gives
+    the result.
     """
-    r = _as_stream(stream)
     state = SyncState(num, template)
-    for i in range(0, r.size, _BLOCK):
-        if state.done:
-            _check_finite(r[i : i + _BLOCK])
-        else:
-            # the retained tail is the k samples before the block
-            k = state._tail.size
-            state._push(r[i - k : i + _BLOCK], k, screen=i + _BLOCK <= r.size)
+    for _ in state._scan(_as_stream(stream)):
+        pass
     return state.finish()
 
 

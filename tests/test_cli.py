@@ -69,6 +69,10 @@ class TestTrace:
         captured = capsys.readouterr()
         assert "snr" in captured.err and captured.out == ""
         assert not out.exists()
+        # trace has no snr_grid_db: a malformed value or list names the flag
+        assert "snr_grid_db" not in captured.err
+        if text != "nan":
+            assert "--snr" in captured.err
 
     @pytest.mark.parametrize("flag", ["--seed", "--preamble-seed"])
     def test_negative_seed_named(self, tmp_path, capsys, flag):

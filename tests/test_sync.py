@@ -286,6 +286,16 @@ class TestChunkInvariance:
             assert np.max(np.abs(g - w)) < 1e-9
         assert np.array_equal(got[3], want[3])
 
+    @pytest.mark.parametrize("kind", ["trigger", "window", "cfo", "noise"])
+    def test_block_views_match_block_pushes(self, kind, num, pre, template):
+        # metric_stream pushes views [tail | block] of the stream, push a
+        # concatenated copy of the same samples: the same bits either way
+        x = self._block_stream(kind, num, pre, template)
+        state = SyncState(num, template)
+        got = _push_all(state, x, [_BLOCK] * -(-x.size // _BLOCK))
+        for g, w in zip(got, metric_stream(x, num, template)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 class TestLongStream:
     """A stream of 2^21 samples: the scan keeps its digits and its working
@@ -401,6 +411,26 @@ class TestScreen:
             assert ran == 1 and 2 * _BLOCK < res.trigger_index < 3 * _BLOCK
         elif kind.endswith("strong"):
             assert ran == 1 and res.trigger_index < _BLOCK
+
+    def test_no_kernels_once_the_estimate_is_final(self, monkeypatch, num, pre, template):
+        # the estimate is final in block 0 of 4: the screen and the kernels
+        # run on block 0 only, and blocks 1-3 are still checked for finiteness
+        x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
+        x = np.concatenate([x, np.zeros(4 * _BLOCK - x.size, dtype=complex)])
+        calls = self._counting(monkeypatch)
+        screened = []
+        screen = sync_module.may_trigger
+
+        def counted(r, *args):
+            screened.append(r.size)
+            return screen(r, *args)
+
+        monkeypatch.setattr(sync_module, "may_trigger", counted)
+        assert synchronize(x, num, template).sto_estimate == 500
+        assert calls == [_BLOCK] and screened == [_BLOCK]
+        x[3 * _BLOCK + 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            synchronize(x, num, template)
 
     def test_long_capture_runs_the_kernels_near_its_frame_only(self, monkeypatch, num, pre, template):
         # a 2 Mi-sample capture of noise with a frame near its end
