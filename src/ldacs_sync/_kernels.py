@@ -24,6 +24,10 @@ there, with a derived rounding bound, to tell whether a trigger can fall
 in a buffer at all: it is the cheap screen in front of the full-rate
 kernels.
 
+The kernels convert nothing: SyncState, their one package caller, passes
+r as a contiguous complex128 vector and a as the float64 template it has
+checked (metrics_direct, the oracle, converts its own inputs).
+
 Samples before the stream start are literal zeros in every metric, as in a
 streaming correlator whose delay lines power up cleared.  Values are fully
 warmed up once n >= num.ac_valid_from = 4L - 1 (ac/ene) resp. n >=
@@ -76,7 +80,6 @@ def metric_arrays(
     of whole rows, and a window of 2L is 2L/m rows: the row sums' sliding
     sums are the windows at the row ends, with no lag-product array.
     """
-    r = np.ascontiguousarray(r, dtype=np.complex128)
     if m > 1:
         return _row_windows(r, l_quarter, m)
     n, w = r.size, 2 * l_quarter
@@ -127,8 +130,6 @@ def xcr_window(
     """
     if hi <= lo:
         return np.zeros(0, dtype=np.float64)
-    r = np.ascontiguousarray(r, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.float64)
     w = 2 * l_quarter
     s = lo - a.size + 1 - w  # first sample the lag products over [lo-D+1, hi) read
     vm = np.abs(_lag_products(r[max(s, 0) : hi], w, max(-s, 0))[w:])
@@ -180,7 +181,6 @@ def trigger_margins(
     eta the smallest subnormal, and fewer than 64 N roundings feed the two
     sides: 32 N eta covers them.
     """
-    r = np.ascontiguousarray(r, dtype=np.complex128)
     ac1, ac2, ene = metric_arrays(r, l_quarter, m)
     b0 = -(-(start + 1) // m) - 1  # the first row ending at or after start
     margin = np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]

@@ -110,8 +110,7 @@ class ChannelProfile:
             p_los = k_lin / (k_lin + 1.0)
             p_scat = 1.0 / (k_lin + 1.0)
         weights = np.array([10.0 ** (t.power_db / 10.0) for t in self.taps])
-        total = weights.sum()
-        return np.append(p_los, p_scat * weights / total if total > 0 else 0.0 * weights)
+        return np.append(p_los, p_scat * weights / weights.sum())
 
 
 def make_enr_profile() -> ChannelProfile:
@@ -243,9 +242,6 @@ def apply_multipath(
     delays = [0] + [round(tap.delay_s * fs) for tap in profile.taps]
     y = np.zeros_like(x)
     for i, (d, p) in enumerate(zip(delays, profile.linear_powers())):
-        # every tap draws even at zero power, so the stream does not depend on K
-        if p == 0.0:
-            continue
         # each tone's Doppler as a fraction of the maximum
         if i == 0:
             fractions, phases = np.array([LOS_DOPPLER_FRACTION]), los_phase
@@ -261,12 +257,10 @@ def apply_multipath(
 def apply_dme(
     x: np.ndarray, interferers: tuple, num: Numerology, rng: np.random.Generator
 ) -> np.ndarray:
-    """Add the pulse pairs of each DmeInterferer; no interferers is the
-    identity.  Per interferer the generator draws the pair count, the pair
+    """Add the pulse pairs of each DmeInterferer; no interferers adds
+    nothing.  Per interferer the generator draws the pair count, the pair
     times, then one phase per pair."""
     x = np.asarray(x, dtype=np.complex128)
-    if not interferers:
-        return x.copy()
     n, fs = x.size, num.sample_rate_hz
     # half-amplitude width -> Gaussian sigma; pulses are cut at 5 sigma
     alpha = DME_PULSE_WIDTH_S / (2.0 * math.sqrt(2.0 * math.log(2.0)))

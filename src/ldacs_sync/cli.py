@@ -27,6 +27,7 @@ from .harness import (
     Scenario,
     _check_int,
     _parse_snr_list,
+    _snr_ok,
     fmt,
     link,
     load_scenario,
@@ -49,7 +50,9 @@ def cmd_trace(args) -> int:
     _check_int("--preamble-seed", args.preamble_seed, 0)
     try:
         (snr,) = _parse_snr_list(args.snr)  # the grammar of campaign --snr
-    except ValueError:  # malformed, or not one value
+        if not _snr_ok(snr):
+            raise ValueError
+    except ValueError:  # malformed, not one value, NaN or -inf
         raise ValueError(f"--snr takes one value in dB or inf, got {args.snr!r}") from None
     num, pre, template = link(args.preamble_seed)
 

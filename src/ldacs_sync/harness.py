@@ -77,6 +77,11 @@ def _parse_snr_list(text: str) -> tuple:
         raise ValueError(f"malformed number list for snr_grid_db: {text!r}") from None
 
 
+def _snr_ok(snr_db: float) -> bool:
+    """An SNR in dB is finite, or +inf (noiseless); NaN and -inf are not."""
+    return math.isfinite(snr_db) or snr_db == math.inf
+
+
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError naming the field unless value is an integer >= minimum."""
     # bool is an Integral but never a count, seed or length
@@ -108,7 +113,7 @@ class Scenario:
             self.snr_grid_db = _parse_snr_list(self.snr_grid_db)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
-        if not all(math.isfinite(s) or s == math.inf for s in self.snr_grid_db):
+        if not all(map(_snr_ok, self.snr_grid_db)):
             raise ValueError(
                 f"snr_grid_db entries must be finite or inf (noiseless), got {self.snr_grid_db}"
             )
@@ -228,25 +233,19 @@ def aggregate(scenario_name: str, snr_db: float, records: Sequence[TrialRecord])
 
 
 def run_campaign(scenario: Scenario, return_records: bool = False):
-    """Run the scenario's full SNR grid.
+    """Run the scenario's full SNR grid: every trial into records, which
+    maps snr index -> list of TrialRecord, then one aggregate per point.
 
-    Returns a list of CampaignStats, one per grid point; with
-    return_records=True, returns (stats, records) where records maps
-    snr index -> list of TrialRecord.
+    Returns the list of CampaignStats, one per grid point; with
+    return_records=True, (stats, records).
     """
-    stats: list[CampaignStats] = []
-    all_records: dict[int, list] = {}
-    for s_idx, snr_db in enumerate(scenario.snr_grid_db):
-        records = [
-            run_trial(scenario, snr_db, [scenario.master_seed, s_idx, t])
-            for t in range(scenario.n_trials)
-        ]
-        stats.append(aggregate(scenario.name, snr_db, records))
-        if return_records:
-            all_records[s_idx] = records
-    if return_records:
-        return stats, all_records
-    return stats
+    grid, seed = scenario.snr_grid_db, scenario.master_seed
+    records = {
+        s: [run_trial(scenario, snr_db, [seed, s, t]) for t in range(scenario.n_trials)]
+        for s, snr_db in enumerate(grid)
+    }
+    stats = [aggregate(scenario.name, snr_db, records[s]) for s, snr_db in enumerate(grid)]
+    return (stats, records) if return_records else stats
 
 
 # ---------------------------------------------------------------------------

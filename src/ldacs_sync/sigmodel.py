@@ -237,17 +237,15 @@ def build_frame(
 
 
 def write_iq(path, samples: np.ndarray) -> None:
-    """Dump complex samples as interleaved little-endian float32 I,Q."""
-    x = np.asarray(samples, dtype=np.complex128)
-    flat = np.empty(2 * x.size, dtype="<f4")
-    flat[0::2] = x.real
-    flat[1::2] = x.imag
-    flat.tofile(path)
+    """Dump complex samples as little-endian complex64: interleaved float32
+    I, Q, each part rounded to float32 on its own."""
+    np.asarray(samples, dtype="<c8").tofile(path)
 
 
 def read_iq(path) -> np.ndarray:
-    """Read back an interleaved float32 I,Q dump."""
+    """Read back a little-endian complex64 dump as complex128; every float32
+    bit, NaN, inf and signed zero included, comes back exactly."""
     flat = np.fromfile(path, dtype="<f4")
     if flat.size % 2 != 0:
         raise ValueError("IQ file has an odd number of float32 values")
-    return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+    return flat.view("<c8").astype(np.complex128)

@@ -104,12 +104,12 @@ def metric_stream(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
-    The stream must be 1-D and finite (ValueError otherwise; finiteness is
-    checked block by block).  The stream goes through the block driver
-    synchronize uses, asking each push for its metrics, which go into the
-    four outputs in place.  They match pushes of any other chunk sizes (xcr
-    bit for bit, the rest to rounding; pushes of the same blocks bit for
-    bit), and the scan's memory peaks at the outputs plus one block's work.
+    The stream must be 1-D and finite, checked block by block, and the
+    template SyncState's (ValueError otherwise).  synchronize's block driver
+    asks each push for its metrics, which go into the four outputs in
+    place.  They match pushes of any other chunk sizes (xcr bit for bit, the
+    rest to rounding; pushes of the same blocks bit for bit), and the scan's
+    memory peaks at the outputs plus one block's work.
     """
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
@@ -225,6 +225,9 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
+    The template is checked once, here: num.d_template finite values in
+    1-D, as energy_template gives, kept as float64 (else ValueError).
+
     Every push, from push or from the block driver _scan, is one step,
     _push, over [retained tail | chunk]: it checks the chunk for
     finiteness, runs the detection kernel (ac1, ac2, ene) over the buffer
@@ -255,8 +258,13 @@ class SyncState:
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
+        a = np.asarray(template, dtype=np.float64)
+        if a.shape != (num.d_template,) or not np.isfinite(a).all():
+            raise ValueError(
+                f"template must be 1-D with {num.d_template} finite values, got shape {a.shape}"
+            )
         self.num = num
-        self.template = template
+        self.template = a
         self.result = SyncResult(detected=False)
         self.done = False
         # offsets from the trigger to the earliest index the estimate reads
@@ -364,13 +372,13 @@ def synchronize(
 ) -> SyncResult:
     """Run detection, timing, and CFO estimation over a sample stream.
 
-    The stream must be 1-D and finite (ValueError otherwise); an empty
-    stream reports detected=False.  A fresh SyncState scans it in blocks of
-    _BLOCK samples without asking for the metrics: every block is checked
-    for finiteness, and the step runs the full-rate kernels only while the
-    estimate is open, on a full block while searching only if the screen
-    finds that a trigger can fall in it (see SyncState).  finish() gives
-    the result.
+    The stream must be 1-D and finite and the template SyncState's
+    (ValueError otherwise); an empty stream reports detected=False.  A fresh
+    SyncState scans it in blocks of _BLOCK samples, not asking for metrics:
+    every block is checked for finiteness, and the step runs the full-rate
+    kernels only while the estimate is open, on a full block while searching
+    only if the screen finds that a trigger can fall in it (see SyncState).
+    finish() gives the result.
     """
     state = SyncState(num, template)
     for _ in state._scan(_as_stream(stream)):

@@ -177,6 +177,13 @@ class TestAggregation:
         assert records[0] == manual
         assert stats[0] == aggregate("t", 10.0, manual)
 
+    def test_both_return_shapes_carry_the_same_stats(self):
+        sc = _scenario(n_trials=3, snr_grid_db=(0.0, 10.0, math.inf), master_seed=2)
+        stats, records = run_campaign(sc, return_records=True)
+        assert run_campaign(sc) == stats
+        assert sorted(records) == [0, 1, 2]
+        assert [len(records[s]) for s in sorted(records)] == [3, 3, 3]
+
     def test_mse_nan_when_nothing_detected(self):
         rec = run_trial(_scenario(), -30.0, rng_seed=[1, 0, 0])
         stats = aggregate("t", -30.0, [rec] * 3)

@@ -229,6 +229,23 @@ class TestIqFiles:
         raw = np.fromfile(path, dtype="<f4")
         assert raw.tolist() == [1.0, 2.0, -3.0, 0.5]
 
+    def test_roundtrip_keeps_every_float32_bit(self, tmp_path, recwarn):
+        inf, nan = np.inf, np.nan
+        x = np.array(
+            [complex(1, inf), complex(inf, 1), complex(2, nan), complex(3, -0.0), complex(-0.0, -0.0)]
+        )
+        path = tmp_path / "x.fc32"
+        write_iq(path, x)
+        y = read_iq(path)
+        assert y.dtype == np.complex128
+        want = x.astype(np.complex64).view(np.uint32)
+        assert np.array_equal(y.astype(np.complex64).view(np.uint32), want)
+        assert np.array_equal(np.fromfile(path, dtype="<u4"), want)
+        assert np.array_equal(np.signbit(y.imag), [False, False, False, True, True])
+        assert np.array_equal(np.isnan(y.imag), [False, False, True, False, False])
+        assert np.array_equal(np.isinf(y.real), [False, True, False, False, False])
+        assert len(recwarn) == 0
+
     def test_rejects_odd_file(self, tmp_path):
         path = tmp_path / "bad.fc32"
         path.write_bytes(b"\x00" * 4)  # one float, not a complex pair

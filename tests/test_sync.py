@@ -732,6 +732,35 @@ class TestInputContract:
         for arr in metric_stream(empty, num, template):
             assert arr.size == 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda t: t[:10],
+            lambda t: np.concatenate([t, t[:10]]),  # 266 values
+            lambda t: t.reshape(16, 16),
+            lambda t: np.where(np.arange(t.size) == 100, np.nan, t),
+        ],
+        ids=["10", "266", "16x16", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda num, t: SyncState(num, t),
+            lambda num, t: synchronize(np.zeros(2000, dtype=complex), num, t),
+            lambda num, t: metric_stream(np.zeros(2000, dtype=complex), num, t),
+        ],
+        ids=["SyncState", "synchronize", "metric_stream"],
+    )
+    def test_bad_template_rejected(self, make, bad, num, template):
+        with pytest.raises(ValueError, match="template"):
+            make(num, bad(template))
+
+    def test_template_converted_once(self, num, template):
+        # a list of the same values is the same template, as float64
+        state = SyncState(num, template.tolist())
+        assert state.template.dtype == np.float64
+        assert np.array_equal(state.template, template)
+
     def test_bad_chunk_rejected_and_state_kept(self, num, template, rng):
         x = _noise(rng, 2000)
         state = SyncState(num, template)
