@@ -238,8 +238,15 @@ def build_frame(
 
 def write_iq(path, samples: np.ndarray) -> None:
     """Dump complex samples as little-endian complex64: interleaved float32
-    I, Q, each part rounded to float32 on its own."""
-    np.asarray(samples, dtype="<c8").tofile(path)
+    I, Q, each part rounded to float32 on its own, inf, NaN and signed zeros
+    kept.  A finite part beyond the float32 range raises ValueError."""
+    x = np.ascontiguousarray(samples, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        iq = x.astype("<c8")
+    over = np.flatnonzero(np.isinf(iq.view("<f4")) & np.isfinite(x.view(np.float64))) // 2
+    if over.size:
+        raise ValueError(f"sample {over[0]}, {x.flat[over[0]]}, is beyond the float32 range")
+    iq.tofile(path)
 
 
 def read_iq(path) -> np.ndarray:

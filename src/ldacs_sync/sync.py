@@ -27,17 +27,11 @@ nearest candidate; equivalent to the usual three-branch rule on phi1 but
 well-behaved when phi1 sits numerically on a branch boundary).  Readings at
 n1 and n2 are summed coherently before taking the angle.
 
-SyncState runs this chain over a stream fed in chunks of any size, in one
-step (SyncState._push) through the same kernels and trigger, timing and
-CFO code.  synchronize and metric_stream drive that step over a stream in
-blocks of _BLOCK samples (SyncState._scan), each a view of the stream that
-is checked for finiteness as it is pushed, so their memory and the
-kernels' cumsums do not grow with the stream.  The step picks the kernels:
-always when asked for the metrics, else only while the estimate is open,
-and on a full block while searching only if the screen (_kernels.may_trigger,
-the detection kernel at a stride of m_consec) finds that a trigger can fall
-in it.  Every bit of the result stays; a screened noise block costs about a
-quarter of the kernels' time.
+SyncState runs this chain over a stream fed in chunks of any size, one
+step per push, and keeps the outcome in state.result; synchronize pushes
+a whole stream through it in views of _BLOCK samples.  metric_stream, the
+one metrics path, gives the four metric arrays of a whole stream over the
+same blocks, with no trigger search or estimate.
 """
 
 from __future__ import annotations
@@ -78,7 +72,7 @@ class SyncResult:
     cfo_estimate_ac2: Optional[float] = None
 
 
-# Samples per push when synchronize and metric_stream scan a whole stream.
+# Samples per block when synchronize and metric_stream scan a whole stream.
 # It bounds the kernels' working memory (~10 arrays of this length) and the
 # length of their cumsums.  16 Ki scanned fastest among 4-128 Ki on 2 Mi
 # samples, and every campaign frame (~2.2 k samples) fits in one block, so
@@ -87,7 +81,7 @@ _BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# inputs and metrics
 
 
 def _as_stream(stream: Sequence[complex]) -> np.ndarray:
@@ -99,23 +93,44 @@ def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     return r
 
 
+def _check_finite(samples: np.ndarray) -> None:
+    if not np.isfinite(samples).all():
+        raise ValueError("stream contains non-finite samples")
+
+
+def _as_template(template: np.ndarray, num: Numerology) -> np.ndarray:
+    """The template as float64; anything but num.d_template finite real
+    values in 1-D, as energy_template gives, raises ValueError."""
+    a = np.asarray(template)
+    a = a if a.dtype.kind == "c" else a.astype(np.float64, copy=False)
+    if a.dtype != np.float64 or a.shape != (num.d_template,) or not np.isfinite(a).all():
+        raise ValueError(f"template must be 1-D, {num.d_template} finite reals, got {a.dtype} {a.shape}")
+    return a
+
+
 def metric_stream(
     stream: Sequence[complex], num: Numerology, template: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
     The stream must be 1-D and finite, checked block by block, and the
-    template SyncState's (ValueError otherwise).  synchronize's block driver
-    asks each push for its metrics, which go into the four outputs in
-    place.  They match pushes of any other chunk sizes (xcr bit for bit, the
-    rest to rounding; pushes of the same blocks bit for bit), and the scan's
-    memory peaks at the outputs plus one block's work.
+    template SyncState's (ValueError otherwise).  The kernels run over each
+    view [num.lookback samples | _BLOCK samples] of the stream: xcr matches
+    one pass over the whole stream bit for bit, ac1, ac2 and ene to rounding
+    (their cumsums re-base per block).  Memory peaks at the outputs plus
+    one block's work.
     """
+    a = _as_template(template, num)
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
-    for i, parts in enumerate(SyncState(num, template)._scan(r, metrics=True)):
-        for arr, part in zip(out, parts):
-            arr[i * _BLOCK : (i + 1) * _BLOCK] = part
+    for i in range(0, r.size, _BLOCK):
+        k = min(i, num.lookback)
+        buf = r[i - k : i + _BLOCK]
+        _check_finite(buf[k:])
+        ac1, ac2, ene = metric_arrays(buf, num.l_quarter)
+        xcr = xcr_window(buf, num.l_quarter, a, k, buf.size)
+        for arr, part in zip(out, (ac1[k:], ac2[k:], ene[k:], xcr)):
+            arr[i : i + _BLOCK] = part
     return out
 
 
@@ -225,46 +240,34 @@ def cfo_match_indices(n_hat: int, num: Numerology) -> tuple[int, int]:
 class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
-    The template is checked once, here: num.d_template finite values in
-    1-D, as energy_template gives, kept as float64 (else ValueError).
-
-    Every push, from push or from the block driver _scan, is one step,
-    _push, over [retained tail | chunk]: it checks the chunk for
+    The template is checked once, when the state is built.  Every push is
+    one step, _push, over [retained tail | chunk]: it checks the chunk for
     finiteness, runs the detection kernel (ac1, ac2, ene) over the buffer
-    and looks for the trigger with first_trigger, one pass over the trigger
-    condition from the first index whose values are exact.  One rule sets
-    the tail: the kernels' look-back, num.lookback = D + 2L - 1 samples,
-    before the earliest index an estimate can still read.  That is the
-    symbol-1 CFO reading, trigger + _reach (_reach = -44), with the stream
-    end n in place of the trigger while searching (the 44 samples also hold
-    the m_consec - 1 a trigger run may straddle), and n itself once done.
-    Chunk metrics thus match one pass over the whole stream, xcr bit for
-    bit and ac1, ac2, ene and CFO to rounding (their cumsums re-base per
-    push).  An empty chunk re-scans the tail and changes nothing.
+    and first_trigger from the first index whose values are exact.  The
+    tail is the kernels' look-back, num.lookback = D + 2L - 1 samples,
+    before the earliest index an estimate can still read: the symbol-1 CFO
+    reading, trigger + _reach (_reach = -44), with the stream end n in place
+    of the trigger while searching (the 44 samples also hold the m_consec -
+    1 a trigger run may straddle), and n itself once done.  Trigger and STO
+    thus match one pass over the whole stream exactly, the CFO to rounding
+    (the cumsums re-base per push).  An empty chunk changes nothing.
 
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
-    the timing window and both CFO readings are complete (done turns True).
-    Timing reads xcr through xcr_window over the timing window only.
+    the timing window and both CFO readings are complete (done turns True);
+    timing reads xcr through xcr_window over the timing window only.
 
-    The step picks the kernels.  A push that returns the metrics (push,
-    metric_stream) always runs them, its whole xcr from the same
-    xcr_window.  One that does not (synchronize) runs them only while the
-    estimate is open, and on a full _BLOCK pushed while searching only if
-    may_trigger (metric_arrays at a stride of m_consec) finds that a
-    trigger can fall in it; otherwise only the tail moves on, exactly as
-    after a push that found nothing.  The partial last block, which holds
-    every campaign frame, is never screened.
+    The step runs the kernels only while the estimate is open, and on a
+    searching push of at least _BLOCK new samples only if may_trigger (the
+    detection kernel at a stride of m_consec) finds that a trigger can fall
+    in it; otherwise only the tail moves on.  Pushes of _BLOCK samples thus
+    run synchronize's kernels; a screened noise block costs about a quarter
+    of them.  A shorter push, such as a campaign frame, is never screened.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
-        a = np.asarray(template, dtype=np.float64)
-        if a.shape != (num.d_template,) or not np.isfinite(a).all():
-            raise ValueError(
-                f"template must be 1-D with {num.d_template} finite values, got shape {a.shape}"
-            )
         self.num = num
-        self.template = a
+        self.template = _as_template(template, num)
         self.result = SyncResult(detected=False)
         self.done = False
         # offsets from the trigger to the earliest index the estimate reads
@@ -276,35 +279,18 @@ class SyncState:
         self._tail = np.zeros(0, dtype=np.complex128)
         self._n = 0  # samples pushed so far
 
-    def push(
-        self, chunk: Sequence[complex]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feed the next samples; returns their (ac1, ac2, ene, xcr).
+    def push(self, chunk: Sequence[complex]) -> None:
+        """Feed the next samples; the outcome so far is in result.
 
         The chunk must be 1-D and finite (ValueError otherwise).
         """
-        buf = np.concatenate((self._tail, _as_stream(chunk)))
-        return self._push(buf, self._tail.size, metrics=True)
+        self._push(np.concatenate((self._tail, _as_stream(chunk))), self._tail.size)
 
-    def _scan(self, r: np.ndarray, metrics: bool = False):
-        """Push a whole stream r (contiguous complex128, 1-D) into this
-        fresh state in blocks of _BLOCK samples; yields each push's return.
-        The tail is always the samples just before the block, so each push
-        is a view [tail | block] of r, not a copy."""
-        for i in range(0, r.size, _BLOCK):
-            k = self._tail.size
-            yield self._push(r[i - k : i + _BLOCK], k, metrics)
-
-    def _push(
-        self, buf: np.ndarray, k: int, metrics: bool = False
-    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The one step, over buf = [retained tail | chunk], a contiguous
-        complex128 vector whose first k samples are the tail; a non-finite
-        chunk raises ValueError and leaves the state as it was.  Returns the
-        chunk's (ac1, ac2, ene, xcr) with metrics, else None; the kernels
-        run as the class docstring sets out."""
-        if not np.isfinite(buf[k:]).all():
-            raise ValueError("stream contains non-finite samples")
+    def _push(self, buf: np.ndarray, k: int) -> None:
+        """The one step, over buf = [retained tail | chunk], contiguous
+        complex128 with the tail in its first k samples; a non-finite chunk
+        raises ValueError and leaves the state as it was."""
+        _check_finite(buf[k:])
         num = self.num
         base = self._n - k  # stream index of buf[0]
         self._n += buf.size - k
@@ -312,10 +298,9 @@ class SyncState:
         searching = trig is None and not self.done
         # past the stream start, values are exact from num.lookback on
         start = num.lookback if base else num.ac_valid_from
-        run = metrics or not self.done
-        if not metrics and searching and buf.size - k == _BLOCK:
+        run = not self.done
+        if searching and buf.size - k >= _BLOCK:
             run = may_trigger(buf, num.l_quarter, num.m_consec, start)
-        out = None
         if run:
             ac1, ac2, ene = metric_arrays(buf, num.l_quarter)
             if searching:
@@ -323,19 +308,15 @@ class SyncState:
                 if found >= 0:
                     trig = base + found
                     self.result = SyncResult(detected=True, trigger_index=trig)
-            if not self.done and trig is not None and self._n >= trig + self._horizon:
+            if trig is not None and self._n >= trig + self._horizon:
                 self.result = self._estimate(buf, base, ac1, ac2)
                 self.done = True
-            if metrics:
-                xcr = xcr_window(buf, num.l_quarter, self.template, k, buf.size)
-                out = (ac1[k:], ac2[k:], ene[k:], xcr)
 
         if self.done:
             earliest = self._n
         else:
             earliest = (self._n if trig is None else trig) + self._reach
         self._tail = buf[max(0, earliest - num.lookback - base) :].copy()
-        return out
 
     def finish(self) -> SyncResult:
         """End of stream: the result as it stands.  A stream that ended
@@ -374,15 +355,14 @@ def synchronize(
 
     The stream must be 1-D and finite and the template SyncState's
     (ValueError otherwise); an empty stream reports detected=False.  A fresh
-    SyncState scans it in blocks of _BLOCK samples, not asking for metrics:
-    every block is checked for finiteness, and the step runs the full-rate
-    kernels only while the estimate is open, on a full block while searching
-    only if the screen finds that a trigger can fall in it (see SyncState).
-    finish() gives the result.
+    SyncState takes it in blocks of _BLOCK samples, each pushed as a view
+    [tail | block] of the stream (the tail is the samples just before it).
     """
     state = SyncState(num, template)
-    for _ in state._scan(_as_stream(stream)):
-        pass
+    r = _as_stream(stream)
+    for i in range(0, r.size, _BLOCK):
+        k = state._tail.size
+        state._push(r[i - k : i + _BLOCK], k)
     return state.finish()
 
 

@@ -14,7 +14,6 @@ import pytest
 from ldacs_sync import (
     ImpairmentConfig,
     Scenario,
-    SyncState,
     apply_cfo,
     baseline_xene,
     baseline_xsig,
@@ -31,7 +30,7 @@ from ldacs_sync import (
 from ldacs_sync._kernels import first_trigger
 from ldacs_sync.cli import main as cli_main
 from ldacs_sync.harness import FINE_THRESHOLD, LEAD_GAP_RANGE, N_PAYLOAD_SYMBOLS
-from ldacs_sync.sync import timing_window
+from ldacs_sync.sync import _BLOCK, timing_window
 
 
 def _report(capsys, ok, label, detail):
@@ -44,33 +43,21 @@ def _report(capsys, ok, label, detail):
 def test_criterion_1_streaming_matches_direct_sums(num, template, capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    n = 10_000
+    n = 2 * _BLOCK + 5000  # three blocks
     x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+    ac1, ac2, ene, xcr = metric_stream(x, num, template)
 
-    # seeded random chunk sizes, the first push a single sample
-    chunk_rng = np.random.default_rng(12)
-    sizes = [1]
-    while sum(sizes) < n:
-        sizes.append(int(chunk_rng.choice((1, 7, 64, 300, 1000))))
-
-    state = SyncState(num, template)
+    # every index within the look-back of the stream start and of each
+    # block boundary, where the block views begin, and seeded random ones
+    near = [np.arange(b - num.lookback, b + num.lookback) for b in range(_BLOCK, n, _BLOCK)]
+    idx = np.unique(np.concatenate([np.arange(num.lookback), *near, rng.integers(0, n, 4000)]))
     pad = num.d_template + 2 * num.l_quarter
     padded = np.concatenate([np.zeros(pad, complex), x])
     worst = 0.0
-    i = 0
-    for c in sizes:
-        ac1, ac2, ene, xcr = state.push(x[i : i + c])
-        for j in range(ac1.size):
-            ref = metrics_direct(padded[: pad + i + j + 1], num, template)
-            for got, want in (
-                (ac1[j], ref.ac1),
-                (ac2[j], ref.ac2),
-                (ene[j], ref.ene),
-                (xcr[j], ref.xcr),
-            ):
-                err = abs(got - want) / max(1.0, abs(want))
-                worst = max(worst, err)
-        i += c
+    for i in idx:
+        ref = metrics_direct(padded[: pad + i + 1], num, template)
+        for got, want in ((ac1[i], ref.ac1), (ac2[i], ref.ac2), (ene[i], ref.ene), (xcr[i], ref.xcr)):
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.perf_counter() - t0
 
     ok = worst < 1e-9 and elapsed < 1.0
@@ -78,9 +65,8 @@ def test_criterion_1_streaming_matches_direct_sums(num, template, capsys):
         capsys,
         ok,
         "criterion 1",
-        f"streaming ({len(sizes)} pushes of 1..1000 samples) vs direct over {n} "
-        f"samples: max rel err {worst:.2e} "
-        f"(tol 1e-9), {elapsed:.2f} s (limit 1 s)",
+        f"metric_stream over {n} samples ({-(-n // _BLOCK)} blocks) vs direct sums at "
+        f"{idx.size} indices: max rel err {worst:.2e} (tol 1e-9), {elapsed:.2f} s (limit 1 s)",
     )
     assert ok, line
 

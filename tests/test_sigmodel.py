@@ -1,5 +1,7 @@
 """Tests for numerology, preamble construction, framing and IQ file I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ class TestIqFiles:
         assert np.array_equal(np.isnan(y.imag), [False, False, True, False, False])
         assert np.array_equal(np.isinf(y.real), [False, True, False, False, False])
         assert len(recwarn) == 0
+
+    def test_overflow_rejected_naming_the_sample(self, tmp_path):
+        # a finite part beyond the float32 range would be written as inf
+        top = float(np.finfo(np.float32).max)
+        inf, nan = np.inf, np.nan
+        path = tmp_path / "x.fc32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, at in (([1e39 + 0j], 0), ([1, complex(inf, nan), complex(-0.0, -2 * top)], 2)):
+                with pytest.raises(ValueError, match=rf"sample {at}\b.*float32 range"):
+                    write_iq(path, np.array(x))
+                assert not path.exists()
+            # parts that round to the largest float32 are written as it
+            edge = top * (1 + 2.0**-25)
+            write_iq(path, np.array([complex(edge, -edge), complex(inf, -inf)]))
+        assert read_iq(path).tolist() == [complex(top, -top), complex(inf, -inf)]
 
     def test_rejects_odd_file(self, tmp_path):
         path = tmp_path / "bad.fc32"

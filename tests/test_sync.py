@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from ldacs_sync import (
 from ldacs_sync import sync as sync_module
 from conftest import full_rate_trigger
 from ldacs_sync.harness import CHANNEL_MODELS
-from ldacs_sync._kernels import may_trigger, trigger_margins
+from ldacs_sync._kernels import may_trigger, metric_arrays, trigger_margins, xcr_window
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
@@ -54,15 +55,14 @@ def _chunk_sizes(rng, n):
     return sizes
 
 
-def _push_all(state, x, sizes):
-    """Push x in chunks of the given sizes; the concatenated metrics."""
-    out = [[], [], [], []]
+def _pushed(x, sizes, num, template):
+    """A fresh SyncState fed x in chunks of the given sizes; its result."""
+    state = SyncState(num, template)
     i = 0
     for c in sizes:
-        for acc, arr in zip(out, state.push(x[i : i + c])):
-            acc.append(arr)
+        state.push(x[i : i + c])
         i += c
-    return [np.concatenate(acc) for acc in out]
+    return state.finish()
 
 
 def _assert_same_result(res, ref):
@@ -80,35 +80,32 @@ def _assert_same_result(res, ref):
 
 
 class TestStreamingMetrics:
+    """metric_stream, the one metrics path, across its block boundaries;
+    push over the same samples gives synchronize's result."""
+
     def test_constant_input_saturates_to_window_energy(self, num, template):
-        state = SyncState(num, template)
+        x = np.ones(_BLOCK + 600, dtype=complex)
         w = 2 * num.l_quarter
-        for i in range(600):
-            ac1, ac2, ene, _ = state.push([1.0 + 0.0j])
-        assert ene[-1] == pytest.approx(w, abs=1e-9)
-        assert ac1[-1] == pytest.approx(w, abs=1e-9)
-        assert ac2[-1] == pytest.approx(w, abs=1e-9)
+        for arr in metric_stream(x, num, template)[:3]:
+            assert np.max(np.abs(arr[num.ac_valid_from :] - w)) < 1e-9
+        assert _pushed(x[:600], [1] * 600, num, template) == synchronize(x[:600], num, template)
 
     def test_zero_input_all_zero(self, num, template):
-        state = SyncState(num, template)
-        for i in range(500):
-            ac1, ac2, ene, xcr = state.push([0.0j])
-            assert ac1[0] == 0.0 and ac2[0] == 0.0
-            assert ene[0] == 0.0 and xcr[0] == 0.0
+        x = np.zeros(_BLOCK + 500, dtype=complex)
+        for arr in metric_stream(x, num, template):
+            assert not arr.any()
+        assert _pushed(x[:500], [1] * 500, num, template) == SyncResult(detected=False)
 
     def test_streaming_equals_batch_equals_direct(self, num, template, rng):
-        x = _noise(rng, 900)
+        x = _noise(rng, _BLOCK + 900)
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
-        state = SyncState(num, template)
-        got = _push_all(state, x, _chunk_sizes(np.random.default_rng(3), x.size))
-        for g, want in zip(got[:3], (ac1, ac2, ene)):
-            assert g.shape == want.shape
-            assert np.max(np.abs(g - want)) < 1e-9
-        assert np.array_equal(got[3], xcr)
-        n = 700
-        snap = metrics_direct(x[: n + 1], num, template)
-        assert abs(ac1[n] - snap.ac1) < 1e-9
-        assert abs(xcr[n] - snap.xcr) < 1e-9
+        # either side of the block boundary, and its first index
+        for n in (700, _BLOCK - 1, _BLOCK, _BLOCK + 700):
+            snap = metrics_direct(x[: n + 1], num, template)
+            for got, want in ((ac1, snap.ac1), (ac2, snap.ac2), (ene, snap.ene), (xcr, snap.xcr)):
+                assert abs(got[n] - want) < 1e-9
+        sizes = _chunk_sizes(np.random.default_rng(3), x.size)
+        assert _pushed(x, sizes, num, template) == synchronize(x, num, template)
 
 
 class TestMetricProperties:
@@ -219,20 +216,12 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("chunk", [1, 7, 64, 300, None])
     def test_push_matches_batch(self, kind, chunk, num, pre, template):
         x = self._stream(kind, num, pre, template)
-        state = SyncState(num, template)
         sizes = [x.size] if chunk is None else [chunk] * -(-x.size // chunk)
-        got = _push_all(state, x, sizes)
-        want = metric_stream(x, num, template)
-        # the detection cumsums re-base on every push; xcr is one dot
-        # product of the same D terms wherever the push starts
-        for g, w in zip(got[:3], want[:3]):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) < 1e-9
-        assert np.array_equal(got[3], want[3])
-
         ref = synchronize(x, num, template)
         assert ref.detected == (kind != "noise")
-        _assert_same_result(state.finish(), ref)
+        # the detection cumsums re-base on every push, so the CFO agrees to
+        # rounding; trigger and STO are exact
+        _assert_same_result(_pushed(x, sizes, num, template), ref)
 
     @staticmethod
     def _block_stream(kind, num, pre, template):
@@ -264,9 +253,7 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("kind", ["trigger", "window", "cfo", "noise"])
     def test_block_scan_matches_one_push(self, kind, num, pre, template):
         x = self._block_stream(kind, num, pre, template)
-        state = SyncState(num, template)
-        want = state.push(x)
-        ref = state.finish()
+        ref = _pushed(x, [x.size], num, template)  # one push, screened
         if kind == "noise":
             assert x.size > 3 * _BLOCK and not ref.detected
         else:
@@ -280,21 +267,29 @@ class TestChunkInvariance:
             }[kind]
             assert lo < _BLOCK <= hi  # the second block starts in (lo, hi]
         _assert_same_result(synchronize(x, num, template), ref)
+        # metric_stream's blocks against one kernel pass over the whole stream
+        L = num.l_quarter
         got = metric_stream(x, num, template)
-        for g, w in zip(got[:3], want[:3]):
+        for g, w in zip(got[:3], metric_arrays(x, L)):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) < 1e-9
-        assert np.array_equal(got[3], want[3])
+        assert np.array_equal(got[3], xcr_window(x, L, template, 0, x.size))
 
     @pytest.mark.parametrize("kind", ["trigger", "window", "cfo", "noise"])
-    def test_block_views_match_block_pushes(self, kind, num, pre, template):
-        # metric_stream pushes views [tail | block] of the stream, push a
-        # concatenated copy of the same samples: the same bits either way
+    @pytest.mark.parametrize("chunk", [1000, 4096, _BLOCK, "random"])
+    def test_push_at_any_split_matches_synchronize(self, kind, chunk, num, pre, template):
+        # chunks that cut the trigger run, the timing window or the CFO
+        # readings; the random sizes are log-uniform up to ~2.8 blocks, so
+        # that some pushes are screened and some are not
         x = self._block_stream(kind, num, pre, template)
-        state = SyncState(num, template)
-        got = _push_all(state, x, [_BLOCK] * -(-x.size // _BLOCK))
-        for g, w in zip(got, metric_stream(x, num, template)):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        if chunk == "random":
+            rng = np.random.default_rng(17)
+            sizes = []
+            while sum(sizes) < x.size:
+                sizes.append(int(2 ** rng.uniform(0, 15.5)))
+        else:
+            sizes = [chunk] * -(-x.size // chunk)
+        _assert_same_result(_pushed(x, sizes, num, template), synchronize(x, num, template))
 
 
 class TestLongStream:
@@ -352,15 +347,14 @@ class TestLongStream:
 class TestScreen:
     """synchronize asks may_trigger about each full block it pushes while
     searching and skips the kernels on those where no trigger can fall; its
-    result equals an unscreened scan's (SyncState.push over the same
-    blocks), field for field."""
+    result equals an unscreened scan's (synchronize with may_trigger always
+    True), field for field."""
 
     @staticmethod
-    def _unscreened(x, num, template):
-        state = SyncState(num, template)
-        for i in range(0, x.size, _BLOCK):
-            state.push(x[i : i + _BLOCK])
-        return state.finish()
+    def _unscreened(x, num, template, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(sync_module, "may_trigger", lambda *args: True)
+            return synchronize(x, num, template)
 
     @staticmethod
     def _counting(monkeypatch):
@@ -404,7 +398,7 @@ class TestScreen:
         calls = self._counting(monkeypatch)
         res = synchronize(x, num, template)
         ran = len(calls)
-        assert res == self._unscreened(x, num, template)
+        assert res == self._unscreened(x, num, template, monkeypatch)
         assert res.detected
         if kind in ("noise", "dc_weak", "cw_weak"):
             # the lead's blocks are screened out; the frame's block is not
@@ -432,18 +426,35 @@ class TestScreen:
         with pytest.raises(ValueError, match="non-finite"):
             synchronize(x, num, template)
 
-    def test_long_capture_runs_the_kernels_near_its_frame_only(self, monkeypatch, num, pre, template):
-        # a 2 Mi-sample capture of noise with a frame near its end
+    @staticmethod
+    def _capture(num, pre):
+        """2 Mi samples of noise with a frame 3000 samples before the end."""
         rng = np.random.default_rng(23)
         f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=4)
         x = _noise(rng, 1 << 21, 10**-1.5)
         n0 = x.size - 3000
         x[n0 : n0 + f.size] += apply_cfo(f, -1.3, num)
+        return x, n0
+
+    def test_long_capture_runs_the_kernels_near_its_frame_only(self, monkeypatch, num, pre, template):
+        x, n0 = self._capture(num, pre)
         calls = self._counting(monkeypatch)
         res = synchronize(x, num, template)
         assert len(calls) <= 2, len(calls)
         assert res.sto_estimate == n0
-        assert res == self._unscreened(x, num, template)
+        assert res == self._unscreened(x, num, template, monkeypatch)
+
+    def test_block_pushes_run_synchronize_kernels(self, monkeypatch, num, pre, template):
+        # a receiver pushing the capture in _BLOCK chunks gets synchronize's
+        # result, field for field, from the same full-rate kernel calls
+        x, n0 = self._capture(num, pre)
+        calls = self._counting(monkeypatch)
+        res = synchronize(x, num, template)
+        ran = calls.copy()
+        calls.clear()
+        assert _pushed(x, [_BLOCK] * (x.size // _BLOCK), num, template) == res
+        assert calls == ran and len(ran) <= 2, (len(calls), len(ran))
+        assert res.sto_estimate == n0
 
     def test_near_threshold_block_takes_the_kernels(self, monkeypatch, num, template):
         # noise, with a period-L tone in block 1 whose amplitude puts the
@@ -482,7 +493,7 @@ class TestScreen:
         assert calls == []
         res = synchronize(y, num, template)
         assert calls == [k + _BLOCK]  # block 1 only
-        assert res == self._unscreened(y, num, template)
+        assert res == self._unscreened(y, num, template, monkeypatch)
 
 
 class TestWindowedTiming:
@@ -555,11 +566,9 @@ class TestCompleteWindow:
     def test_cut_inside_window_keeps_trigger_only(self, cut, num, pre, template):
         x, n0 = self._frame(num, pre)
         x = x[: n0 + cut]
-        state = SyncState(num, template)
-        _push_all(state, x, _chunk_sizes(np.random.default_rng(cut), x.size))
         want = SyncResult(detected=True, trigger_index=697)
         assert synchronize(x, num, template) == want
-        assert state.finish() == want
+        assert _pushed(x, _chunk_sizes(np.random.default_rng(cut), x.size), num, template) == want
 
     def test_cut_past_window_estimates(self, num, pre, template):
         x, n0 = self._frame(num, pre)
@@ -739,8 +748,9 @@ class TestInputContract:
             lambda t: np.concatenate([t, t[:10]]),  # 266 values
             lambda t: t.reshape(16, 16),
             lambda t: np.where(np.arange(t.size) == 100, np.nan, t),
+            lambda t: t + 1j,
         ],
-        ids=["10", "266", "16x16", "nan"],
+        ids=["10", "266", "16x16", "nan", "complex"],
     )
     @pytest.mark.parametrize(
         "make",
@@ -752,8 +762,11 @@ class TestInputContract:
         ids=["SyncState", "synchronize", "metric_stream"],
     )
     def test_bad_template_rejected(self, make, bad, num, template):
-        with pytest.raises(ValueError, match="template"):
-            make(num, bad(template))
+        # no cast warns first: a complex template is refused, not truncated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="template"):
+                make(num, bad(template))
 
     def test_template_converted_once(self, num, template):
         # a list of the same values is the same template, as float64
@@ -761,19 +774,22 @@ class TestInputContract:
         assert state.template.dtype == np.float64
         assert np.array_equal(state.template, template)
 
-    def test_bad_chunk_rejected_and_state_kept(self, num, template, rng):
-        x = _noise(rng, 2000)
+    def test_bad_chunk_rejected_and_state_kept(self, num, pre, template):
+        # rejected chunks before the trigger leave no trace in the result
+        x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
         state = SyncState(num, template)
-        state.push(x[:1000])
+        assert state.push(x[:600]) is None
+        kept = state._tail.copy()
         with pytest.raises(ValueError, match=r"1-D.*\(2, 500\)"):
-            state.push(x[1000:].reshape(2, 500))
+            state.push(x[600:1600].reshape(2, 500))
         with pytest.raises(ValueError, match="non-finite"):
             state.push(np.full(3, np.nan))
-        for arr in state.push(np.zeros(0, dtype=complex)):
-            assert arr.size == 0
-        got = state.push(x[1000:])
-        for g, want in zip(got, metric_stream(x, num, template)):
-            assert np.max(np.abs(g - want[1000:])) < 1e-9
+        state.push(np.zeros(0, dtype=complex))
+        assert state.result == SyncResult(detected=False)
+        assert np.array_equal(state._tail, kept) and state._n == 600
+        state.push(x[600:])
+        _assert_same_result(state.finish(), synchronize(x, num, template))
+        assert state.result.sto_estimate == 500
 
     def test_non_finite_after_the_estimate_rejected(self, num, pre, template):
         # the estimate is final in the first block; the NaN three blocks on
