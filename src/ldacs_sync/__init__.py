@@ -53,6 +53,7 @@ from .harness import (
     Scenario,
     TrialRecord,
     CampaignStats,
+    draw_trial,
     run_trial,
     run_campaign,
     load_scenario,
@@ -97,6 +98,7 @@ __all__ = [
     "Scenario",
     "TrialRecord",
     "CampaignStats",
+    "draw_trial",
     "run_trial",
     "run_campaign",
     "load_scenario",

@@ -4,7 +4,8 @@
                          preamble anchor (tau, xcr, xsig, xene CSV)
     ldacs-sync campaign  Monte Carlo fail-rate / CFO-MSE over an SNR grid
     ldacs-sync sweep     the bundled reproduction set (AWGN eps 0 / 1.5,
-                         ENR, ENR+DME, TMA), one campaign CSV each
+                         ENR, ENR+DME, TMA), one campaign CSV each,
+                         written once all five have run
 
 Campaigns come from a key=value scenario file (--scenario) or are assembled
 from flags.  All randomness is driven by --seed; repeated runs write
@@ -196,8 +197,8 @@ def cmd_sweep(args) -> int:
     _check_run_flags(args)
     scenarios = bundled_scenarios(args.trials, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    for scen in scenarios:
-        stats = run_campaign(scen)
+    # one master seed: each trial's frame is drawn once for all five
+    for scen, stats in zip(scenarios, run_campaign(scenarios)):
         path = os.path.join(args.out, f"{scen.name}.csv")
         write_campaign_csv(path, stats)
         _print_stats(stats)

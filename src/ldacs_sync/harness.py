@@ -12,6 +12,17 @@ Seeding is hierarchical and parallel-safe: trial t of SNR point s uses
 SeedSequence([master_seed, s, t]), so every trial is reproducible in
 isolation and campaign statistics are independent of evaluation order.
 
+A trial is a draw and a run.  draw_trial(entropy) does all the seeding
+and builds the frame: the lead gap, the payload, the record's seed and the
+channel seed depend on the entropy alone, never on the scenario.
+run_trial(scenario, snr_db, draw) runs the channel, synchronizes and
+scores.  run_campaign over a list of scenarios draws each (master_seed,
+s, t) once and runs it through every scenario that has it, so scenarios
+with one master seed see the same frames and channel seeds, and their
+per-point differences are paired (common random numbers).  The sweep's
+five campaigns share their draws this way; the bytes are those of
+running each campaign alone.
+
 The frame (lead gap, payload, preamble seed) and the fail threshold are
 the fixed trial protocol below; a Scenario sets only the channel, the CFO,
 the SNR grid and the draw.  link() builds the link (numerology, preamble,
@@ -168,13 +179,15 @@ def link(preamble_seed: int) -> tuple[Numerology, np.ndarray, np.ndarray]:
     return num, pre, template
 
 
-def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
-    """One frame through the channel and synchronizer.
+def draw_trial(rng_seed) -> tuple[int, np.ndarray, int, int]:
+    """The part of a trial no scenario changes: (seed_id, frame, n0,
+    channel_seed).
 
     rng_seed is any SeedSequence entropy (int or sequence of ints).  The
-    link comes from link(PREAMBLE_SEED).
+    frame, sent from link(PREAMBLE_SEED), is read-only: every scenario
+    that shares the draw runs the same array.
     """
-    num, pre, template = link(PREAMBLE_SEED)
+    num, pre, _ = link(PREAMBLE_SEED)
     ss = np.random.SeedSequence(rng_seed)
     child_trial, child_payload, child_channel = ss.spawn(3)
     rng = np.random.default_rng(child_trial)
@@ -183,6 +196,18 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
     lo, hi = LEAD_GAP_RANGE
     lead_gap = int(rng.integers(lo, hi + 1))
     frame, n0 = build_frame(num, pre, N_PAYLOAD_SYMBOLS, lead_gap, seed=child_payload)
+    frame.flags.writeable = False
+    return seed_id, frame, n0, int(child_channel.generate_state(1, np.uint64)[0])
+
+
+def run_trial(scenario: Scenario, snr_db: float, draw) -> TrialRecord:
+    """One drawn frame through the scenario's channel and the synchronizer.
+
+    draw is draw_trial(rng_seed); the channel seeds its own generators from
+    the draw's channel_seed, so the draw is only read.
+    """
+    num, _, template = link(PREAMBLE_SEED)
+    seed_id, frame, n0, channel_seed = draw
 
     profile, dme = CHANNEL_MODELS[scenario.channel]
     cfg = ImpairmentConfig(
@@ -190,7 +215,7 @@ def run_trial(scenario: Scenario, snr_db: float, rng_seed) -> TrialRecord:
         snr_db=float(snr_db),
         profile=profile,
         dme=dme,
-        seed=int(child_channel.generate_state(1, np.uint64)[0]),
+        seed=channel_seed,
     )
     r = run_pipeline(frame, cfg, num)
 
@@ -232,20 +257,43 @@ def aggregate(scenario_name: str, snr_db: float, records: Sequence[TrialRecord])
     )
 
 
-def run_campaign(scenario: Scenario, return_records: bool = False):
-    """Run the scenario's full SNR grid: every trial into records, which
-    maps snr index -> list of TrialRecord, then one aggregate per point.
+def run_campaign(scenario, return_records: bool = False):
+    """Run the scenario's full SNR grid: the list of CampaignStats, one per
+    grid point; with return_records=True, (stats, records), where records
+    maps snr index -> list of TrialRecord.
 
-    Returns the list of CampaignStats, one per grid point; with
-    return_records=True, (stats, records).
+    scenario may also be a sequence of scenarios, run in one pass: the
+    result is then a list with one such value per scenario, in order.
+    Trial t of grid point s is draw_trial([master_seed, s, t]) for every
+    scenario with that master seed, grid point and trial, so it is drawn
+    once and such scenarios run the same frames and channel seeds.  The
+    loop is grid-point-major and holds one draw per master seed at a time;
+    a point's records are aggregated when its trials are done and kept
+    only with return_records=True.
     """
-    grid, seed = scenario.snr_grid_db, scenario.master_seed
-    records = {
-        s: [run_trial(scenario, snr_db, [seed, s, t]) for t in range(scenario.n_trials)]
-        for s, snr_db in enumerate(grid)
-    }
-    stats = [aggregate(scenario.name, snr_db, records[s]) for s, snr_db in enumerate(grid)]
-    return (stats, records) if return_records else stats
+    one = isinstance(scenario, Scenario)
+    scenarios = [scenario] if one else list(scenario)
+    stats = [[] for _ in scenarios]
+    records = [{} for _ in scenarios]
+    n_points = max((len(sc.snr_grid_db) for sc in scenarios), default=0)
+    n_trials = max((sc.n_trials for sc in scenarios), default=0)
+    for s in range(n_points):
+        point = [[] for _ in scenarios]  # this grid point's records, per scenario
+        for t in range(n_trials):
+            draws = {}  # master seed -> draw_trial([master_seed, s, t])
+            for sc, recs in zip(scenarios, point):
+                if s < len(sc.snr_grid_db) and t < sc.n_trials:
+                    seed = sc.master_seed
+                    if seed not in draws:
+                        draws[seed] = draw_trial([seed, s, t])
+                    recs.append(run_trial(sc, sc.snr_grid_db[s], draws[seed]))
+        for sc, st, rec, recs in zip(scenarios, stats, records, point):
+            if s < len(sc.snr_grid_db):
+                st.append(aggregate(sc.name, sc.snr_grid_db[s], recs))
+                if return_records:
+                    rec[s] = recs
+    out = [(st, rec) if return_records else st for st, rec in zip(stats, records)]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ldacs_sync import read_iq
-from ldacs_sync.cli import main
+from ldacs_sync import read_iq, run_campaign, write_campaign_csv
+from ldacs_sync.cli import bundled_scenarios, main
 
 
 def _read_csv(path):
@@ -285,3 +285,13 @@ class TestSweep:
         for pa in sorted(a.glob("*.csv")):
             pb = b / pa.name
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_each_csv_is_its_campaign_run_alone(self, tmp_path):
+        # the sweep draws each trial once for all five scenarios; every
+        # CSV must still be the bytes of that scenario's own campaign
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--trials", "2", "--seed", "3"]) == 0
+        for scen in bundled_scenarios(2, 3):
+            alone = tmp_path / f"{scen.name}_alone.csv"
+            write_campaign_csv(alone, run_campaign(scen))
+            assert (out / f"{scen.name}.csv").read_bytes() == alone.read_bytes()

@@ -11,17 +11,22 @@ import numpy as np
 import pytest
 
 from ldacs_sync import (
+    ImpairmentConfig,
     Scenario,
+    draw_trial,
     energy_template,
     generate_preamble,
     load_scenario,
     run_campaign,
+    run_pipeline,
     run_trial,
     write_campaign_csv,
     write_campaign_json,
     write_trial_csv,
 )
 from ldacs_sync.harness import (
+    CHANNEL_MODELS,
+    CHANNELS,
     FINE_THRESHOLD,
     LEAD_GAP_RANGE,
     aggregate,
@@ -117,7 +122,7 @@ class TestLink:
 class TestRunTrial:
     def test_noiseless_trial_succeeds(self):
         sc = _scenario(epsilon=0.5, snr_grid_db=(math.inf,))
-        rec = run_trial(sc, math.inf, rng_seed=[1, 0, 0])
+        rec = run_trial(sc, math.inf, draw_trial([1, 0, 0]))
         assert rec.detected
         assert not rec.fail
         assert rec.sto_error == 0
@@ -125,16 +130,16 @@ class TestRunTrial:
 
     def test_deterministic_per_seed(self):
         sc = _scenario(epsilon=1.5)
-        a = run_trial(sc, 10.0, rng_seed=[1, 0, 7])
-        b = run_trial(sc, 10.0, rng_seed=[1, 0, 7])
+        a = run_trial(sc, 10.0, draw_trial([1, 0, 7]))
+        b = run_trial(sc, 10.0, draw_trial([1, 0, 7]))
         assert a == b
-        c = run_trial(sc, 10.0, rng_seed=[1, 0, 8])
+        c = run_trial(sc, 10.0, draw_trial([1, 0, 8]))
         assert a.seed != c.seed
 
     def test_low_snr_failures_register(self):
         sc = _scenario(epsilon=1.5, n_trials=200)
         fails = sum(
-            run_trial(sc, -10.0, rng_seed=[1, 0, t]).fail for t in range(200)
+            run_trial(sc, -10.0, draw_trial([1, 0, t])).fail for t in range(200)
         )
         assert fails / 200 > 0.10
 
@@ -142,14 +147,84 @@ class TestRunTrial:
     def test_minus_inf_or_nan_snr_rejected(self, snr_db):
         # +inf is the only noiseless value
         with pytest.raises(ValueError, match="snr_db"):
-            run_trial(_scenario(), snr_db, [1, 0, 0])
+            run_trial(_scenario(), snr_db, draw_trial([1, 0, 0]))
 
     def test_lead_gap_varies_across_trials(self):
         sc = _scenario()
-        gaps = {run_trial(sc, math.inf, rng_seed=[1, 0, t]).true_sto for t in range(8)}
+        gaps = {run_trial(sc, math.inf, draw_trial([1, 0, t])).true_sto for t in range(8)}
         assert len(gaps) > 1
         lo, hi = LEAD_GAP_RANGE
         assert all(lo <= g <= hi for g in gaps)
+
+
+class TestDrawTrial:
+    def test_same_bytes_for_one_entropy(self):
+        a, b = draw_trial([4, 2, 9]), draw_trial([4, 2, 9])
+        assert a[0] == b[0] and a[2:] == b[2:]
+        assert a[1].tobytes() == b[1].tobytes()
+        assert draw_trial([4, 2, 10])[0] != a[0]
+
+    def test_frame_is_read_only(self):
+        frame = draw_trial([1, 0, 0])[1]
+        assert frame.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0] = 0.0
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_pipeline_only_reads_the_frame(self, channel, snr_db, epsilon):
+        # scenarios share one frame array: no stage may write into it, and
+        # the output is a new array even when no stage runs
+        num = link(1)[0]
+        frame = draw_trial([2, 1, 3])[1]
+        before = frame.copy()
+        profile, dme = CHANNEL_MODELS[channel]
+        cfg = ImpairmentConfig(epsilon=epsilon, snr_db=snr_db, profile=profile, dme=dme, seed=9)
+        r = run_pipeline(frame, cfg, num)
+        assert r.flags.writeable and not np.shares_memory(r, frame)
+        assert np.array_equal(frame, before)
+
+    def test_one_draw_through_two_scenarios(self):
+        seed_id, _, n0, _ = draw = draw_trial([1, 3, 5])
+        a = run_trial(_scenario(channel="AWGN", epsilon=0.0), 10.0, draw)
+        b = run_trial(_scenario(channel="TMA", epsilon=1.5), 20.0, draw)
+        assert a.seed == b.seed == seed_id
+        assert a.true_sto == b.true_sto == n0
+
+
+class TestCampaignOfSeveral:
+    def test_matches_each_campaign_run_alone(self):
+        grid = (5.0, 10.0, math.inf)
+        scenarios = [
+            _scenario(name="a", channel="AWGN", snr_grid_db=grid, n_trials=3, master_seed=4),
+            _scenario(name="b", channel="ENR", epsilon=0.5, snr_grid_db=grid, n_trials=3, master_seed=4),
+            _scenario(name="c", channel="TMA", epsilon=1.5, snr_grid_db=grid, n_trials=3, master_seed=5),
+            _scenario(name="d", channel="ENR_DME", snr_grid_db=(20.0,), n_trials=2, master_seed=4),
+        ]
+        together = run_campaign(scenarios, return_records=True)
+        assert together == [run_campaign(sc, return_records=True) for sc in scenarios]
+        # one master seed: the same draws at each grid index and trial
+        ra, rb, rc, rd = (records for _, records in together)
+        for s in range(len(grid)):
+            assert [(r.seed, r.true_sto) for r in ra[s]] == [(r.seed, r.true_sto) for r in rb[s]]
+            assert [r.seed for r in ra[s]] != [r.seed for r in rc[s]]
+        assert [r.seed for r in rd[0]] == [r.seed for r in ra[0][:2]]
+
+    def test_same_scenario_twice(self):
+        sc = _scenario(n_trials=2, snr_grid_db=(10.0, math.inf))
+        assert run_campaign([sc, sc], return_records=True) == [run_campaign(sc, return_records=True)] * 2
+
+    def test_stats_only(self):
+        scenarios = [
+            _scenario(name="a", channel="AWGN", snr_grid_db=(0.0, 10.0), n_trials=2),
+            _scenario(name="b", channel="ENR", epsilon=0.5, snr_grid_db=(0.0, 10.0), n_trials=2),
+        ]
+        assert run_campaign(tuple(scenarios)) == [run_campaign(sc) for sc in scenarios]
+
+    def test_no_scenarios(self):
+        assert run_campaign([]) == []
+        assert run_campaign([], return_records=True) == []
 
 
 class TestAggregation:
@@ -165,17 +240,18 @@ class TestAggregation:
 
     def test_order_independent(self):
         sc = _scenario(n_trials=6)
-        recs = [run_trial(sc, 10.0, rng_seed=[1, 0, t]) for t in range(6)]
+        recs = [run_trial(sc, 10.0, draw_trial([1, 0, t])) for t in range(6)]
         fwd = aggregate("t", 10.0, recs)
         rev = aggregate("t", 10.0, recs[::-1])
         assert fwd == rev
 
     def test_campaign_matches_manual_trials(self):
-        sc = _scenario(n_trials=5, snr_grid_db=(10.0,), master_seed=3)
+        sc = _scenario(n_trials=5, snr_grid_db=(10.0, 5.0), master_seed=3)
         stats, records = run_campaign(sc, return_records=True)
-        manual = [run_trial(sc, 10.0, rng_seed=[3, 0, t]) for t in range(5)]
-        assert records[0] == manual
-        assert stats[0] == aggregate("t", 10.0, manual)
+        for s, snr_db in enumerate(sc.snr_grid_db):
+            manual = [run_trial(sc, snr_db, draw_trial([3, s, t])) for t in range(5)]
+            assert records[s] == manual
+            assert stats[s] == aggregate("t", snr_db, manual)
 
     def test_both_return_shapes_carry_the_same_stats(self):
         sc = _scenario(n_trials=3, snr_grid_db=(0.0, 10.0, math.inf), master_seed=2)
@@ -185,7 +261,7 @@ class TestAggregation:
         assert [len(records[s]) for s in sorted(records)] == [3, 3, 3]
 
     def test_mse_nan_when_nothing_detected(self):
-        rec = run_trial(_scenario(), -30.0, rng_seed=[1, 0, 0])
+        rec = run_trial(_scenario(), -30.0, draw_trial([1, 0, 0]))
         stats = aggregate("t", -30.0, [rec] * 3)
         if stats.n_detected == 0:
             assert math.isnan(stats.cfo_mse)
