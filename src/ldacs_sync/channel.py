@@ -30,19 +30,24 @@ amplitude (DME_PULSE_WIDTH_S, 3.5 us) and the pair spacing
 power (DME_REFERENCE_DBM) that sets each interferer's peak amplitude
 relative to the unit-power signal.  An interferer checks its offset
 against Nyquist when it is built, so, as apply_multipath, apply_dme raises
-nothing of its own; it builds all pulses of an interferer in one pass.
+nothing of its own; after each interferer's draws, it builds the pulses of
+all interferers in one pass.
 
 run_pipeline applies: multipath -> CFO -> DME -> AWGN, each stage drawing
 from its own child generator so that enabling one stage never shifts
 another stage's random stream.  A child generator is made only for a stage
-that runs.
+that runs.  One call takes one input and one config or several; what its
+configs would compute alike, it computes once: the fading and CFO of one
+(seed, profile, epsilon), and the unit noise of one seed, which apply_awgn
+scales to each config's SNR.  Each output has the bits of its config run
+alone, and nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -180,20 +185,35 @@ def apply_cfo(x: np.ndarray, epsilon: float, num: Numerology) -> np.ndarray:
 
 
 def apply_awgn(
-    x: np.ndarray, snr_db: float, rng: Optional[np.random.Generator]
+    x: np.ndarray,
+    snr_db: float,
+    unit: Optional[np.ndarray],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Add complex white noise of variance 10^(-snr/10) (unit-power signal
-    reference).  snr_db = +inf (noiseless) passes the input through and
-    never uses rng, which may then be None; NaN and -inf raise ValueError."""
+    """x + sqrt(var/2) * unit, with var = 10^(-snr/10) (unit-power signal
+    reference) and unit the complex noise of _unit_noise.  The result is
+    written into out when given (it may be unit itself) and is a new array
+    otherwise.  snr_db = +inf (noiseless) returns a copy of x and never
+    reads unit, which may then be None; NaN and -inf raise ValueError."""
     x = np.asarray(x, dtype=np.complex128)
     if snr_db == math.inf:
         return x.copy()
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or inf (noiseless), got {snr_db}")
     var = 10.0 ** (-snr_db / 10.0)
-    scale = math.sqrt(var / 2.0)
-    noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-    return x + noise
+    y = np.multiply(unit, math.sqrt(var / 2.0), out=out)
+    y += x
+    return y
+
+
+def _unit_noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    """a + 1j*b over n samples, where a and b are the generator's next two
+    standard_normal(n) draws, in that order: each is written into one
+    complex buffer, so beyond the buffer only one draw is held at a time."""
+    unit = np.empty(n, dtype=np.complex128)
+    unit.real = rng.standard_normal(n)
+    unit.imag = rng.standard_normal(n)
+    return unit
 
 
 def _tones(omegas, phases, n: int) -> np.ndarray:
@@ -259,30 +279,42 @@ def apply_dme(
 ) -> np.ndarray:
     """Add the pulse pairs of each DmeInterferer; no interferers adds
     nothing.  Per interferer the generator draws the pair count, the pair
-    times, then one phase per pair."""
+    times, then one phase per pair; the pulses of all interferers are then
+    built in one pass, in interferer order."""
     x = np.asarray(x, dtype=np.complex128)
     n, fs = x.size, num.sample_rate_hz
     # half-amplitude width -> Gaussian sigma; pulses are cut at 5 sigma
     alpha = DME_PULSE_WIDTH_S / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     support = 5.0 * alpha
-    out = np.zeros(n, dtype=np.complex128)
+    starts, phases = [], []
     for intf in interferers:
-        amp = math.sqrt(10.0 ** ((intf.power_dbm - DME_REFERENCE_DBM) / 10.0))
-        starts = pulse_pair_times(n / fs, intf.rate_pps, rng)
-        phases = rng.uniform(0.0, 2.0 * np.pi, starts.size)
-        # every pulse in pair order: (first, second) of pair 0, then pair 1, ...
-        tp = np.stack([starts, starts + DME_PAIR_SPACING_S], axis=1).ravel()
-        k_lo = np.maximum(np.ceil((tp - support) * fs).astype(np.int64), 0)
-        k_hi = np.minimum(np.floor((tp + support) * fs).astype(np.int64) + 1, n)
-        width = np.maximum(k_hi - k_lo, 0)
-        # the sample indices of all pulses, concatenated, and each one's pulse
-        pulse = np.repeat(np.arange(tp.size), width)
-        k = k_lo[pulse] + np.arange(pulse.size) - np.repeat(np.cumsum(width) - width, width)
-        t = k / fs - tp[pulse]
-        env = amp * np.exp(-(t**2) / (2.0 * alpha**2))
-        carrier = np.exp(1j * (2.0 * np.pi * intf.offset_hz * t + phases[pulse // 2]))
-        # unbuffered and in order, so overlapping pulses add as a per-pulse loop would
-        np.add.at(out, k, env * carrier)
+        starts.append(pulse_pair_times(n / fs, intf.rate_pps, rng))
+        phases.append(rng.uniform(0.0, 2.0 * np.pi, starts[-1].size))
+    n_pairs = [s.size for s in starts]
+    # per pair: its interferer's peak amplitude and carrier offset in rad/s
+    amp = np.repeat(
+        [math.sqrt(10.0 ** ((i.power_dbm - DME_REFERENCE_DBM) / 10.0)) for i in interferers],
+        n_pairs,
+    )
+    omega = np.repeat([2.0 * np.pi * i.offset_hz for i in interferers], n_pairs)
+    # the leading empty array keeps np.concatenate defined without interferers
+    starts = np.concatenate([np.empty(0), *starts])
+    phases = np.concatenate([np.empty(0), *phases])
+    # every pulse in pair order: (first, second) of pair 0, then pair 1, ...
+    tp = np.stack([starts, starts + DME_PAIR_SPACING_S], axis=1).ravel()
+    k_lo = np.maximum(np.ceil((tp - support) * fs).astype(np.int64), 0)
+    k_hi = np.minimum(np.floor((tp + support) * fs).astype(np.int64) + 1, n)
+    width = np.maximum(k_hi - k_lo, 0)
+    # the sample indices of all pulses, concatenated, and each one's pair
+    pulse = np.repeat(np.arange(tp.size), width)
+    k = k_lo[pulse] + np.arange(pulse.size) - np.repeat(np.cumsum(width) - width, width)
+    t = k / fs - tp[pulse]
+    pair = pulse // 2
+    env = amp[pair] * np.exp(-(t**2) / (2.0 * alpha**2))
+    carrier = np.exp(1j * (omega[pair] * t + phases[pair]))
+    out = np.zeros(n, dtype=np.complex128)
+    # unbuffered and in order, so overlapping pulses add as a per-pulse loop would
+    np.add.at(out, k, env * carrier)
     return x + out
 
 
@@ -308,20 +340,49 @@ def _stage_rng(seed, stage: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
 
 
-def run_pipeline(x: np.ndarray, cfg: ImpairmentConfig, num: Numerology) -> np.ndarray:
-    """multipath -> CFO -> DME -> AWGN.
+def run_pipeline(
+    x: np.ndarray, cfg: ImpairmentConfig | Sequence[ImpairmentConfig], num: Numerology
+) -> np.ndarray | list[np.ndarray]:
+    """multipath -> CFO -> DME -> AWGN over one input, for one
+    ImpairmentConfig or a sequence of them.
 
-    Each stage draws from its own child of SeedSequence(cfg.seed), so
-    enabling one stage never shifts another's stream.  A generator is made
-    only for a stage that runs; a noiseless run calls apply_awgn without
-    one.
+    One config gives one array; a sequence gives a list with one array per
+    config, in order, each the bits that config gives alone.  Each stage
+    draws from its own child of SeedSequence(cfg.seed), so enabling one
+    stage never shifts another's stream, and a generator is made only for
+    a stage that runs; a noiseless output calls apply_awgn without unit
+    noise.
+
+    The configs of one call share what they would compute alike:
+    multipath -> CFO runs once per (seed, profile, epsilon), and the unit
+    noise is drawn once per seed, which apply_awgn scales per SNR.  Shared
+    arrays are only read, except that the last noisy output of a seed is
+    built in its unit-noise buffer; every output is a new array, and
+    nothing is kept between calls.
     """
-    y = np.asarray(x, dtype=np.complex128)
-    if cfg.profile is not None:
-        y = apply_multipath(y, cfg.profile, num, _stage_rng(cfg.seed, 0))
-    if cfg.epsilon != 0.0:
-        y = apply_cfo(y, cfg.epsilon, num)
-    if cfg.dme:
-        y = apply_dme(y, cfg.dme, num, _stage_rng(cfg.seed, 2))
-    rng_awgn = None if cfg.snr_db == math.inf else _stage_rng(cfg.seed, 3)
-    return apply_awgn(y, cfg.snr_db, rng_awgn)
+    one = isinstance(cfg, ImpairmentConfig)
+    cfgs = [cfg] if one else list(cfg)
+    x = np.asarray(x, dtype=np.complex128)
+    last_noisy = {c.seed: i for i, c in enumerate(cfgs) if c.snr_db != math.inf}
+    faded = {}  # (seed, profile, epsilon) -> multipath -> CFO output
+    units = {}  # seed -> unit noise
+    outputs = []
+    for i, c in enumerate(cfgs):
+        key = (c.seed, c.profile, c.epsilon)
+        y = faded.get(key)
+        if y is None:
+            y = x
+            if c.profile is not None:
+                y = apply_multipath(y, c.profile, num, _stage_rng(c.seed, 0))
+            if c.epsilon != 0.0:
+                y = apply_cfo(y, c.epsilon, num)
+            faded[key] = y
+        if c.dme:
+            y = apply_dme(y, c.dme, num, _stage_rng(c.seed, 2))
+        unit = None
+        if c.snr_db != math.inf:
+            if c.seed not in units:
+                units[c.seed] = _unit_noise(x.size, _stage_rng(c.seed, 3))
+            unit = units[c.seed]
+        outputs.append(apply_awgn(y, c.snr_db, unit, unit if last_noisy.get(c.seed) == i else None))
+    return outputs[0] if one else outputs

@@ -15,13 +15,16 @@ isolation and campaign statistics are independent of evaluation order.
 A trial is a draw and a run.  draw_trial(entropy) does all the seeding
 and builds the frame: the lead gap, the payload, the record's seed and the
 channel seed depend on the entropy alone, never on the scenario.
-run_trial(scenario, snr_db, draw) runs the channel, synchronizes and
-scores.  run_campaign over a list of scenarios draws each (master_seed,
-s, t) once and runs it through every scenario that has it, so scenarios
-with one master seed see the same frames and channel seeds, and their
-per-point differences are paired (common random numbers).  The sweep's
-five campaigns share their draws this way; the bytes are those of
-running each campaign alone.
+run_trial(pairs, draw) runs the draw through the channel of each
+(scenario, snr_db) pair in one run_pipeline call, then synchronizes and
+scores each output.  run_campaign over a list of scenarios draws each
+(master_seed, s, t) once and hands it to one run_trial call over every
+scenario that has it, so scenarios with one master seed see the same
+frames and channel seeds, and their per-point differences are paired
+(common random numbers).  Within that call they also share the fading of
+one channel and CFO, and the draw's unit noise, scaled to each SNR.  The
+sweep's five campaigns share their draws this way; the bytes are those of
+running each campaign alone, one pair per call.
 
 The frame (lead gap, payload, preamble seed) and the fail threshold are
 the fixed trial protocol below; a Scenario sets only the channel, the CFO,
@@ -200,44 +203,53 @@ def draw_trial(rng_seed) -> tuple[int, np.ndarray, int, int]:
     return seed_id, frame, n0, int(child_channel.generate_state(1, np.uint64)[0])
 
 
-def run_trial(scenario: Scenario, snr_db: float, draw) -> TrialRecord:
-    """One drawn frame through the scenario's channel and the synchronizer.
+def run_trial(pairs, draw) -> list[TrialRecord]:
+    """One drawn frame through the channel of each (scenario, snr_db) pair
+    and the synchronizer: one TrialRecord per pair, in order.
 
     draw is draw_trial(rng_seed); the channel seeds its own generators from
-    the draw's channel_seed, so the draw is only read.
+    the draw's channel_seed, so the draw is only read.  All pairs go
+    through one run_pipeline call, so pairs that share a channel and CFO
+    share its fading, and every pair shares the draw's unit noise.
     """
     num, _, template = link(PREAMBLE_SEED)
     seed_id, frame, n0, channel_seed = draw
-
-    profile, dme = CHANNEL_MODELS[scenario.channel]
-    cfg = ImpairmentConfig(
-        epsilon=scenario.epsilon,
-        snr_db=float(snr_db),
-        profile=profile,
-        dme=dme,
-        seed=channel_seed,
-    )
-    r = run_pipeline(frame, cfg, num)
-
-    res = synchronize(r, num, template)
-
-    # an STO implies a detection; CFO fields are None without one
-    sto, cfo = res.sto_estimate, res.cfo_estimate
-    sto_error = None if sto is None else sto - n0
-    return TrialRecord(
-        seed=seed_id,
-        snr_db=float(snr_db),
-        true_sto=n0,
-        true_epsilon=scenario.epsilon,
-        detected=res.detected,
-        fail=sto_error is None or abs(sto_error) > FINE_THRESHOLD,
-        sto_est=sto,
-        cfo_est=cfo,
-        sto_error=sto_error,
-        cfo_error=None if cfo is None else cfo - scenario.epsilon,
-        cfo_est_ac1=res.cfo_estimate_ac1,
-        cfo_est_ac2=res.cfo_estimate_ac2,
-    )
+    pairs = list(pairs)
+    cfgs = []
+    for scenario, snr_db in pairs:
+        profile, dme = CHANNEL_MODELS[scenario.channel]
+        cfgs.append(
+            ImpairmentConfig(
+                epsilon=scenario.epsilon,
+                snr_db=float(snr_db),
+                profile=profile,
+                dme=dme,
+                seed=channel_seed,
+            )
+        )
+    records = []
+    for (scenario, snr_db), r in zip(pairs, run_pipeline(frame, cfgs, num)):
+        res = synchronize(r, num, template)
+        # an STO implies a detection; CFO fields are None without one
+        sto, cfo = res.sto_estimate, res.cfo_estimate
+        sto_error = None if sto is None else sto - n0
+        records.append(
+            TrialRecord(
+                seed=seed_id,
+                snr_db=float(snr_db),
+                true_sto=n0,
+                true_epsilon=scenario.epsilon,
+                detected=res.detected,
+                fail=sto_error is None or abs(sto_error) > FINE_THRESHOLD,
+                sto_est=sto,
+                cfo_est=cfo,
+                sto_error=sto_error,
+                cfo_error=None if cfo is None else cfo - scenario.epsilon,
+                cfo_est_ac1=res.cfo_estimate_ac1,
+                cfo_est_ac2=res.cfo_estimate_ac2,
+            )
+        )
+    return records
 
 
 def aggregate(scenario_name: str, snr_db: float, records: Sequence[TrialRecord]) -> CampaignStats:
@@ -266,8 +278,9 @@ def run_campaign(scenario, return_records: bool = False):
     result is then a list with one such value per scenario, in order.
     Trial t of grid point s is draw_trial([master_seed, s, t]) for every
     scenario with that master seed, grid point and trial, so it is drawn
-    once and such scenarios run the same frames and channel seeds.  The
-    loop is grid-point-major and holds one draw per master seed at a time;
+    once and such scenarios run the same frames and channel seeds; one
+    run_trial call runs it through all of them.  The loop is
+    grid-point-major and holds one draw per master seed at a time;
     a point's records are aggregated when its trials are done and kept
     only with return_records=True.
     """
@@ -280,13 +293,14 @@ def run_campaign(scenario, return_records: bool = False):
     for s in range(n_points):
         point = [[] for _ in scenarios]  # this grid point's records, per scenario
         for t in range(n_trials):
-            draws = {}  # master seed -> draw_trial([master_seed, s, t])
-            for sc, recs in zip(scenarios, point):
+            sharing = {}  # master seed -> indices of the scenarios with that draw
+            for i, sc in enumerate(scenarios):
                 if s < len(sc.snr_grid_db) and t < sc.n_trials:
-                    seed = sc.master_seed
-                    if seed not in draws:
-                        draws[seed] = draw_trial([seed, s, t])
-                    recs.append(run_trial(sc, sc.snr_grid_db[s], draws[seed]))
+                    sharing.setdefault(sc.master_seed, []).append(i)
+            for seed, members in sharing.items():
+                pairs = [(scenarios[i], scenarios[i].snr_grid_db[s]) for i in members]
+                for i, rec in zip(members, run_trial(pairs, draw_trial([seed, s, t]))):
+                    point[i].append(rec)
         for sc, st, rec, recs in zip(scenarios, stats, records, point):
             if s < len(sc.snr_grid_db):
                 st.append(aggregate(sc.name, sc.snr_grid_db[s], recs))

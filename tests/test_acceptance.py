@@ -385,7 +385,7 @@ def test_criterion_11_cfo_variance_meets_first_order_theory(num, capsys):
         for e_idx, eps in enumerate(grid):
             sc = Scenario(name="cfo", channel="AWGN", epsilon=eps, snr_grid_db=(snr_db,))
             for t in range(n_trials):
-                rec = run_trial(sc, snr_db, draw_trial([18, e_idx, s_idx, t]))
+                rec = run_trial([(sc, snr_db)], draw_trial([18, e_idx, s_idx, t]))[0]
                 if rec.cfo_error is not None:
                     err.append(rec.cfo_error)
                 if rec.cfo_est_ac1 is not None:

@@ -28,8 +28,10 @@ from ldacs_sync.channel import (
     LOS_DOPPLER_FRACTION,
     N_SINUSOIDS,
     _tones,
+    _unit_noise,
     pulse_pair_times,
 )
+from ldacs_sync.harness import CHANNEL_MODELS
 
 
 class TestCfo:
@@ -59,24 +61,59 @@ class TestCfo:
             apply_cfo(np.ones(8, dtype=complex), epsilon, num)
 
 
+def _awgn_reference(x, snr_db, rng):
+    """x + sqrt(var/2) * (a + 1j*b), where a and b are the generator's next
+    two standard_normal(n) draws, in that order; inf passes x through and
+    draws nothing: the reference apply_awgn must match bit for bit."""
+    x = np.asarray(x, dtype=np.complex128)
+    if snr_db == math.inf:
+        return x.copy()
+    var = 10.0 ** (-snr_db / 10.0)
+    a = rng.standard_normal(x.size)
+    b = rng.standard_normal(x.size)
+    return x + math.sqrt(var / 2.0) * (a + 1j * b)
+
+
 class TestAwgn:
+    @pytest.mark.parametrize("snr_db", [-7.5, 0.0, 12.0, 31.0, math.inf])
+    @pytest.mark.parametrize("n", [0, 1, 1732])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_matches_reference(self, in_place, snr_db, n):
+        x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
+        for seed in range(3):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            unit = None if snr_db == math.inf else _unit_noise(n, rng)
+            y = apply_awgn(x, snr_db, unit, unit if in_place else None)
+            assert y.tobytes() == _awgn_reference(x, snr_db, rng_ref).tobytes()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_unit_noise_is_written_only_as_out(self, rng):
+        x = rng.normal(size=50) + 1j * rng.normal(size=50)
+        unit = _unit_noise(x.size, rng)
+        before = unit.copy()
+        y = apply_awgn(x, 5.0, unit)
+        assert np.array_equal(unit, before) and not np.shares_memory(y, unit)
+        z = apply_awgn(x, 5.0, unit, unit)
+        assert z is unit and np.array_equal(z, y)
+
     def test_noiseless_passthrough(self, rng):
         x = rng.normal(size=50) + 1j * rng.normal(size=50)
-        assert np.array_equal(apply_awgn(x, math.inf, rng), x)
+        y = apply_awgn(x, math.inf, None)
+        assert np.array_equal(y, x) and not np.shares_memory(y, x)
 
     @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
     def test_minus_inf_or_nan_rejected(self, snr_db, rng):
         with pytest.raises(ValueError, match="snr_db"):
-            apply_awgn(np.ones(4, dtype=complex), snr_db, rng)
+            apply_awgn(np.ones(4, dtype=complex), snr_db, _unit_noise(4, rng))
 
     def test_noise_power_at_0db(self, rng):
         x = np.zeros(1_000_000, dtype=complex)
-        y = apply_awgn(x, 0.0, rng)
+        y = apply_awgn(x, 0.0, _unit_noise(x.size, rng))
         assert 0.99 <= np.mean(np.abs(y) ** 2) <= 1.01
 
     def test_noise_power_at_10db(self, rng):
         x = np.zeros(1_000_000, dtype=complex)
-        y = apply_awgn(x, 10.0, rng)
+        y = apply_awgn(x, 10.0, _unit_noise(x.size, rng))
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.1, rel=0.01)
 
 
@@ -478,5 +515,92 @@ class TestPipeline:
             y = apply_cfo(y, cfg.epsilon, num)
         if dme:
             y = apply_dme(y, cfg.dme, num, rng_dme)
-        y = apply_awgn(y, snr_db, rng_awgn)
+        y = _awgn_reference(y, snr_db, rng_awgn)
         assert np.array_equal(run_pipeline(x, cfg, num), y)
+
+
+def _configs(seed, epsilons=(0.0, 0.5, 1.5), snrs=(7.0, math.inf)):
+    """Every bundled channel at each epsilon and SNR, with one seed."""
+    return [
+        ImpairmentConfig(epsilon=eps, snr_db=snr, profile=profile, dme=dme, seed=seed)
+        for profile, dme in CHANNEL_MODELS.values()
+        for eps in epsilons
+        for snr in snrs
+    ]
+
+
+class TestPipelineOverConfigs:
+    """One call over several configs shares fading and unit noise, and
+    gives each config the bits it gives alone."""
+
+    @staticmethod
+    def _assert_each_alone(x, cfgs, num):
+        outputs = run_pipeline(x, cfgs, num)
+        assert isinstance(outputs, list) and len(outputs) == len(cfgs)
+        for cfg, y in zip(cfgs, outputs):
+            assert y.tobytes() == run_pipeline(x, cfg, num).tobytes()
+
+    def test_every_channel_epsilon_and_snr(self, num):
+        x = np.random.default_rng(1).normal(size=(1732, 2)) @ [1.0, 1j]
+        # two seeds, interleaved in a fixed shuffled order, so each seed's
+        # first and last noisy configs fall at different places
+        cfgs = _configs(5) + _configs(6)
+        order = np.random.default_rng(2).permutation(len(cfgs))
+        self._assert_each_alone(x, [cfgs[i] for i in order], num)
+
+    def test_one_config_repeated(self, num):
+        x = np.random.default_rng(3).normal(size=(600, 2)) @ [1.0, 1j]
+        for cfg in _configs(8, epsilons=(0.5,)):
+            self._assert_each_alone(x, [cfg] * 3, num)
+
+    @pytest.mark.parametrize("snrs", [(12.0, 12.0), (12.0, math.inf), (math.inf, 3.0)])
+    def test_enr_and_enr_dme_share_fading(self, snrs, num):
+        x = np.random.default_rng(4).normal(size=(1732, 2)) @ [1.0, 1j]
+        cfgs = [
+            ImpairmentConfig(epsilon=0.5, snr_db=snr, profile=make_enr_profile(), dme=dme, seed=9)
+            for snr, dme in zip(snrs, ((), make_dme_scenario()))
+        ]
+        self._assert_each_alone(x, cfgs, num)
+
+    def test_one_config_is_the_list_of_one(self, num):
+        x = np.random.default_rng(5).normal(size=(300, 2)) @ [1.0, 1j]
+        cfg = ImpairmentConfig(epsilon=0.5, snr_db=7.0, profile=make_tma_profile(), seed=3)
+        y = run_pipeline(x, cfg, num)
+        assert isinstance(y, np.ndarray)
+        (z,) = run_pipeline(x, [cfg], num)
+        assert y.tobytes() == z.tobytes()
+
+    def test_no_configs(self, num):
+        assert run_pipeline(np.ones(10, dtype=complex), [], num) == []
+
+    def test_outputs_are_fresh_and_the_input_is_kept(self, num):
+        x = np.random.default_rng(6).normal(size=(500, 2)) @ [1.0, 1j]
+        x.flags.writeable = False  # as a drawn frame: any write raises
+        before = x.copy()
+        cfgs = _configs(7) + _configs(7)
+        outputs = run_pipeline(x, cfgs, num)
+        again = run_pipeline(x, cfgs, num)
+        for i, y in enumerate(outputs):
+            assert y.flags.writeable and not np.shares_memory(y, x)
+            assert not any(np.shares_memory(y, z) for z in outputs[i + 1 :])
+        for i, y in enumerate(outputs):
+            y[:] = np.nan
+            for z, z_again in zip(outputs[i + 1 :], again[i + 1 :]):
+                assert z.tobytes() == z_again.tobytes()
+        assert np.array_equal(x, before)
+        assert all(
+            a.tobytes() == b.tobytes() for a, b in zip(again, run_pipeline(x, cfgs, num))
+        )
+
+    def test_noise_stage_memory(self, num):
+        # the unit noise is built in one buffer, one draw at a time, and the
+        # output is that buffer, scaled and added in place
+        x = np.zeros(2**20, dtype=np.complex128)
+        cfg = ImpairmentConfig(snr_db=10.0, seed=1)
+        tracemalloc.start()
+        try:
+            y = run_pipeline(x, cfg, num)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * y.nbytes

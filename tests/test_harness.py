@@ -122,7 +122,7 @@ class TestLink:
 class TestRunTrial:
     def test_noiseless_trial_succeeds(self):
         sc = _scenario(epsilon=0.5, snr_grid_db=(math.inf,))
-        rec = run_trial(sc, math.inf, draw_trial([1, 0, 0]))
+        rec = run_trial([(sc, math.inf)], draw_trial([1, 0, 0]))[0]
         assert rec.detected
         assert not rec.fail
         assert rec.sto_error == 0
@@ -130,16 +130,16 @@ class TestRunTrial:
 
     def test_deterministic_per_seed(self):
         sc = _scenario(epsilon=1.5)
-        a = run_trial(sc, 10.0, draw_trial([1, 0, 7]))
-        b = run_trial(sc, 10.0, draw_trial([1, 0, 7]))
+        a = run_trial([(sc, 10.0)], draw_trial([1, 0, 7]))[0]
+        b = run_trial([(sc, 10.0)], draw_trial([1, 0, 7]))[0]
         assert a == b
-        c = run_trial(sc, 10.0, draw_trial([1, 0, 8]))
+        c = run_trial([(sc, 10.0)], draw_trial([1, 0, 8]))[0]
         assert a.seed != c.seed
 
     def test_low_snr_failures_register(self):
         sc = _scenario(epsilon=1.5, n_trials=200)
         fails = sum(
-            run_trial(sc, -10.0, draw_trial([1, 0, t])).fail for t in range(200)
+            run_trial([(sc, -10.0)], draw_trial([1, 0, t]))[0].fail for t in range(200)
         )
         assert fails / 200 > 0.10
 
@@ -147,11 +147,11 @@ class TestRunTrial:
     def test_minus_inf_or_nan_snr_rejected(self, snr_db):
         # +inf is the only noiseless value
         with pytest.raises(ValueError, match="snr_db"):
-            run_trial(_scenario(), snr_db, draw_trial([1, 0, 0]))
+            run_trial([(_scenario(), snr_db)], draw_trial([1, 0, 0]))
 
     def test_lead_gap_varies_across_trials(self):
         sc = _scenario()
-        gaps = {run_trial(sc, math.inf, draw_trial([1, 0, t])).true_sto for t in range(8)}
+        gaps = {run_trial([(sc, math.inf)], draw_trial([1, 0, t]))[0].true_sto for t in range(8)}
         assert len(gaps) > 1
         lo, hi = LEAD_GAP_RANGE
         assert all(lo <= g <= hi for g in gaps)
@@ -187,10 +187,16 @@ class TestDrawTrial:
 
     def test_one_draw_through_two_scenarios(self):
         seed_id, _, n0, _ = draw = draw_trial([1, 3, 5])
-        a = run_trial(_scenario(channel="AWGN", epsilon=0.0), 10.0, draw)
-        b = run_trial(_scenario(channel="TMA", epsilon=1.5), 20.0, draw)
+        pairs = [
+            (_scenario(channel="AWGN", epsilon=0.0), 10.0),
+            (_scenario(channel="TMA", epsilon=1.5), 20.0),
+        ]
+        a, b = run_trial(pairs, draw)
         assert a.seed == b.seed == seed_id
         assert a.true_sto == b.true_sto == n0
+        # one call over both pairs gives what each pair gives alone
+        assert [a, b] == [run_trial([pair], draw)[0] for pair in pairs]
+        assert run_trial([], draw) == []
 
 
 class TestCampaignOfSeveral:
@@ -210,6 +216,20 @@ class TestCampaignOfSeveral:
             assert [(r.seed, r.true_sto) for r in ra[s]] == [(r.seed, r.true_sto) for r in rb[s]]
             assert [r.seed for r in ra[s]] != [r.seed for r in rc[s]]
         assert [r.seed for r in rd[0]] == [r.seed for r in ra[0][:2]]
+
+    def test_shared_fading_and_noise_match_each_campaign_alone(self):
+        # ENR and ENR_DME at one epsilon share their fading; two AWGN
+        # scenarios on one grid share the unit noise, and the inf point
+        # takes none of it
+        grid = (3.0, math.inf, 12.0)
+        scenarios = [
+            _scenario(name="enr", channel="ENR", epsilon=0.5, snr_grid_db=grid, n_trials=3, master_seed=6),
+            _scenario(name="enr_dme", channel="ENR_DME", epsilon=0.5, snr_grid_db=grid, n_trials=3, master_seed=6),
+            _scenario(name="awgn0", channel="AWGN", epsilon=0.0, snr_grid_db=grid, n_trials=3, master_seed=6),
+            _scenario(name="awgn15", channel="AWGN", epsilon=1.5, snr_grid_db=grid, n_trials=3, master_seed=6),
+        ]
+        together = run_campaign(scenarios, return_records=True)
+        assert together == [run_campaign(sc, return_records=True) for sc in scenarios]
 
     def test_same_scenario_twice(self):
         sc = _scenario(n_trials=2, snr_grid_db=(10.0, math.inf))
@@ -240,7 +260,7 @@ class TestAggregation:
 
     def test_order_independent(self):
         sc = _scenario(n_trials=6)
-        recs = [run_trial(sc, 10.0, draw_trial([1, 0, t])) for t in range(6)]
+        recs = [run_trial([(sc, 10.0)], draw_trial([1, 0, t]))[0] for t in range(6)]
         fwd = aggregate("t", 10.0, recs)
         rev = aggregate("t", 10.0, recs[::-1])
         assert fwd == rev
@@ -249,7 +269,7 @@ class TestAggregation:
         sc = _scenario(n_trials=5, snr_grid_db=(10.0, 5.0), master_seed=3)
         stats, records = run_campaign(sc, return_records=True)
         for s, snr_db in enumerate(sc.snr_grid_db):
-            manual = [run_trial(sc, snr_db, draw_trial([3, s, t])) for t in range(5)]
+            manual = [run_trial([(sc, snr_db)], draw_trial([3, s, t]))[0] for t in range(5)]
             assert records[s] == manual
             assert stats[s] == aggregate("t", snr_db, manual)
 
@@ -261,7 +281,7 @@ class TestAggregation:
         assert [len(records[s]) for s in sorted(records)] == [3, 3, 3]
 
     def test_mse_nan_when_nothing_detected(self):
-        rec = run_trial(_scenario(), -30.0, draw_trial([1, 0, 0]))
+        rec = run_trial([(_scenario(), -30.0)], draw_trial([1, 0, 0]))[0]
         stats = aggregate("t", -30.0, [rec] * 3)
         if stats.n_detected == 0:
             assert math.isnan(stats.cfo_mse)

@@ -28,6 +28,7 @@ from ldacs_sync import (
 )
 from ldacs_sync import sync as sync_module
 from conftest import full_rate_trigger
+from ldacs_sync.channel import _unit_noise
 from ldacs_sync.harness import CHANNEL_MODELS
 from ldacs_sync._kernels import may_trigger, metric_arrays, trigger_margins, xcr_window
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
@@ -204,7 +205,7 @@ class TestChunkInvariance:
         # lead gaps shorter and longer than the retained tail
         gap = 50 if kind == "short_gap" else 4 * num.lookback
         x, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=gap, seed=7)
-        x = apply_awgn(apply_cfo(x, -0.7, num), 12.0, rng)
+        x = apply_awgn(apply_cfo(x, -0.7, num), 12.0, _unit_noise(x.size, rng))
         if kind.startswith("cut"):
             trig = synchronize(x, num, template).trigger_index
             # before the timing window opens, resp. halfway through it
@@ -233,7 +234,7 @@ class TestChunkInvariance:
             return _noise(rng, 3 * _BLOCK + 123)
         lead = _noise(rng, _BLOCK, 10 ** -1.2)
         f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=7)
-        f = apply_awgn(apply_cfo(f, -0.7, num), 12.0, rng)
+        f = apply_awgn(apply_cfo(f, -0.7, num), 12.0, _unit_noise(f.size, rng))
 
         def behind(gap):
             # the lead always ends in the same samples, so the trigger and
