@@ -53,7 +53,6 @@ from .harness import (
     Scenario,
     TrialRecord,
     CampaignStats,
-    draw_trial,
     run_trial,
     run_campaign,
     load_scenario,
@@ -98,7 +97,6 @@ __all__ = [
     "Scenario",
     "TrialRecord",
     "CampaignStats",
-    "draw_trial",
     "run_trial",
     "run_campaign",
     "load_scenario",

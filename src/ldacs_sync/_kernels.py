@@ -8,6 +8,8 @@ Per stream index n (L = quarter period, window w = 2L, template length D):
     ene(n) = sum_{m=0}^{2L-1} |r[n-m]|^2
     xcr(n) = sum_{m=0}^{D-1}  |conj(r[n-m]) * r[n-m-2L]| * a[m]
 
+L and m_consec are the fixed Numerology values; m_consec divides L.
+
 metric_arrays gives the detection arrays (ac1, ac2, ene) over the whole
 stream.  Each sliding sum is one buffer of n + 2L entries whose first 2L
 are zero: the summands go in behind the zeros (the lag products through
@@ -17,8 +19,8 @@ sum from 2L samples back (or a zero, and cs - 0 is cs exactly).
 first_trigger finds the first run of m_consec samples with
 |ac1| + |ac2| > ene in one pass over the condition.  xcr_window gives xcr
 over one index range only: the synchronizer reads it inside the
-delta_search-sample timing window and nowhere else.  metric_arrays at a
-stride of m_consec gives the same windows at one index in m_consec, from
+delta_search-sample timing window and nowhere else.  metric_arrays with
+strided=True gives the same windows at one index in m_consec, from
 m_consec-sample row sums, and may_trigger reads the trigger condition
 there, with a derived rounding bound, to tell whether a trigger can fall
 in a buffer at all: it is the cheap screen in front of the full-rate
@@ -37,6 +39,10 @@ num.lookback = D + 2L - 1 (xcr, which reaches furthest back).
 from __future__ import annotations
 
 import numpy as np
+
+from .sigmodel import Numerology
+
+_L, _M = Numerology.l_quarter, Numerology.m_consec
 
 # unit roundoff of float64, and its smallest subnormal: twice the absolute
 # error of a rounding that underflows
@@ -68,36 +74,33 @@ def _window_sums(buf: np.ndarray, w: int) -> np.ndarray:
 
 
 def metric_arrays(
-    r: np.ndarray, l_quarter: int, m: int = 1
+    r: np.ndarray, strided: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene) over the whole stream; empty in, empty out.
 
-    With m > 1 (m must divide L), the same windows at every m-th index only:
-    entry b is the value at b*m + m - 1, the last index of the b-th whole
-    m-sample row of r, to rounding (trigger_margins bounds it).  Row b's
-    lag-L and lag-2L products pair it with the row L/m resp. 2L/m before
-    (none before r[0]), so each row's three sums are batched dot products
-    of whole rows, and a window of 2L is 2L/m rows: the row sums' sliding
-    sums are the windows at the row ends, with no lag-product array.
+    With strided=True, the same windows at every m-th index only (m =
+    m_consec): entry b is the value at b*m + m - 1, the last index of the
+    b-th whole m-sample row of r, to rounding (trigger_margins bounds it).
+    Row b's lag-L and lag-2L products pair it with the row L/m resp. 2L/m
+    before (none before r[0]), so each row's three sums are batched dot
+    products of whole rows, and a window of 2L is 2L/m rows: the row sums'
+    sliding sums are the windows at the row ends, with no lag-product array.
     """
-    if m > 1:
-        return _row_windows(r, l_quarter, m)
-    n, w = r.size, 2 * l_quarter
-    ac1, ac2 = (_window_sums(_lag_products(r, lag, w), w) for lag in (l_quarter, w))
-    buf = np.empty(n + w, dtype=np.float64)
+    if strided:
+        return _row_windows(r)
+    w = 2 * _L
+    ac1, ac2 = (_window_sums(_lag_products(r, lag, w), w) for lag in (_L, w))
+    buf = np.empty(r.size + w, dtype=np.float64)
     buf[:w] = 0.0
     np.multiply(r.real, r.real, out=buf[w:])
     buf[w:] += r.imag * r.imag
     return ac1, ac2, _window_sums(buf, w)
 
 
-def _row_windows(
-    r: np.ndarray, l_quarter: int, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """metric_arrays(r, l_quarter, m) for m > 1."""
-    q, w = l_quarter // m, 2 * l_quarter // m  # rows per lag L, per window 2L
-    if q * m != l_quarter:
-        raise ValueError("metric_arrays needs m | L")
+def _row_windows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """metric_arrays(r, strided=True)."""
+    m = _M
+    q, w = _L // m, 2 * _L // m  # rows per lag L, per window 2L
     nr = r.size // m
     rows = r[: nr * m].reshape(nr, m)
     cur = rows.conj()[:, None, :]
@@ -116,9 +119,7 @@ def _row_windows(
     return tuple(out)
 
 
-def xcr_window(
-    r: np.ndarray, l_quarter: int, a: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
+def xcr_window(r: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """xcr(n) for lo <= n < hi, in the stream indices of r.
 
     Convolves |conj(r[j]) * r[j-2L]| over [lo-D+1, hi), zero for j < 2L
@@ -130,7 +131,7 @@ def xcr_window(
     """
     if hi <= lo:
         return np.zeros(0, dtype=np.float64)
-    w = 2 * l_quarter
+    w = 2 * _L
     s = lo - a.size + 1 - w  # first sample the lag products over [lo-D+1, hi) read
     vm = np.abs(_lag_products(r[max(s, 0) : hi], w, max(-s, 0))[w:])
     return np.convolve(vm, a, "valid")
@@ -151,14 +152,11 @@ def first_trigger(
     return start + int(t[ends[0] + m - 1]) if ends.size else -1
 
 
-def trigger_margins(
-    r: np.ndarray, l_quarter: int, m: int, start: int
-) -> tuple[int, np.ndarray, float]:
+def trigger_margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray, float]:
     """(first, margin, tol): margin[i] is |ac1| + |ac2| - ene of r at index
-    first + i*m, the last index of each m-sample row of r (rows from r[0])
-    at or after start, from metric_arrays(r, l_quarter, m), and every
-    margin is within tol of the value metric_arrays(r, l_quarter) gives.
-    Needs m | L.
+    first + i*m, the last index of each m-sample row of r (rows from r[0],
+    m = m_consec) at or after start, from metric_arrays(r, strided=True),
+    and every margin is within tol of the value metric_arrays(r) gives.
 
     tol bounds the rounding of both sides, so a margin <= -tol proves that
     metric_arrays' |ac1| + |ac2| > ene is false at that index.  Let N =
@@ -181,17 +179,19 @@ def trigger_margins(
     eta the smallest subnormal, and fewer than 64 N roundings feed the two
     sides: 32 N eta covers them.
     """
-    ac1, ac2, ene = metric_arrays(r, l_quarter, m)
+    m = _M
+    ac1, ac2, ene = metric_arrays(r, strided=True)
     b0 = -(-(start + 1) // m) - 1  # the first row ending at or after start
     margin = np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]
     tol = 32.0 * r.size * (_U * float(np.vdot(r, r).real) + _ETA)
     return m * b0 + m - 1, margin, tol
 
 
-def may_trigger(r: np.ndarray, l_quarter: int, m: int, start: int) -> bool:
+def may_trigger(r: np.ndarray, start: int) -> bool:
     """False only when first_trigger on metric_arrays(r) cannot find a run
-    of m from start on: at one index in every m, the last of each row in
-    trigger_margins, the margin is at most -tol.  Every run of m samples
-    holds one such index.  A non-finite tol or margin answers True."""
-    _, margin, tol = trigger_margins(r, l_quarter, m, start)
+    of m_consec from start on: at one index in every m_consec, the last of
+    each row in trigger_margins, the margin is at most -tol.  Every run of
+    m_consec samples holds one such index.  A non-finite tol or margin
+    answers True."""
+    _, margin, tol = trigger_margins(r, start)
     return not (np.isfinite(tol) and (margin <= -tol).all())

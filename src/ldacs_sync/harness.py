@@ -12,19 +12,18 @@ Seeding is hierarchical and parallel-safe: trial t of SNR point s uses
 SeedSequence([master_seed, s, t]), so every trial is reproducible in
 isolation and campaign statistics are independent of evaluation order.
 
-A trial is a draw and a run.  draw_trial(entropy) does all the seeding
-and builds the frame: the lead gap, the payload, the record's seed and the
-channel seed depend on the entropy alone, never on the scenario.
-run_trial(pairs, draw) runs the draw through the channel of each
-(scenario, snr_db) pair in one run_pipeline call, then synchronizes and
-scores each output.  run_campaign over a list of scenarios draws each
-(master_seed, s, t) once and hands it to one run_trial call over every
-scenario that has it, so scenarios with one master seed see the same
-frames and channel seeds, and their per-point differences are paired
-(common random numbers).  Within that call they also share the fading of
-one channel and CFO, and the draw's unit noise, scaled to each SNR.  The
-sweep's five campaigns share their draws this way; the bytes are those of
-running each campaign alone, one pair per call.
+run_trial(pairs, rng_seed) draws one frame from the entropy rng_seed and
+sends it through the channel of each (scenario, snr_db) pair in one
+run_pipeline call, then synchronizes and scores each output.  The lead
+gap, the payload, the record's seed and the channel seed depend on the
+entropy alone, never on the scenario.  run_campaign over a list of scenarios makes one run_trial
+call per (master_seed, s, t) over every scenario that has it, so
+scenarios with one master seed see the same frames and channel seeds, and
+their per-point differences are paired (common random numbers).  Within
+that call they also share the fading of one channel and CFO, and the
+draw's unit noise, scaled to each SNR.  The sweep's five campaigns share
+their draws this way; the bytes are those of running each campaign alone,
+one pair per call.
 
 The frame (lead gap, payload, preamble seed) and the fail threshold are
 the fixed trial protocol below; a Scenario sets only the channel, the CFO,
@@ -182,38 +181,26 @@ def link(preamble_seed: int) -> tuple[Numerology, np.ndarray, np.ndarray]:
     return num, pre, template
 
 
-def draw_trial(rng_seed) -> tuple[int, np.ndarray, int, int]:
-    """The part of a trial no scenario changes: (seed_id, frame, n0,
-    channel_seed).
+def run_trial(pairs, rng_seed) -> list[TrialRecord]:
+    """One frame, drawn from rng_seed, through the channel of each
+    (scenario, snr_db) pair and the synchronizer: one TrialRecord per
+    pair, in order.
 
     rng_seed is any SeedSequence entropy (int or sequence of ints).  The
-    frame, sent from link(PREAMBLE_SEED), is read-only: every scenario
-    that shares the draw runs the same array.
+    frame, sent from link(PREAMBLE_SEED), is read-only while the pairs
+    share it.  All pairs go through one run_pipeline call, so pairs that
+    share a channel and CFO share its fading, and every pair shares the
+    draw's unit noise.
     """
-    num, pre, _ = link(PREAMBLE_SEED)
+    num, pre, template = link(PREAMBLE_SEED)
     ss = np.random.SeedSequence(rng_seed)
     child_trial, child_payload, child_channel = ss.spawn(3)
-    rng = np.random.default_rng(child_trial)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
-
+    channel_seed = int(child_channel.generate_state(1, np.uint64)[0])
     lo, hi = LEAD_GAP_RANGE
-    lead_gap = int(rng.integers(lo, hi + 1))
+    lead_gap = int(np.random.default_rng(child_trial).integers(lo, hi + 1))
     frame, n0 = build_frame(num, pre, N_PAYLOAD_SYMBOLS, lead_gap, seed=child_payload)
     frame.flags.writeable = False
-    return seed_id, frame, n0, int(child_channel.generate_state(1, np.uint64)[0])
-
-
-def run_trial(pairs, draw) -> list[TrialRecord]:
-    """One drawn frame through the channel of each (scenario, snr_db) pair
-    and the synchronizer: one TrialRecord per pair, in order.
-
-    draw is draw_trial(rng_seed); the channel seeds its own generators from
-    the draw's channel_seed, so the draw is only read.  All pairs go
-    through one run_pipeline call, so pairs that share a channel and CFO
-    share its fading, and every pair shares the draw's unit noise.
-    """
-    num, _, template = link(PREAMBLE_SEED)
-    seed_id, frame, n0, channel_seed = draw
     pairs = list(pairs)
     cfgs = []
     for scenario, snr_db in pairs:
@@ -276,13 +263,12 @@ def run_campaign(scenario, return_records: bool = False):
 
     scenario may also be a sequence of scenarios, run in one pass: the
     result is then a list with one such value per scenario, in order.
-    Trial t of grid point s is draw_trial([master_seed, s, t]) for every
-    scenario with that master seed, grid point and trial, so it is drawn
-    once and such scenarios run the same frames and channel seeds; one
-    run_trial call runs it through all of them.  The loop is
-    grid-point-major and holds one draw per master seed at a time;
-    a point's records are aggregated when its trials are done and kept
-    only with return_records=True.
+    Trial t of grid point s is run_trial over every scenario with that
+    master seed, grid point and trial, with entropy [master_seed, s, t],
+    so it is drawn once and such scenarios run the same frames and channel
+    seeds.  The loop is grid-point-major and holds one frame at a time; a
+    point's records are aggregated when its trials are done and kept only
+    with return_records=True.
     """
     one = isinstance(scenario, Scenario)
     scenarios = [scenario] if one else list(scenario)
@@ -299,7 +285,7 @@ def run_campaign(scenario, return_records: bool = False):
                     sharing.setdefault(sc.master_seed, []).append(i)
             for seed, members in sharing.items():
                 pairs = [(scenarios[i], scenarios[i].snr_grid_db[s]) for i in members]
-                for i, rec in zip(members, run_trial(pairs, draw_trial([seed, s, t]))):
+                for i, rec in zip(members, run_trial(pairs, [seed, s, t])):
                     point[i].append(rec)
         for sc, st, rec, recs in zip(scenarios, stats, records, point):
             if s < len(sc.snr_grid_db):

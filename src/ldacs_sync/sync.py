@@ -127,8 +127,8 @@ def metric_stream(
         k = min(i, num.lookback)
         buf = r[i - k : i + _BLOCK]
         _check_finite(buf[k:])
-        ac1, ac2, ene = metric_arrays(buf, num.l_quarter)
-        xcr = xcr_window(buf, num.l_quarter, a, k, buf.size)
+        ac1, ac2, ene = metric_arrays(buf)
+        xcr = xcr_window(buf, a, k, buf.size)
         for arr, part in zip(out, (ac1[k:], ac2[k:], ene[k:], xcr)):
             arr[i : i + _BLOCK] = part
     return out
@@ -188,35 +188,36 @@ def _wrap_eps(eps: float) -> float:
 
 
 def _coarse_cfo(a1: complex) -> float:
-    """Lag-L estimate 2*phi1/pi with phi1 = -arg(a1), unwrapped."""
-    return 2.0 * -np.angle(a1) / np.pi
+    """Lag-L estimate 2*phi1/pi with phi1 = -arg(a1), unwrapped.
 
-
-def estimate_cfo(
-    ac1_vals: Sequence[complex], ac2_vals: Sequence[complex]
-) -> Optional[float]:
-    """Fractional CFO in subcarrier spacings, range (-2, 2].
-
-    phi1 = -arg(sum ac1_vals) gives the coarse estimate 2*phi1/pi; the fine
-    estimate phi2/pi is shifted by the even integer (0 or +/-2) that brings
-    it nearest the coarse one.  Returns None when either accumulator has
-    zero magnitude (undefined angle).
+    Both estimators take the angle of reading + 0j, which reads a -0.0 part
+    as +0.0, as a sum from zero (np.sum) does: arg(-1 - 0j) is -pi, not pi.
     """
-    a1 = complex(np.sum(np.asarray(ac1_vals, dtype=np.complex128)))
-    a2 = complex(np.sum(np.asarray(ac2_vals, dtype=np.complex128)))
-    if abs(a1) == 0.0 or abs(a2) == 0.0:
+    return 2.0 * -np.angle(a1 + 0j) / np.pi
+
+
+def _fine_cfo(coarse: float, a2: complex) -> Optional[float]:
+    """estimate_cfo's result from its coarse estimate and a2."""
+    if abs(a2) == 0.0:
         return None
-    coarse = _coarse_cfo(a1)
-    fine = -np.angle(a2) / np.pi
-    # candidate order biases ties toward the centre branch
-    best = fine
-    best_err = abs(fine - coarse)
-    for k in (2.0, -2.0):
-        err = abs(fine + k - coarse)
-        if err < best_err:
-            best = fine + k
-            best_err = err
+    fine = -np.angle(a2 + 0j) / np.pi
+    # the first nearest candidate: ties go toward the centre branch
+    best = min((fine, fine + 2.0, fine - 2.0), key=lambda c: abs(c - coarse))
     return float(_wrap_eps(best))
+
+
+def estimate_cfo(a1: complex, a2: complex) -> Optional[float]:
+    """Fractional CFO in subcarrier spacings, range (-2, 2], from a lag-L
+    reading a1 and a lag-2L reading a2.
+
+    phi1 = -arg(a1) gives the coarse estimate 2*phi1/pi; the fine estimate
+    phi2/pi, phi2 = -arg(a2), is shifted by the even integer (0 or +/-2)
+    that brings it nearest the coarse one.  Returns None when either
+    reading has zero magnitude (undefined angle).
+    """
+    if abs(a1) == 0.0:
+        return None
+    return _fine_cfo(_coarse_cfo(a1), a2)
 
 
 def timing_window(trigger: int, num: Numerology) -> tuple[int, int]:
@@ -300,9 +301,9 @@ class SyncState:
         start = num.lookback if base else num.ac_valid_from
         run = not self.done
         if searching and buf.size - k >= _BLOCK:
-            run = may_trigger(buf, num.l_quarter, num.m_consec, start)
+            run = may_trigger(buf, start)
         if run:
-            ac1, ac2, ene = metric_arrays(buf, num.l_quarter)
+            ac1, ac2, ene = metric_arrays(buf)
             if searching:
                 found = first_trigger(ac1, ac2, ene, num.m_consec, start)
                 if found >= 0:
@@ -330,14 +331,18 @@ class SyncState:
         both CFO readings.  xcr is computed over the timing window only."""
         num, trig = self.num, self.result.trigger_index
         lo, hi = timing_window(trig, num)
-        xcr = xcr_window(buf, num.l_quarter, self.template, lo - base, hi - base)
+        xcr = xcr_window(buf, self.template, lo - base, hi - base)
         n_hat = estimate_sto(xcr, lo, num)
 
-        i1, i2 = cfo_match_indices(n_hat, num)
-        a1 = complex(ac1[i1 - base])
-        cfo = estimate_cfo([a1], [ac2[i1 - base], ac2[i2 - base]])
-        cfo2 = estimate_cfo([a1], [ac2[i1 - base]])
-        cfo1 = float(_wrap_eps(_coarse_cfo(a1))) if abs(a1) > 0.0 else None
+        i1, i2 = cfo_match_indices(n_hat - base, num)  # in buf
+        a1 = ac1[i1]
+        cfo = cfo1 = cfo2 = None
+        if abs(a1) > 0.0:
+            coarse = _coarse_cfo(a1)
+            cfo1 = float(_wrap_eps(coarse))
+            # both symbols' lag-2L readings, summed by np.sum, symbol 1 first
+            cfo = _fine_cfo(coarse, np.sum(ac2[[i1, i2]]))
+            cfo2 = _fine_cfo(coarse, ac2[i1])
         return SyncResult(
             detected=True,
             trigger_index=trig,

@@ -18,7 +18,6 @@ from ldacs_sync import (
     baseline_xene,
     baseline_xsig,
     build_frame,
-    draw_trial,
     estimate_cfo,
     estimate_sto,
     metric_stream,
@@ -266,7 +265,7 @@ def test_criterion_8_cfo_branch_algebra(capsys):
     ]
     worst = 0.0
     for phi1, phi2, want in cases:
-        got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)])
+        got = estimate_cfo(np.exp(-1j * phi1), np.exp(-1j * phi2))
         worst = max(worst, abs(got - want))
 
     ok = worst < 1e-12
@@ -385,7 +384,7 @@ def test_criterion_11_cfo_variance_meets_first_order_theory(num, capsys):
         for e_idx, eps in enumerate(grid):
             sc = Scenario(name="cfo", channel="AWGN", epsilon=eps, snr_grid_db=(snr_db,))
             for t in range(n_trials):
-                rec = run_trial([(sc, snr_db)], draw_trial([18, e_idx, s_idx, t]))[0]
+                rec = run_trial([(sc, snr_db)], [18, e_idx, s_idx, t])[0]
                 if rec.cfo_error is not None:
                     err.append(rec.cfo_error)
                 if rec.cfo_est_ac1 is not None:

@@ -13,7 +13,7 @@ import pytest
 from ldacs_sync import (
     ImpairmentConfig,
     Scenario,
-    draw_trial,
+    build_frame,
     energy_template,
     generate_preamble,
     load_scenario,
@@ -24,6 +24,7 @@ from ldacs_sync import (
     write_campaign_json,
     write_trial_csv,
 )
+from ldacs_sync import harness as harness_module
 from ldacs_sync.harness import (
     CHANNEL_MODELS,
     CHANNELS,
@@ -122,7 +123,7 @@ class TestLink:
 class TestRunTrial:
     def test_noiseless_trial_succeeds(self):
         sc = _scenario(epsilon=0.5, snr_grid_db=(math.inf,))
-        rec = run_trial([(sc, math.inf)], draw_trial([1, 0, 0]))[0]
+        rec = run_trial([(sc, math.inf)], [1, 0, 0])[0]
         assert rec.detected
         assert not rec.fail
         assert rec.sto_error == 0
@@ -130,16 +131,16 @@ class TestRunTrial:
 
     def test_deterministic_per_seed(self):
         sc = _scenario(epsilon=1.5)
-        a = run_trial([(sc, 10.0)], draw_trial([1, 0, 7]))[0]
-        b = run_trial([(sc, 10.0)], draw_trial([1, 0, 7]))[0]
+        a = run_trial([(sc, 10.0)], [1, 0, 7])[0]
+        b = run_trial([(sc, 10.0)], [1, 0, 7])[0]
         assert a == b
-        c = run_trial([(sc, 10.0)], draw_trial([1, 0, 8]))[0]
+        c = run_trial([(sc, 10.0)], [1, 0, 8])[0]
         assert a.seed != c.seed
 
     def test_low_snr_failures_register(self):
         sc = _scenario(epsilon=1.5, n_trials=200)
         fails = sum(
-            run_trial([(sc, -10.0)], draw_trial([1, 0, t]))[0].fail for t in range(200)
+            run_trial([(sc, -10.0)], [1, 0, t])[0].fail for t in range(200)
         )
         assert fails / 200 > 0.10
 
@@ -147,25 +148,38 @@ class TestRunTrial:
     def test_minus_inf_or_nan_snr_rejected(self, snr_db):
         # +inf is the only noiseless value
         with pytest.raises(ValueError, match="snr_db"):
-            run_trial([(_scenario(), snr_db)], draw_trial([1, 0, 0]))
+            run_trial([(_scenario(), snr_db)], [1, 0, 0])
 
     def test_lead_gap_varies_across_trials(self):
         sc = _scenario()
-        gaps = {run_trial([(sc, math.inf)], draw_trial([1, 0, t]))[0].true_sto for t in range(8)}
+        gaps = {run_trial([(sc, math.inf)], [1, 0, t])[0].true_sto for t in range(8)}
         assert len(gaps) > 1
         lo, hi = LEAD_GAP_RANGE
         assert all(lo <= g <= hi for g in gaps)
 
 
 class TestDrawTrial:
-    def test_same_bytes_for_one_entropy(self):
-        a, b = draw_trial([4, 2, 9]), draw_trial([4, 2, 9])
-        assert a[0] == b[0] and a[2:] == b[2:]
-        assert a[1].tobytes() == b[1].tobytes()
-        assert draw_trial([4, 2, 10])[0] != a[0]
+    """The draw inside run_trial: the frame, the lead gap and the seeds
+    come from the entropy alone, and the frame is read-only while the
+    pairs share it."""
 
-    def test_frame_is_read_only(self):
-        frame = draw_trial([1, 0, 0])[1]
+    def test_same_bytes_for_one_entropy(self):
+        pairs = [(_scenario(channel="TMA", epsilon=1.5), 10.0)]
+        a = run_trial(pairs, [4, 2, 9])
+        assert a == run_trial(pairs, [4, 2, 9])
+        assert run_trial(pairs, [4, 2, 10])[0].seed != a[0].seed
+
+    def test_frame_is_read_only(self, monkeypatch):
+        # the frame run_trial hands the channel cannot be written
+        seen = []
+
+        def pipeline(frame, cfgs, num):
+            seen.append(frame)
+            return run_pipeline(frame, cfgs, num)
+
+        monkeypatch.setattr(harness_module, "run_pipeline", pipeline)
+        run_trial([(_scenario(), 10.0), (_scenario(channel="ENR"), 5.0)], [1, 0, 0])
+        (frame,) = seen
         assert frame.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
             frame[0] = 0.0
@@ -174,10 +188,11 @@ class TestDrawTrial:
     @pytest.mark.parametrize("snr_db", [10.0, math.inf])
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_pipeline_only_reads_the_frame(self, channel, snr_db, epsilon):
-        # scenarios share one frame array: no stage may write into it, and
-        # the output is a new array even when no stage runs
-        num = link(1)[0]
-        frame = draw_trial([2, 1, 3])[1]
+        # scenarios share one read-only frame array: no stage may write into
+        # it, and the output is a new array even when no stage runs
+        num, pre, _ = link(1)
+        frame = build_frame(num, pre, 2, 300, seed=3)[0]
+        frame.flags.writeable = False
         before = frame.copy()
         profile, dme = CHANNEL_MODELS[channel]
         cfg = ImpairmentConfig(epsilon=epsilon, snr_db=snr_db, profile=profile, dme=dme, seed=9)
@@ -186,17 +201,16 @@ class TestDrawTrial:
         assert np.array_equal(frame, before)
 
     def test_one_draw_through_two_scenarios(self):
-        seed_id, _, n0, _ = draw = draw_trial([1, 3, 5])
         pairs = [
             (_scenario(channel="AWGN", epsilon=0.0), 10.0),
             (_scenario(channel="TMA", epsilon=1.5), 20.0),
         ]
-        a, b = run_trial(pairs, draw)
-        assert a.seed == b.seed == seed_id
-        assert a.true_sto == b.true_sto == n0
+        a, b = run_trial(pairs, [1, 3, 5])
+        assert a.seed == b.seed
+        assert a.true_sto == b.true_sto
         # one call over both pairs gives what each pair gives alone
-        assert [a, b] == [run_trial([pair], draw)[0] for pair in pairs]
-        assert run_trial([], draw) == []
+        assert [a, b] == [run_trial([pair], [1, 3, 5])[0] for pair in pairs]
+        assert run_trial([], [1, 3, 5]) == []
 
 
 class TestCampaignOfSeveral:
@@ -260,7 +274,7 @@ class TestAggregation:
 
     def test_order_independent(self):
         sc = _scenario(n_trials=6)
-        recs = [run_trial([(sc, 10.0)], draw_trial([1, 0, t]))[0] for t in range(6)]
+        recs = [run_trial([(sc, 10.0)], [1, 0, t])[0] for t in range(6)]
         fwd = aggregate("t", 10.0, recs)
         rev = aggregate("t", 10.0, recs[::-1])
         assert fwd == rev
@@ -269,7 +283,7 @@ class TestAggregation:
         sc = _scenario(n_trials=5, snr_grid_db=(10.0, 5.0), master_seed=3)
         stats, records = run_campaign(sc, return_records=True)
         for s, snr_db in enumerate(sc.snr_grid_db):
-            manual = [run_trial([(sc, snr_db)], draw_trial([3, s, t]))[0] for t in range(5)]
+            manual = [run_trial([(sc, snr_db)], [3, s, t])[0] for t in range(5)]
             assert records[s] == manual
             assert stats[s] == aggregate("t", snr_db, manual)
 
@@ -281,7 +295,7 @@ class TestAggregation:
         assert [len(records[s]) for s in sorted(records)] == [3, 3, 3]
 
     def test_mse_nan_when_nothing_detected(self):
-        rec = run_trial([(_scenario(), -30.0)], draw_trial([1, 0, 0]))[0]
+        rec = run_trial([(_scenario(), -30.0)], [1, 0, 0])[0]
         stats = aggregate("t", -30.0, [rec] * 3)
         if stats.n_detected == 0:
             assert math.isnan(stats.cfo_mse)

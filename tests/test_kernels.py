@@ -22,8 +22,8 @@ class TestDispatch:
 class TestAgainstDirectSums:
     def test_metric_arrays_vs_direct(self, num, template, rng):
         r = _random_stream(rng, 1000)
-        ac1, ac2, ene = metric_arrays(r, num.l_quarter)
-        xcr = xcr_window(r, num.l_quarter, template, 0, r.size)
+        ac1, ac2, ene = metric_arrays(r)
+        xcr = xcr_window(r, template, 0, r.size)
         for n in range(num.lookback, r.size, 17):
             snap = metrics_direct(r[: n + 1], num, template)
             assert abs(ac1[n] - snap.ac1) <= 1e-9 * max(1.0, abs(snap.ac1))
@@ -40,7 +40,7 @@ class TestAgainstDirectSums:
     def test_warmup_region_zero_padded(self, num, template, rng):
         # indices before the first full window see zeros in place of history
         r = _random_stream(rng, 300)
-        ac1, ac2, ene = metric_arrays(r, num.l_quarter)
+        ac1, ac2, ene = metric_arrays(r)
         w = 2 * num.l_quarter
         n = 100  # window still reaching past the stream start
         pad = num.d_template + w
@@ -79,7 +79,7 @@ class TestCumsumReference:
         sizes = [0, 1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 4 * L, num.lookback, 2200, _BLOCK + 427]
         for n in sizes:
             r = scale * _random_stream(rng, n)
-            for got, want in zip(metric_arrays(r, L), self._reference(r, L)):
+            for got, want in zip(metric_arrays(r), self._reference(r, L)):
                 assert got.dtype == want.dtype and got.shape == want.shape, n
                 assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), n
 
@@ -125,7 +125,7 @@ class TestXcrWindow:
             ]
         windows += [tuple(sorted(rng.integers(0, size + 1, size=2))) for _ in range(40)]
         for lo, hi in windows:
-            got = xcr_window(r, num.l_quarter, template, int(lo), int(hi))
+            got = xcr_window(r, template, int(lo), int(hi))
             assert got.dtype == np.float64 and got.shape == (hi - lo,)
             if lo >= d - 1:
                 assert np.array_equal(got, full[lo:hi]), (lo, hi)
@@ -136,14 +136,13 @@ class TestXcrWindow:
     def test_zero_prefix_shifts_exactly(self, num, template, rng):
         # zeros before r[0] are literal: prepending z of them and shifting
         # the window by z gives the same bits, wherever the window reaches
-        L = num.l_quarter
         for _ in range(300):
             r = _random_stream(rng, int(rng.integers(1, 1200)))
             lo, hi = sorted(int(i) for i in rng.integers(0, r.size + 1, size=2))
             z = int(rng.integers(1, 2 * num.lookback))
             padded = np.concatenate([np.zeros(z, dtype=np.complex128), r])
-            got = xcr_window(padded, L, template, lo + z, hi + z)
-            assert np.array_equal(got, xcr_window(r, L, template, lo, hi)), (r.size, lo, hi, z)
+            got = xcr_window(padded, template, lo + z, hi + z)
+            assert np.array_equal(got, xcr_window(r, template, lo, hi)), (r.size, lo, hi, z)
 
 
 def _screened(cond, m, start):
@@ -300,29 +299,29 @@ class TestTriggerMargins:
     @pytest.mark.parametrize("kind", ["enr_dme_8", "enr_dme_16", "enr_dme_24", "dc", "cw", "noise"])
     def test_within_tol_of_the_kernels(self, kind, scale, num, pre):
         x = scale * TestFirstTriggerOnMetricArrays._stream(kind, num, pre)
-        L, m = num.l_quarter, num.m_consec
+        m = num.m_consec
         # a stream start, and a buffer that begins with a retained tail
         for buf, start in ((x, num.ac_valid_from), (x[1000:], num.lookback)):
-            first, margin, tol = trigger_margins(buf, L, m, start)
+            first, margin, tol = trigger_margins(buf, start)
             # every run of m from start on holds one of the indices
             assert start <= first < start + m
             assert buf.size - m <= first + m * (margin.size - 1) < buf.size
-            ac1, ac2, ene = metric_arrays(buf, L)
+            ac1, ac2, ene = metric_arrays(buf)
             kernels = (np.abs(ac1) + np.abs(ac2) - ene)[first::m]
             assert kernels.shape == margin.shape
             assert np.all(np.abs(margin - kernels) <= tol), np.max(np.abs(margin - kernels)) / tol
-            if not may_trigger(buf, L, m, start):
+            if not may_trigger(buf, start):
                 assert first_trigger(ac1, ac2, ene, m, start) == -1
             if kind != "noise" and scale == 1.0:
                 # the condition holds runs before the frame (DME) or throughout
-                assert may_trigger(buf, L, m, start)
+                assert may_trigger(buf, start)
 
     def test_rows_from_the_stream_start(self, num, rng):
         # the windows that reach before r[0] read zeros there, as at full rate
         L, m = num.l_quarter, num.m_consec
         r = _random_stream(rng, 5 * L + 7)
-        tol = trigger_margins(r, L, m, 0)[2]
-        for got, want in zip(metric_arrays(r, L, m), metric_arrays(r, L)):
+        tol = trigger_margins(r, 0)[2]
+        for got, want in zip(metric_arrays(r, strided=True), metric_arrays(r)):
             assert got.dtype == want.dtype and got.size == r.size // m
             assert np.all(np.abs(got - want[m - 1 :: m]) <= tol)
 
@@ -330,12 +329,7 @@ class TestTriggerMargins:
         L, m = num.l_quarter, num.m_consec
         # lookback = 24m - 1 ends a row: its margin exists once r holds it
         for n, size in ((0, 0), (100, 0), (num.lookback, 0), (num.lookback + 1, 1), (num.lookback + m, 1)):
-            first, margin, tol = trigger_margins(_random_stream(rng, n), L, m, num.lookback)
+            first, margin, tol = trigger_margins(_random_stream(rng, n), num.lookback)
             assert first == num.lookback and margin.size == size, n
         for n in (0, m - 1, m, L + m):
-            assert all(a.size == n // m for a in metric_arrays(_random_stream(rng, n), L, m)), n
-
-    def test_needs_whole_rows_per_lag(self, num, rng):
-        r = _random_stream(rng, 1000)
-        with pytest.raises(ValueError, match="m [|] L"):
-            metric_arrays(r, num.l_quarter, 3)
+            assert all(a.size == n // m for a in metric_arrays(_random_stream(rng, n), strided=True)), n

@@ -88,6 +88,11 @@ class TestNumerology:
         with pytest.raises(AttributeError):
             num.n_cp = 5
 
+    def test_whole_rows_per_lag(self, num):
+        # the kernels' screen sums rows of m_consec samples and pairs each
+        # row with the rows L and 2L before it
+        assert num.l_quarter % num.m_consec == 0
+
     def test_used_subcarriers_symmetric(self, num):
         from ldacs_sync.sigmodel import used_subcarriers
 

@@ -269,12 +269,11 @@ class TestChunkInvariance:
             assert lo < _BLOCK <= hi  # the second block starts in (lo, hi]
         _assert_same_result(synchronize(x, num, template), ref)
         # metric_stream's blocks against one kernel pass over the whole stream
-        L = num.l_quarter
         got = metric_stream(x, num, template)
-        for g, w in zip(got[:3], metric_arrays(x, L)):
+        for g, w in zip(got[:3], metric_arrays(x)):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) < 1e-9
-        assert np.array_equal(got[3], xcr_window(x, L, template, 0, x.size))
+        assert np.array_equal(got[3], xcr_window(x, template, 0, x.size))
 
     @pytest.mark.parametrize("kind", ["trigger", "window", "cfo", "noise"])
     @pytest.mark.parametrize("chunk", [1000, 4096, _BLOCK, "random"])
@@ -364,9 +363,9 @@ class TestScreen:
         calls = []
         kernel = sync_module.metric_arrays
 
-        def counted(r, l_quarter):
+        def counted(r):
             calls.append(r.size)
-            return kernel(r, l_quarter)
+            return kernel(r)
 
         monkeypatch.setattr(sync_module, "metric_arrays", counted)
         return calls
@@ -466,7 +465,7 @@ class TestScreen:
         state.push(x[:_BLOCK])
         k = state._tail.size
         buf = x[_BLOCK - k : 2 * _BLOCK]  # block 1's push: [tail | block]
-        first = trigger_margins(buf, L, m, num.lookback)[0]
+        first = trigger_margins(buf, num.lookback)[0]
         at = first + 300 * m
         seg = slice(at - 4 * L + 1, at + 1)
         tone = np.exp(2j * np.pi * np.arange(4 * L) / L)
@@ -474,7 +473,7 @@ class TestScreen:
         def margins(a):
             y = buf.copy()
             y[seg] += a * tone
-            return trigger_margins(y, L, m, num.lookback)[1:]
+            return trigger_margins(y, num.lookback)[1:]
 
         lo, hi = 0.0, 3.0
         assert np.max(margins(lo)[0]) < 0 < np.max(margins(hi)[0])
@@ -484,10 +483,10 @@ class TestScreen:
             lo, hi = (lo, mid) if np.max(margin) > -tol / 2 else (mid, hi)
         margin, tol = margins(hi)
         assert -tol < np.max(margin) <= 0 and np.sum(margin > -tol) == 1
-        assert may_trigger(buf, L, m, num.lookback) is False
+        assert may_trigger(buf, num.lookback) is False
         y = x.copy()
         y[_BLOCK - k + seg.start : _BLOCK - k + seg.stop] += hi * tone
-        assert may_trigger(y[_BLOCK - k : 2 * _BLOCK], L, m, num.lookback)
+        assert may_trigger(y[_BLOCK - k : 2 * _BLOCK], num.lookback)
 
         calls = self._counting(monkeypatch)
         assert synchronize(x, num, template) == SyncResult(detected=False)
@@ -523,9 +522,9 @@ class TestWindowedTiming:
             detected=True,
             trigger_index=trig,
             sto_estimate=n_hat,
-            cfo_estimate=estimate_cfo([ac1[i1]], [ac2[i1], ac2[i2]]),
+            cfo_estimate=estimate_cfo(ac1[i1], np.sum(ac2[[i1, i2]])),
             cfo_estimate_ac1=float(2.0 * -np.angle(ac1[i1]) / np.pi),
-            cfo_estimate_ac2=estimate_cfo([ac1[i1]], [ac2[i1]]),
+            cfo_estimate_ac2=estimate_cfo(ac1[i1], ac2[i1]),
         )
 
     @pytest.mark.parametrize("channel", ["AWGN", "TMA", "ENR_DME"])
@@ -544,9 +543,9 @@ class TestWindowedTiming:
         asked = []
         window = sync_module.xcr_window
 
-        def counted(r, l_quarter, a, lo, hi):
+        def counted(r, a, lo, hi):
             asked.append(hi - lo)
-            return window(r, l_quarter, a, lo, hi)
+            return window(r, a, lo, hi)
 
         monkeypatch.setattr(sync_module, "xcr_window", counted)
         f = self._frame("AWGN", 0.5, 40_000, num, pre)
@@ -602,33 +601,109 @@ class TestStoEstimator:
             estimate_sto(np.zeros(0), 0, num)
 
 
+def _cfo_reference(ac1_vals, ac2_vals):
+    """estimate_cfo as it was when it took sequences of readings, verbatim
+    (with the coarse estimate and the wrap inlined): each sequence summed
+    by np.sum, then the three-candidate resolution."""
+    a1 = complex(np.sum(np.asarray(ac1_vals, dtype=np.complex128)))
+    a2 = complex(np.sum(np.asarray(ac2_vals, dtype=np.complex128)))
+    if abs(a1) == 0.0 or abs(a2) == 0.0:
+        return None
+    coarse = 2.0 * -np.angle(a1) / np.pi
+    fine = -np.angle(a2) / np.pi
+    # candidate order biases ties toward the centre branch
+    best = fine
+    best_err = abs(fine - coarse)
+    for k in (2.0, -2.0):
+        err = abs(fine + k - coarse)
+        if err < best_err:
+            best = fine + k
+            best_err = err
+    out = (best + 2.0) % 4.0 - 2.0
+    if out == -2.0:
+        out = 2.0
+    return float(out)
+
+
+class TestCfoReference:
+    """estimate_cfo(a1, a2) has the bits of the sequence form on one
+    reading each, and on two lag-2L readings summed as SyncState sums them
+    (np.sum, the symbol-1 reading first).  repr tells -0.0 from 0.0 and
+    round-trips every float, so equal reprs are equal bits."""
+
+    @staticmethod
+    def _check(a1, b1, b2=None):
+        want = _cfo_reference([a1], [b1] if b2 is None else [b1, b2])
+        got = estimate_cfo(a1, b1 if b2 is None else np.sum(np.array([b1, b2])))
+        assert repr(got) == repr(want), (a1, b1, b2)
+
+    def test_seeded_random_readings(self, rng):
+        for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+            z = scale * (rng.normal(size=(400, 3)) + 1j * rng.normal(size=(400, 3)))
+            for a1, b1, b2 in z:
+                self._check(a1, b1)
+                self._check(a1, b1, b2)
+
+    def test_criterion_8_branch_angles(self):
+        for phi1, phi2 in [
+            (0.0, 0.0),
+            (np.pi / 4, np.pi / 2),
+            (3 * np.pi / 4, -np.pi / 2),
+            (-0.6 * np.pi, 0.8 * np.pi),
+            (0.95 * np.pi, -0.1 * np.pi),
+            (-0.95 * np.pi, 0.1 * np.pi),
+            (np.pi / 2, np.pi),
+        ]:
+            self._check(np.exp(-1j * phi1), np.exp(-1j * phi2))
+
+    def test_near_one_and_two(self, rng):
+        # |eps| near 1 puts phi1 on a branch boundary, near 2 the estimate
+        # on the wrap
+        for centre in (1.0, -1.0, 2.0, -2.0):
+            for eps in centre + np.concatenate([[0.0, 1e-15, -1e-15, 1e-9, -1e-9], rng.normal(scale=1e-3, size=50)]):
+                a1, b = np.exp(-1j * np.pi * eps / 2.0), np.exp(-1j * np.pi * eps)
+                self._check(a1, b)
+                self._check(a1, b, b * np.exp(1j * rng.normal(scale=1e-6)))
+
+    def test_signed_zero_parts(self):
+        # a sum from zero reads a -0.0 part as +0.0: arg(-1 - 0j) is -pi but
+        # arg(-1 + 0j) is pi, and a1 + a2 keeps the -0.0 that np.sum drops
+        parts = (-0.0, 0.0, 1.0, -1.0)
+        values = [complex(re, im) for re in parts for im in parts]
+        for a1 in values:
+            for b1 in values:
+                self._check(a1, b1)
+                for b2 in values:
+                    self._check(a1, b1, b2)
+
+
 class TestCfoEstimator:
     def test_zero_angles(self):
-        assert estimate_cfo([1.0 + 0j], [2.0 + 0j]) == 0.0
+        assert estimate_cfo(1.0 + 0j, 2.0 + 0j) == 0.0
 
     def test_centre_branch(self):
         # eps = 0.5: phi1 = pi/4 inside (-pi/2, pi/2), estimate = phi2/pi
         a1 = np.exp(-1j * np.pi / 4)
         a2 = np.exp(-1j * np.pi / 2)
-        assert estimate_cfo([a1], [a2]) == pytest.approx(0.5, abs=1e-12)
+        assert estimate_cfo(a1, a2) == pytest.approx(0.5, abs=1e-12)
 
     def test_upper_branch(self):
         # eps = 1.5: phi1 = 3pi/4 > pi/2, phi2 wraps to -pi/2, shift +2
         a1 = np.exp(-1j * 3 * np.pi / 4)
         a2 = np.exp(1j * np.pi / 2)
-        assert estimate_cfo([a1], [a2]) == pytest.approx(1.5, abs=1e-12)
+        assert estimate_cfo(a1, a2) == pytest.approx(1.5, abs=1e-12)
 
     def test_lower_branch(self):
         # eps = -1.2: phi1 = -0.6pi < -pi/2, phi2 wraps to +0.8pi, shift -2
         a1 = np.exp(1j * 0.6 * np.pi)
         a2 = np.exp(-1j * 0.8 * np.pi)
-        assert estimate_cfo([a1], [a2]) == pytest.approx(-1.2, abs=1e-12)
+        assert estimate_cfo(a1, a2) == pytest.approx(-1.2, abs=1e-12)
 
     def test_range_extremes(self):
         for eps in (1.9, -1.9, 1.0, -0.999):
             phi1 = np.pi * eps / 2.0
             phi2 = np.angle(np.exp(1j * np.pi * eps))  # wrapped
-            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)])
+            got = estimate_cfo(np.exp(-1j * phi1), np.exp(-1j * phi2))
             assert got == pytest.approx(eps, abs=1e-12)
             assert -2.0 < got <= 2.0
 
@@ -648,19 +723,20 @@ class TestCfoEstimator:
                 want = fine - 2.0
             if want == -2.0:
                 want = 2.0
-            got = estimate_cfo([np.exp(-1j * phi1)], [np.exp(-1j * phi2)])
+            got = estimate_cfo(np.exp(-1j * phi1), np.exp(-1j * phi2))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_magnitude_is_failure(self):
-        assert estimate_cfo([0.0j], [1.0 + 0j]) is None
-        assert estimate_cfo([1.0 + 0j], [0.0j]) is None
+        assert estimate_cfo(0.0j, 1.0 + 0j) is None
+        assert estimate_cfo(1.0 + 0j, 0.0j) is None
 
     def test_readings_combine_coherently(self):
-        # two ac2 readings with the same angle must not change the estimate
+        # two ac2 readings with the same angle, summed, must not change the
+        # estimate
         a1 = np.exp(-1j * np.pi / 4)
         a2 = np.exp(-1j * np.pi / 2)
-        one = estimate_cfo([a1], [a2])
-        two = estimate_cfo([a1], [a2, 3.0 * a2])
+        one = estimate_cfo(a1, a2)
+        two = estimate_cfo(a1, np.sum([a2, 3.0 * a2]))
         assert two == pytest.approx(one, abs=1e-12)
 
 
