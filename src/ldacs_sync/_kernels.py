@@ -12,8 +12,9 @@ L and m_consec are the fixed Numerology values; m_consec divides L.
 
 metric_arrays gives the detection arrays (ac1, ac2, ene) over the whole
 stream.  Each sliding sum is one buffer of n + 2L entries whose first 2L
-are zero: the summands go in behind the zeros (the lag products through
-_lag_products, which also feeds xcr_window), a cumsum runs over them in
+are zero: the summands go in behind the zeros (the lag products of both
+lags through _lag_products, from one conjugate of r; it also feeds
+xcr_window), a cumsum runs over them in
 place, and one subtraction of the buffer's first n entries takes away the
 sum from 2L samples back (or a zero, and cs - 0 is cs exactly).
 first_trigger finds the first run of m_consec samples with
@@ -56,12 +57,12 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _lag_products(r: np.ndarray, lag: int, lead: int = 0) -> np.ndarray:
+def _lag_products(rc: np.ndarray, r: np.ndarray, lag: int, lead: int = 0) -> np.ndarray:
     """conj(r[j]) * r[j-lag] for every j (zero for j < lag), behind lead
-    zeros."""
+    zeros; rc is conj(r), which the caller makes once for all its lags."""
     out = np.empty(lead + r.size, dtype=np.complex128)
     out[: lead + lag] = 0.0
-    np.multiply(np.conj(r[lag:]), r[:-lag], out=out[lead + lag :])
+    np.multiply(rc[lag:], r[:-lag], out=out[lead + lag :])
     return out
 
 
@@ -89,7 +90,8 @@ def metric_arrays(
     if strided:
         return _row_windows(r)
     w = 2 * _L
-    ac1, ac2 = (_window_sums(_lag_products(r, lag, w), w) for lag in (_L, w))
+    rc = np.conj(r)
+    ac1, ac2 = (_window_sums(_lag_products(rc, r, lag, w), w) for lag in (_L, w))
     buf = np.empty(r.size + w, dtype=np.float64)
     buf[:w] = 0.0
     np.multiply(r.real, r.real, out=buf[w:])
@@ -133,7 +135,8 @@ def xcr_window(r: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return np.zeros(0, dtype=np.float64)
     w = 2 * _L
     s = lo - a.size + 1 - w  # first sample the lag products over [lo-D+1, hi) read
-    vm = np.abs(_lag_products(r[max(s, 0) : hi], w, max(-s, 0))[w:])
+    seg = r[max(s, 0) : hi]
+    vm = np.abs(_lag_products(np.conj(seg), seg, w, max(-s, 0))[w:])
     return np.convolve(vm, a, "valid")
 
 

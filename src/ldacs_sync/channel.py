@@ -1,13 +1,15 @@
 """Channel impairments: CFO, AWGN, Rician multipath, DME pulses.
 
-The CFO and every multipath tap gain are sums of sinusoids from one
-generator, _tones.  It uses angle addition over blocks of about sqrt(n)
-samples, so a tone over n samples costs about 2*sqrt(n) exponentials, and
-the tones of one tap are summed by one small matmul.  Each tap keeps its
-own call, so a 1732-sample TMA frame is nine (42x16) @ (16x42) products.
-Under default BLAS threads on a 2-CPU host, one stacked (42x129) @
-(129x42) product for all 129 TMA tones stalled for 24 ms or more in 1% of
-calls, while the 16-tone products never took over 0.2 ms.
+The CFO and every multipath tap gain are sums of sinusoids by block angle
+addition (_blocks): a tone over n samples costs about 2*sqrt(n)
+exponentials, and one small matmul sums the tones of a tap (_tones).
+apply_multipath takes the exponentials of all its tones in one np.exp
+pair, then makes one product per tap: a 1732-sample TMA frame is one pass
+over its 129 tones, then nine products, (42x16) @ (16x42) for each
+scattered tap.  One batched np.matmul over the taps gave the same bits but
+took TMA from about 375 to 500 us per call (one BLAS thread); under default
+BLAS threads on a 2-CPU host, one (42x129) @ (129x42) product over all 129
+TMA tones stalled for 24 ms or more in 1% of calls.
 
 The multipath model is a tapped delay line: a line-of-sight (LOS) tone at
 delay 0, then the profile's scattered taps, with a Rician power split.
@@ -216,17 +218,30 @@ def _unit_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return unit
 
 
+def _blocks(omegas: np.ndarray, phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angle addition of _tones for K float64 omegas and phases: the
+    (K, nb) per-block exponentials exp(j*(omegas*i*b + phases)) over the
+    nb = ceil(n/b) blocks, and the (K, b) within-block ones exp(j*omegas*r)
+    over the b = ceil(sqrt(n)) offsets of a block."""
+    b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
+    nb = -(-n // b)
+    outer = np.exp(1j * (omegas[:, None] * (np.arange(nb) * float(b)) + phases[:, None]))
+    inner = np.exp(1j * (omegas[:, None] * np.arange(b, dtype=np.float64)))
+    return outer, inner
+
+
 def _tones(omegas, phases, n: int) -> np.ndarray:
     """Sum over k of exp(j*(omegas[k]*m + phases[k])) for m = 0..n-1, with
     omegas in rad/sample.
 
     Angle addition over nb = ceil(n/b) blocks of b = ceil(sqrt(n))
-    samples: with m = i*b + r, exp(j*(w*m + ph)) = exp(j*(w*i*b + ph)) *
-    exp(j*w*r), so each tone costs about 2*sqrt(n) exponentials, and the
-    sum over tones is one (nb, K) @ (K, b) matmul whose rows are the blocks.
-    Beyond the output, memory is O(K*sqrt(n)).  Callers pass one tap's
-    tones at a time (see the module docstring).  omegas and phases must
-    have one length; ValueError otherwise.
+    samples (_blocks): with m = i*b + r, exp(j*(w*m + ph)) =
+    exp(j*(w*i*b + ph)) * exp(j*w*r), so each tone costs about 2*sqrt(n)
+    exponentials, and the sum over tones is one (nb, K) @ (K, b) matmul
+    whose rows are the blocks.  Beyond the output, memory is O(K*sqrt(n)).
+    apply_multipath makes the exponentials of all its tones in one _blocks
+    call and the product per tap (see the module docstring).  omegas and
+    phases must have one length; ValueError otherwise.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -235,10 +250,7 @@ def _tones(omegas, phases, n: int) -> np.ndarray:
             f"omegas and phases must be 1-D of one length, got shapes "
             f"{omegas.shape} and {phases.shape}"
         )
-    b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
-    nb = -(-n // b)
-    outer = np.exp(1j * (np.outer(omegas, np.arange(nb) * float(b)) + phases[:, None]))
-    inner = np.exp(1j * np.outer(omegas, np.arange(b, dtype=np.float64)))
+    outer, inner = _blocks(omegas, phases, n)
     return (outer.T @ inner).ravel()[:n]
 
 
@@ -251,7 +263,8 @@ def apply_multipath(
     The generator draws the LOS tone's phase, then tap by tap a scattered
     tap's N_SINUSOIDS angles and its N_SINUSOIDS phases, all in one call:
     uniform doubles come in sequence, so one draw of the total is the same
-    stream as one draw per tap.
+    stream as one draw per tap.  Each tap's gain is _tones over its own
+    tones, from one _blocks call over all of them.
     """
     x = np.asarray(x, dtype=np.complex128)
     fs = num.sample_rate_hz
@@ -259,18 +272,21 @@ def apply_multipath(
     u = rng.uniform(0.0, 2.0 * np.pi, 1 + 2 * N_SINUSOIDS * len(profile.taps))
     # the LOS tone's phase, then per scattered tap its angles and its phases
     los_phase, scattered = u[:1], u[1:].reshape(-1, 2, N_SINUSOIDS)
+    # one row per tone, the LOS tone first, then tap by tap: its Doppler as
+    # a fraction of the maximum, and its phase
+    fractions = np.concatenate(([LOS_DOPPLER_FRACTION], np.cos(scattered[:, 0]).ravel()))
+    phases = np.concatenate((los_phase, scattered[:, 1].ravel()))
+    omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
+    outer, inner = _blocks(omegas, phases, n)
     delays = [0] + [round(tap.delay_s * fs) for tap in profile.taps]
     y = np.zeros_like(x)
-    for i, (d, p) in enumerate(zip(delays, profile.linear_powers())):
-        # each tone's Doppler as a fraction of the maximum
-        if i == 0:
-            fractions, phases = np.array([LOS_DOPPLER_FRACTION]), los_phase
-        else:
-            fractions, phases = np.cos(scattered[i - 1, 0]), scattered[i - 1, 1]
-        omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
-        gain = _tones(omegas, phases, n)
-        gain *= math.sqrt(p / fractions.size)
+    lo = 0  # the tap's first row
+    for d, p in zip(delays, profile.linear_powers()):
+        k = 1 if lo == 0 else N_SINUSOIDS
+        gain = (outer[lo : lo + k].T @ inner[lo : lo + k]).ravel()[:n]
+        gain *= math.sqrt(p / k)
         y[d:] += gain[d:] * x[: max(n - d, 0)]
+        lo += k
     return y
 
 
@@ -292,11 +308,11 @@ def apply_dme(
         phases.append(rng.uniform(0.0, 2.0 * np.pi, starts[-1].size))
     n_pairs = [s.size for s in starts]
     # per pair: its interferer's peak amplitude and carrier offset in rad/s
-    amp = np.repeat(
-        [math.sqrt(10.0 ** ((i.power_dbm - DME_REFERENCE_DBM) / 10.0)) for i in interferers],
-        n_pairs,
-    )
-    omega = np.repeat([2.0 * np.pi * i.offset_hz for i in interferers], n_pairs)
+    table = [
+        (math.sqrt(10.0 ** ((i.power_dbm - DME_REFERENCE_DBM) / 10.0)), 2.0 * np.pi * i.offset_hz)
+        for i in interferers
+    ]
+    amp, omega = np.repeat(np.reshape(table, (-1, 2)), n_pairs, axis=0).T
     # the leading empty array keeps np.concatenate defined without interferers
     starts = np.concatenate([np.empty(0), *starts])
     phases = np.concatenate([np.empty(0), *phases])

@@ -252,14 +252,17 @@ def _multipath_reference(x, profile, num, rng):
 class TestMultipath:
     @pytest.mark.parametrize("make_profile", [make_enr_profile, make_tma_profile])
     @pytest.mark.parametrize("k_db", [math.inf, 10.0, -math.inf])
-    @pytest.mark.parametrize("n", [0, 1, 30, 1732])
+    # 1681 = 41**2 and 1682 = 41**2 + 1 are the block-length edges; 2032
+    # is the longest sweep frame (an 800-sample lead), 2331 a longer one
+    @pytest.mark.parametrize("n", [0, 1, 30, 1681, 1682, 1732, 2032, 2331])
     def test_matches_per_tap_loop(self, make_profile, k_db, n, num):
         profile = dataclasses.replace(make_profile(), rician_k_db=k_db)
         x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
         for seed in range(4):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             y = apply_multipath(x, profile, num, rng)
-            assert np.array_equal(y, _multipath_reference(x, profile, num, rng_ref))
+            # bytes, not np.array_equal, which takes -0.0 for 0.0
+            assert y.tobytes() == _multipath_reference(x, profile, num, rng_ref).tobytes()
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_pure_los_is_flat(self, num, rng):
