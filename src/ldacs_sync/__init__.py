@@ -29,7 +29,6 @@ from .sync import (
     SyncResult,
     metrics_direct,
     metric_stream,
-    estimate_sto,
     estimate_cfo,
     synchronize,
     baseline_xsig,
@@ -77,7 +76,6 @@ __all__ = [
     "SyncResult",
     "metrics_direct",
     "metric_stream",
-    "estimate_sto",
     "estimate_cfo",
     "synchronize",
     "baseline_xsig",

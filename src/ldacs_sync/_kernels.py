@@ -1,4 +1,4 @@
-"""Hot metric kernels: in-place cumsum sliding sums, a trigger search, and
+"""Hot metric kernels: in-place running-sum sliding sums, a trigger search, and
 np.convolve over a window.
 
 Per stream index n (L = quarter period, window w = 2L, template length D):
@@ -14,9 +14,10 @@ metric_arrays gives the detection arrays (ac1, ac2, ene) over the whole
 stream.  Each sliding sum is one buffer of n + 2L entries whose first 2L
 are zero: the summands go in behind the zeros (the lag products of both
 lags through _lag_products, from one conjugate of r; it also feeds
-xcr_window), a cumsum runs over them in
-place, and one subtraction of the buffer's first n entries takes away the
-sum from 2L samples back (or a zero, and cs - 0 is cs exactly).
+xcr_window), a running sum runs over them in place (np.add.accumulate, the
+loop np.cumsum runs, without its wrapper's cost on campaign-sized frames),
+and one subtraction of the buffer's first n entries takes away the sum
+from 2L samples back (or a zero, and cs - 0 is cs exactly).
 first_trigger finds the first run of m_consec samples with
 |ac1| + |ac2| > ene in one pass over the condition.  xcr_window gives xcr
 over one index range only: the synchronizer reads it inside the
@@ -70,7 +71,7 @@ def _window_sums(buf: np.ndarray, w: int) -> np.ndarray:
     """Sliding sums over w of buf[w:], for a buf whose first w entries are
     zero; buf is overwritten with the running sums."""
     cs = buf[w:]
-    np.cumsum(cs, out=cs)
+    np.add.accumulate(cs, out=cs)
     return np.subtract(cs, buf[: cs.size])
 
 
@@ -150,8 +151,8 @@ def first_trigger(
     a run of m ends at t[j] iff t[j] - t[j-m+1] == m-1.
     """
     s = slice(start, None)
-    t = np.flatnonzero(np.abs(ac1[s]) + np.abs(ac2[s]) > ene[s])
-    ends = np.flatnonzero(t[m - 1 :] - t[: max(t.size - m + 1, 0)] == m - 1)
+    t = (np.abs(ac1[s]) + np.abs(ac2[s]) > ene[s]).nonzero()[0]
+    ends = (t[m - 1 :] - t[: max(t.size - m + 1, 0)] == m - 1).nonzero()[0]
     return start + int(t[ends[0] + m - 1]) if ends.size else -1
 
 

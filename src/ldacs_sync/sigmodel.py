@@ -140,7 +140,8 @@ def _ofdm_useful(k_indices: np.ndarray, values: np.ndarray, num: Numerology) -> 
     spec = np.zeros((values.shape[0], num.n_total), dtype=np.complex128)
     spec[:, np.mod(k_indices, num.n_total)] = values
     x = np.fft.ifft(spec, axis=-1)
-    power = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
+    # np.mean's own sum and division, without its wrapper
+    power = np.add.reduce(np.abs(x) ** 2, axis=-1, keepdims=True) / num.n_total
     return x / np.sqrt(power)
 
 

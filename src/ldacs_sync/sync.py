@@ -168,17 +168,6 @@ def metrics_direct(
 # estimators
 
 
-def estimate_sto(xcr_window: np.ndarray, start: int, num: Numerology) -> int:
-    """Frame-start estimate from xcr values at stream indices start,
-    start+1, ...: argmax minus the timing anchor num.anchor.  Ties resolve
-    to the earliest index.  A spurious peak inside the window that beats
-    the anchor peak moves the estimate with it."""
-    values = np.asarray(xcr_window, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("empty xcr window")
-    return start + int(np.argmax(values)) - num.anchor
-
-
 def _wrap_eps(eps: float) -> float:
     """Wrap into the estimator range (-2, 2]."""
     out = (eps + 2.0) % 4.0 - 2.0
@@ -187,20 +176,24 @@ def _wrap_eps(eps: float) -> float:
     return out
 
 
-def _coarse_cfo(a1: complex) -> float:
-    """Lag-L estimate 2*phi1/pi with phi1 = -arg(a1), unwrapped.
-
-    Both estimators take the angle of reading + 0j, which reads a -0.0 part
-    as +0.0, as a sum from zero (np.sum) does: arg(-1 - 0j) is -pi, not pi.
-    """
-    return 2.0 * -np.angle(a1 + 0j) / np.pi
+def _angles(readings: Sequence[complex]) -> np.ndarray:
+    """arg of each reading + 0j, in one np.angle call.  + 0j reads a -0.0
+    part as +0.0, as a sum from zero (np.sum) does: arg(-1 - 0j) is -pi,
+    not pi."""
+    return np.angle(np.array(readings) + 0j)
 
 
-def _fine_cfo(coarse: float, a2: complex) -> Optional[float]:
-    """estimate_cfo's result from its coarse estimate and a2."""
+def _coarse_cfo(arg1: float) -> float:
+    """Lag-L estimate 2*phi1/pi with phi1 = -arg1, unwrapped."""
+    return 2.0 * -arg1 / np.pi
+
+
+def _fine_cfo(coarse: float, a2: complex, arg2: float) -> Optional[float]:
+    """estimate_cfo's result from its coarse estimate, a2 and its angle
+    arg2; None when a2 is zero."""
     if abs(a2) == 0.0:
         return None
-    fine = -np.angle(a2 + 0j) / np.pi
+    fine = -arg2 / np.pi
     # the first nearest candidate: ties go toward the centre branch
     best = min((fine, fine + 2.0, fine - 2.0), key=lambda c: abs(c - coarse))
     return float(_wrap_eps(best))
@@ -217,7 +210,8 @@ def estimate_cfo(a1: complex, a2: complex) -> Optional[float]:
     """
     if abs(a1) == 0.0:
         return None
-    return _fine_cfo(_coarse_cfo(a1), a2)
+    arg1, arg2 = _angles((a1, a2))
+    return _fine_cfo(_coarse_cfo(arg1), a2, arg2)
 
 
 def timing_window(trigger: int, num: Numerology) -> tuple[int, int]:
@@ -332,17 +326,22 @@ class SyncState:
         num, trig = self.num, self.result.trigger_index
         lo, hi = timing_window(trig, num)
         xcr = xcr_window(buf, self.template, lo - base, hi - base)
-        n_hat = estimate_sto(xcr, lo, num)
+        # the xcr peak, the earliest of ties, less the timing anchor
+        n_hat = lo + int(xcr.argmax()) - num.anchor
 
         i1, i2 = cfo_match_indices(n_hat - base, num)  # in buf
         a1 = ac1[i1]
         cfo = cfo1 = cfo2 = None
         if abs(a1) > 0.0:
-            coarse = _coarse_cfo(a1)
+            # both symbols' lag-2L readings summed, symbol 1 first, and
+            # symbol 1's alone; the sum is np.sum's but for the sign of a
+            # zero part, which _angles' + 0j clears
+            a2, a2_1 = ac2[i1] + ac2[i2], ac2[i1]
+            arg1, arg2, arg2_1 = _angles((a1, a2, a2_1))
+            coarse = _coarse_cfo(arg1)
             cfo1 = float(_wrap_eps(coarse))
-            # both symbols' lag-2L readings, summed by np.sum, symbol 1 first
-            cfo = _fine_cfo(coarse, np.sum(ac2[[i1, i2]]))
-            cfo2 = _fine_cfo(coarse, ac2[i1])
+            cfo = _fine_cfo(coarse, a2, arg2)
+            cfo2 = _fine_cfo(coarse, a2_1, arg2_1)
         return SyncResult(
             detected=True,
             trigger_index=trig,

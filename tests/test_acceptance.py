@@ -19,7 +19,6 @@ from ldacs_sync import (
     baseline_xsig,
     build_frame,
     estimate_cfo,
-    estimate_sto,
     metric_stream,
     metrics_direct,
     run_campaign,
@@ -322,7 +321,7 @@ def test_criterion_10_timing_survives_large_cfo(num, pre, template, capsys):
                     continue
                 s0, s1 = timing_window(res.trigger_index, num)
                 window = baseline_xsig(r, pre, num)[s0:s1]
-                if abs(estimate_sto(window, s0, num) - n0) > FINE_THRESHOLD:
+                if abs(s0 + int(np.argmax(window)) - num.anchor - n0) > FINE_THRESHOLD:
                     n_xsig += 1
             fails[snr_db, eps] = (n_xcr / n_trials, n_xsig / n_trials)
     elapsed = time.perf_counter() - t0

@@ -27,6 +27,7 @@ from ldacs_sync.channel import (
     DME_PULSE_WIDTH_S,
     LOS_DOPPLER_FRACTION,
     N_SINUSOIDS,
+    _blocks,
     _tones,
     _unit_noise,
     pulse_pair_times,
@@ -221,6 +222,37 @@ class TestTones:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * g.nbytes
+
+
+def _blocks_reference(omegas, phases, n):
+    """_blocks in its np.exp(1j * theta) form, verbatim."""
+    b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
+    nb = -(-n // b)
+    outer = np.exp(1j * (omegas[:, None] * (np.arange(nb) * float(b)) + phases[:, None]))
+    inner = np.exp(1j * (omegas[:, None] * np.arange(b, dtype=np.float64)))
+    return outer, inner
+
+
+class TestBlocks:
+    """_blocks' cos + j*sin exponentials against the np.exp(1j * theta)
+    form, byte for byte.  _multipath_reference sums its tones through
+    _tones, hence through _blocks, so only this test sees a drift here."""
+
+    # 1681 = 41**2 and 1682 are the block-length edges, 2032 the longest
+    # sweep frame; K = 1 is apply_cfo, 33 an ENR draw, 129 a TMA draw
+    @pytest.mark.parametrize("n", [0, 1, 2, 1681, 1682, 2032, 2331])
+    @pytest.mark.parametrize("k", [1, 33, 129])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bytes_match_the_exp_form(self, sign, k, n):
+        rng = np.random.default_rng([k, n])
+        # up to the largest CFO tone, 2*pi*2/256 rad/sample; a negative
+        # omega makes the within-block angle at offset 0 a -0.0
+        omegas = sign * rng.uniform(0.0, 0.05, k)
+        phases = rng.uniform(0.0, 2.0 * np.pi, k)
+        for got, want in zip(_blocks(omegas, phases, n), _blocks_reference(omegas, phases, n)):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _multipath_reference(x, profile, num, rng):

@@ -19,7 +19,6 @@ from ldacs_sync import (
     build_frame,
     energy_template,
     estimate_cfo,
-    estimate_sto,
     generate_preamble,
     metric_stream,
     metrics_direct,
@@ -587,20 +586,6 @@ class TestCompleteWindow:
         assert state.result == synchronize(x, num, template)
 
 
-class TestStoEstimator:
-    def test_exact_peak(self, num):
-        xcr = np.array([0.1, 0.4, 2.0, 0.3])
-        assert estimate_sto(xcr, 700, num) == 702 - num.anchor
-
-    def test_tie_breaks_earliest(self, num):
-        xcr = np.array([1.0, 5.0, 5.0])
-        assert estimate_sto(xcr, 10, num) == 11 - num.anchor
-
-    def test_empty_window_rejected(self, num):
-        with pytest.raises(ValueError, match="empty"):
-            estimate_sto(np.zeros(0), 0, num)
-
-
 def _cfo_reference(ac1_vals, ac2_vals):
     """estimate_cfo as it was when it took sequences of readings, verbatim
     (with the coarse estimate and the wrap inlined): each sequence summed
@@ -628,13 +613,14 @@ def _cfo_reference(ac1_vals, ac2_vals):
 class TestCfoReference:
     """estimate_cfo(a1, a2) has the bits of the sequence form on one
     reading each, and on two lag-2L readings summed as SyncState sums them
-    (np.sum, the symbol-1 reading first).  repr tells -0.0 from 0.0 and
-    round-trips every float, so equal reprs are equal bits."""
+    (b1 + b2, the symbol-1 reading first) against the np.sum of the
+    sequence form.  repr tells -0.0 from 0.0 and round-trips every float,
+    so equal reprs are equal bits."""
 
     @staticmethod
     def _check(a1, b1, b2=None):
         want = _cfo_reference([a1], [b1] if b2 is None else [b1, b2])
-        got = estimate_cfo(a1, b1 if b2 is None else np.sum(np.array([b1, b2])))
+        got = estimate_cfo(a1, b1 if b2 is None else b1 + b2)
         assert repr(got) == repr(want), (a1, b1, b2)
 
     def test_seeded_random_readings(self, rng):
@@ -667,7 +653,8 @@ class TestCfoReference:
 
     def test_signed_zero_parts(self):
         # a sum from zero reads a -0.0 part as +0.0: arg(-1 - 0j) is -pi but
-        # arg(-1 + 0j) is pi, and a1 + a2 keeps the -0.0 that np.sum drops
+        # arg(-1 + 0j) is pi; b1 + b2 keeps a -0.0 that np.sum drops, and
+        # estimate_cfo's + 0j clears it
         parts = (-0.0, 0.0, 1.0, -1.0)
         values = [complex(re, im) for re in parts for im in parts]
         for a1 in values:
