@@ -26,7 +26,8 @@ strided=True gives the same windows at one index in m_consec, from
 m_consec-sample row sums, and may_trigger reads the trigger condition
 there, with a derived rounding bound, to tell whether a trigger can fall
 in a buffer at all: it is the cheap screen in front of the full-rate
-kernels.
+kernels.  The bound comes from the buffer's energy, summed first, and a
+finite energy proves every sample finite.
 
 The kernels convert nothing: SyncState, their one package caller, passes
 r as a contiguous complex128 vector and a as the float64 template it has
@@ -182,20 +183,39 @@ def trigger_margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray, float]:
     rounding that underflows errs by up to eta/2 in absolute terms instead,
     eta the smallest subnormal, and fewer than 64 N roundings feed the two
     sides: 32 N eta covers them.
+
+    tol comes first, from one np.vdot, which warns on no non-finite value,
+    and the margins after it, so may_trigger can answer on tol alone.
     """
+    tol = _tol(r)
+    return (*_margins(r, start), tol)
+
+
+def _tol(r: np.ndarray) -> float:
+    """trigger_margins' tol; finite exactly when every part of every sample
+    of r is finite and its energy does not overflow."""
+    return 32.0 * r.size * (_U * float(np.vdot(r, r).real) + _ETA)
+
+
+def _margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray]:
+    """trigger_margins' (first, margin)."""
     m = _M
     ac1, ac2, ene = metric_arrays(r, strided=True)
     b0 = -(-(start + 1) // m) - 1  # the first row ending at or after start
-    margin = np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]
-    tol = 32.0 * r.size * (_U * float(np.vdot(r, r).real) + _ETA)
-    return m * b0 + m - 1, margin, tol
+    return m * b0 + m - 1, np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]
 
 
 def may_trigger(r: np.ndarray, start: int) -> bool:
     """False only when first_trigger on metric_arrays(r) cannot find a run
     of m_consec from start on: at one index in every m_consec, the last of
     each row in trigger_margins, the margin is at most -tol.  Every run of
-    m_consec samples holds one such index.  A non-finite tol or margin
-    answers True."""
-    _, margin, tol = trigger_margins(r, start)
-    return not (np.isfinite(tol) and (margin <= -tol).all())
+    m_consec samples holds one such index.
+
+    tol comes first: a non-finite energy answers True before any row
+    arithmetic, so non-finite samples never reach the kernels here, and a
+    False answer proves every sample of r finite.  A non-finite margin
+    fails its comparison and answers True as well."""
+    tol = _tol(r)
+    if not np.isfinite(tol):
+        return True
+    return not (_margins(r, start)[1] <= -tol).all()

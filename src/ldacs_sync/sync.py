@@ -236,9 +236,9 @@ class SyncState:
     """Detection, timing and CFO over a stream fed in chunks of any size.
 
     The template is checked once, when the state is built.  Every push is
-    one step, _push, over [retained tail | chunk]: it checks the chunk for
-    finiteness, runs the detection kernel (ac1, ac2, ene) over the buffer
-    and first_trigger from the first index whose values are exact.  The
+    one step, _push, over [retained tail | chunk]: it proves the chunk
+    finite, runs the detection kernel (ac1, ac2, ene) over the buffer and
+    first_trigger from the first index whose values are exact.  The
     tail is the kernels' look-back, num.lookback = D + 2L - 1 samples,
     before the earliest index an estimate can still read: the symbol-1 CFO
     reading, trigger + _reach (_reach = -44), with the stream end n in place
@@ -258,6 +258,10 @@ class SyncState:
     in it; otherwise only the tail moves on.  Pushes of _BLOCK samples thus
     run synchronize's kernels; a screened noise block costs about a quarter
     of them.  A shorter push, such as a campaign frame, is never screened.
+    A block the screen clears pays for the screen only: the screen sums the
+    buffer's energy first, and a finite energy proves every sample finite.
+    Every other push, after the estimate too, is checked for finiteness on
+    its own.
     """
 
     def __init__(self, num: Numerology, template: np.ndarray):
@@ -284,18 +288,23 @@ class SyncState:
     def _push(self, buf: np.ndarray, k: int) -> None:
         """The one step, over buf = [retained tail | chunk], contiguous
         complex128 with the tail in its first k samples; a non-finite chunk
-        raises ValueError and leaves the state as it was."""
-        _check_finite(buf[k:])
+        raises ValueError and leaves the state as it was.
+
+        A block the screen clears is proven finite by the screen's energy
+        of the whole buffer (the tail was checked when it came in); every
+        other push is checked with _check_finite."""
         num = self.num
         base = self._n - k  # stream index of buf[0]
-        self._n += buf.size - k
         trig = self.result.trigger_index
         searching = trig is None and not self.done
         # past the stream start, values are exact from num.lookback on
         start = num.lookback if base else num.ac_valid_from
         run = not self.done
         if searching and buf.size - k >= _BLOCK:
-            run = may_trigger(buf, start)
+            run = may_trigger(buf, start)  # False: buf is finite
+        if run or self.done:
+            _check_finite(buf[k:])
+        self._n += buf.size - k
         if run:
             ac1, ac2, ene = metric_arrays(buf)
             if searching:

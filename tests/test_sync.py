@@ -356,17 +356,18 @@ class TestScreen:
             return synchronize(x, num, template)
 
     @staticmethod
-    def _counting(monkeypatch):
-        """Counts the pushes that run metric_arrays at full rate (the
-        screen calls it at a stride through _kernels, not through sync)."""
+    def _counting(monkeypatch, name="metric_arrays"):
+        """The sizes of sync's calls to one of its globals: the pushes that
+        run metric_arrays at full rate (the screen calls it at a stride
+        through _kernels, not through sync), or _check_finite."""
         calls = []
-        kernel = sync_module.metric_arrays
+        fn = getattr(sync_module, name)
 
         def counted(r):
             calls.append(r.size)
-            return kernel(r)
+            return fn(r)
 
-        monkeypatch.setattr(sync_module, "metric_arrays", counted)
+        monkeypatch.setattr(sync_module, name, counted)
         return calls
 
     @staticmethod
@@ -419,8 +420,10 @@ class TestScreen:
             return screen(r, *args)
 
         monkeypatch.setattr(sync_module, "may_trigger", counted)
+        checks = self._counting(monkeypatch, "_check_finite")
         assert synchronize(x, num, template).sto_estimate == 500
         assert calls == [_BLOCK] and screened == [_BLOCK]
+        assert checks == [_BLOCK] * 4
         x[3 * _BLOCK + 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             synchronize(x, num, template)
@@ -442,6 +445,19 @@ class TestScreen:
         assert len(calls) <= 2, len(calls)
         assert res.sto_estimate == n0
         assert res == self._unscreened(x, num, template, monkeypatch)
+
+    def test_a_cleared_block_skips_the_finiteness_check(self, monkeypatch, num, pre, template):
+        # the screen's energy proves a block it clears finite: only the
+        # pushes that run the full-rate kernels pay for the separate check
+        x, n0 = self._capture(num, pre)
+        calls = self._counting(monkeypatch)
+        checks = self._counting(monkeypatch, "_check_finite")
+        res = synchronize(x, num, template)
+        assert res.sto_estimate == n0
+        assert len(checks) == len(calls) <= 2, (len(checks), len(calls))
+        checks.clear()
+        assert self._unscreened(x, num, template, monkeypatch) == res
+        assert checks == [_BLOCK] * (x.size // _BLOCK)
 
     def test_block_pushes_run_synchronize_kernels(self, monkeypatch, num, pre, template):
         # a receiver pushing the capture in _BLOCK chunks gets synchronize's
@@ -854,6 +870,26 @@ class TestInputContract:
         state.push(x[600:])
         _assert_same_result(state.finish(), synchronize(x, num, template))
         assert state.result.sto_estimate == 500
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf_j"])
+    def test_bad_screened_block_rejected_and_state_kept(self, bad, num, pre, template):
+        # a noise block the screen clears, but for one non-finite sample
+        # mid-block: the push raises, and the state is as it was before it
+        x = TestScreen._stream("noise", num, pre)
+        state = SyncState(num, template)
+        state.push(x[:_BLOCK])
+        n, kept, res = state._n, state._tail.copy(), state.result
+        clean = x[_BLOCK : 2 * _BLOCK]
+        assert may_trigger(np.concatenate((kept, clean)), num.lookback) is False
+        chunk = clean.copy()
+        chunk[_BLOCK // 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            state.push(chunk)
+        assert state._n == n and np.array_equal(state._tail, kept) and state.result == res
+        for i in range(_BLOCK, x.size, _BLOCK):
+            state.push(x[i : i + _BLOCK])
+        assert state.finish() == synchronize(x, num, template)
+        assert state.result.detected
 
     def test_non_finite_after_the_estimate_rejected(self, num, pre, template):
         # the estimate is final in the first block; the NaN three blocks on
