@@ -27,7 +27,8 @@ m_consec-sample row sums, and may_trigger reads the trigger condition
 there, with a derived rounding bound, to tell whether a trigger can fall
 in a buffer at all: it is the cheap screen in front of the full-rate
 kernels.  The bound comes from the buffer's energy, summed first, and a
-finite energy proves every sample finite.
+finite energy proves every sample finite.  The same energy, against
+_energy_limit, proves that no value the kernels form overflows.
 
 The kernels convert nothing: SyncState, their one package caller, passes
 r as a contiguous complex128 vector and a as the float64 template it has
@@ -51,6 +52,11 @@ _L, _M = Numerology.l_quarter, Numerology.m_consec
 # error of a rounding that underflows
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
+# the largest float64, and the largest buffer energy E the detection
+# kernels take: their values reach 2E, and a factor 2 covers the rounding
+# (the range paragraph of trigger_margins)
+_FMAX = np.finfo(np.float64).max
+_E_DETECT = _FMAX / 4
 
 
 def active_backend() -> str:
@@ -186,15 +192,39 @@ def trigger_margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray, float]:
 
     tol comes first, from one np.vdot, which warns on no non-finite value,
     and the margins after it, so may_trigger can answer on tol alone.
+
+    Range.  No value the kernels form over r exceeds 2E in magnitude, so
+    none overflows while E is at most _energy_limit(a): each lag product
+    and each energy is at most E (as above), and so are the cumsum entries
+    and window sums over them; |ac1| + |ac2| <= 2E; the margin lies within
+    2E of zero and tol is below E; xcr(n), a sum of D |lag products|
+    weighted by a, is at most max|a| E, and so are the partial sums of its
+    convolution.  _energy_limit(a) is the float64 maximum over
+    2 max(2, max|a|), which leaves a factor 2 for the rounding, itself at
+    most 8 N u E (N <= 2^48) in relative terms; _E_DETECT, the maximum
+    over 4, covers ac1, ac2, ene and the margins alone.
     """
-    tol = _tol(r)
+    tol = _tol(r.size, _energy(r))
     return (*_margins(r, start), tol)
 
 
-def _tol(r: np.ndarray) -> float:
-    """trigger_margins' tol; finite exactly when every part of every sample
-    of r is finite and its energy does not overflow."""
-    return 32.0 * r.size * (_U * float(np.vdot(r, r).real) + _ETA)
+def _energy(r: np.ndarray) -> float:
+    """The energy E of r, sum |r_j|^2, from one np.vdot, which warns on no
+    non-finite value or overflow: finite exactly when every part of every
+    sample of r is finite and E does not overflow."""
+    return float(np.vdot(r, r).real)
+
+
+def _energy_limit(a: np.ndarray) -> float:
+    """The largest energy of a buffer the kernels take with the finite
+    template a, xcr_window's included, without overflow (the range
+    paragraph of trigger_margins); at most _E_DETECT."""
+    return _FMAX / (2.0 * max(2.0, float(np.abs(a).max())))
+
+
+def _tol(n: int, e: float) -> float:
+    """trigger_margins' tol for n samples of energy e."""
+    return 32.0 * n * (_U * e + _ETA)
 
 
 def _margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray]:
@@ -205,17 +235,19 @@ def _margins(r: np.ndarray, start: int) -> tuple[int, np.ndarray]:
     return m * b0 + m - 1, np.abs(ac1[b0:]) + np.abs(ac2[b0:]) - ene[b0:]
 
 
-def may_trigger(r: np.ndarray, start: int) -> bool:
+def may_trigger(r: np.ndarray, start: int, limit: float = _E_DETECT) -> bool:
     """False only when first_trigger on metric_arrays(r) cannot find a run
     of m_consec from start on: at one index in every m_consec, the last of
     each row in trigger_margins, the margin is at most -tol.  Every run of
     m_consec samples holds one such index.
 
-    tol comes first: a non-finite energy answers True before any row
-    arithmetic, so non-finite samples never reach the kernels here, and a
-    False answer proves every sample of r finite.  A non-finite margin
-    fails its comparison and answers True as well."""
-    tol = _tol(r)
-    if not np.isfinite(tol):
+    The energy comes first: one that is not finite or exceeds limit (at
+    most _E_DETECT) answers True before any row arithmetic, so neither
+    non-finite samples nor values that would overflow reach the kernels
+    here, and a False answer proves every sample of r finite and its
+    energy at most limit.  A non-finite margin fails its comparison and
+    answers True as well."""
+    e = _energy(r)
+    if not e <= limit:
         return True
-    return not (_margins(r, start)[1] <= -tol).all()
+    return not (_margins(r, start)[1] <= -_tol(r.size, e)).all()

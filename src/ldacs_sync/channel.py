@@ -371,13 +371,36 @@ class ImpairmentConfig:
     seed: int = 0
 
 
+def _entropy_words(entropy):
+    """entropy as the uint32 words SeedSequence makes of it, for an int or
+    a list or tuple of ints, all non-negative: each int gives its 32-bit
+    words, least significant first, and 0 gives one zero word.
+    SeedSequence copies such an array where it would parse the ints again,
+    for itself and for each child it spawns, and its pool and children are
+    the same.  Any other entropy comes back as it is, for SeedSequence to
+    take or reject."""
+    ints = (entropy,) if isinstance(entropy, (int, np.integer)) else entropy
+    if not isinstance(ints, (list, tuple)):
+        return entropy
+    words = []
+    for v in ints:
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            return entropy
+        v = int(v)
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _stage_rng(seed, stage: int) -> np.random.Generator:
     """Child `stage` of SeedSequence(seed).spawn(4), built without spawning
     the other three: multipath draws from child 0, DME from 2 and AWGN
     from 3.  Child 1 fed a phase-noise stage that is gone; the others keep
     their numbers so that every recorded fading, pulse and noise stream
     stays the same."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
+    return np.random.default_rng(np.random.SeedSequence(_entropy_words(seed), spawn_key=(stage,)))
 
 
 def run_pipeline(

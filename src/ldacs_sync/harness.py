@@ -11,6 +11,11 @@ and scores:
 Seeding is hierarchical and parallel-safe: trial t of SNR point s uses
 SeedSequence([master_seed, s, t]), so every trial is reproducible in
 isolation and campaign statistics are independent of evaluation order.
+run_trial parses that entropy once, into the uint32 words SeedSequence
+makes of it (channel._entropy_words); the SeedSequence of the words and
+the three children it spawns (lead gap, payload, channel) copy them where
+they would parse the list again, and their pool, children and states are
+those of SeedSequence([master_seed, s, t]).
 
 run_trial(pairs, rng_seed) draws one frame from the entropy rng_seed and
 sends it through the channel of each (scenario, snr_db) pair in one
@@ -48,6 +53,7 @@ import numpy as np
 
 from .channel import (
     ImpairmentConfig,
+    _entropy_words,
     make_dme_scenario,
     make_enr_profile,
     make_tma_profile,
@@ -186,14 +192,15 @@ def run_trial(pairs, rng_seed) -> list[TrialRecord]:
     (scenario, snr_db) pair and the synchronizer: one TrialRecord per
     pair, in order.
 
-    rng_seed is any SeedSequence entropy (int or sequence of ints).  The
-    frame, sent from link(PREAMBLE_SEED), is read-only while the pairs
-    share it.  All pairs go through one run_pipeline call, so pairs that
-    share a channel and CFO share its fading, and every pair shares the
-    draw's unit noise.
+    rng_seed is any SeedSequence entropy (int or sequence of ints), which
+    SeedSequence receives as its uint32 words when it is an int or a list
+    or tuple of non-negative ints, and as given otherwise.  The frame, sent
+    from link(PREAMBLE_SEED), is read-only while the pairs share it.  All
+    pairs go through one run_pipeline call, so pairs that share a channel
+    and CFO share its fading, and every pair shares the draw's unit noise.
     """
     num, pre, template = link(PREAMBLE_SEED)
-    ss = np.random.SeedSequence(rng_seed)
+    ss = np.random.SeedSequence(_entropy_words(rng_seed))
     child_trial, child_payload, child_channel = ss.spawn(3)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
     channel_seed = int(child_channel.generate_state(1, np.uint64)[0])

@@ -33,10 +33,12 @@ symbol 2's useful part.  The template is read back from it, and every
 timing offset derives from it.
 
 The preamble and the payload share one set of row-wise helpers, one OFDM
-symbol per row: _qpsk draws the sign bits of every row in one call,
-_ofdm_useful runs one IFFT over all rows, _windowed_blocks windows them,
-and _overlap_add adds them into the output in row order, the order a
-symbol-by-symbol build would use, so the samples are the same bits.
+symbol per row: _qpsk draws the sign bits of every row in one call and
+looks their values up in a 4-entry table, _ofdm_useful runs one IFFT over
+all rows into the used subcarriers' fixed bins, _windowed_blocks windows
+them with one take and one product, and _overlap_add adds them into the
+output in row order, the order a symbol-by-symbol build would use, so the
+samples are the same bits.
 """
 
 from __future__ import annotations
@@ -103,10 +105,22 @@ class Numerology:
     sto_search_gap: ClassVar[int] = n_total
 
 
-# the read-only rising raised-cosine ramp of the windowed overlap-add; the
-# half-sample offset keeps both ends strictly inside (0, 1)
+# the read-only window of one [CP | useful | cyclic suffix] block of the
+# windowed overlap-add: a rising raised-cosine ramp over its first n_win
+# samples, ones, and the ramp falling over its last n_win; the half-sample
+# offset keeps both ramp ends strictly inside (0, 1)
 _RAMP = 0.5 * (1.0 - np.cos(np.pi * ((np.arange(Numerology.n_win) + 0.5) / Numerology.n_win)))
-_RAMP.flags.writeable = False
+_WINDOW = np.concatenate(
+    [_RAMP, np.ones(Numerology.n_cp + Numerology.n_total - Numerology.n_win), _RAMP[::-1]]
+)
+_WINDOW.flags.writeable = False
+# the read-only columns of a useful part that make its block
+_BLOCK_COLUMNS = np.r_[
+    Numerology.n_total - Numerology.n_cp : Numerology.n_total,
+    : Numerology.n_total,
+    : Numerology.n_win,
+]
+_BLOCK_COLUMNS.flags.writeable = False
 
 
 def make_numerology() -> Numerology:
@@ -121,6 +135,19 @@ def used_subcarriers(num: Numerology) -> np.ndarray:
     return np.concatenate([-k[::-1], k])
 
 
+# the read-only used subcarriers and their bins in the oversampled IFFT
+_USED = used_subcarriers(make_numerology())
+_USED_BINS = np.mod(_USED, Numerology.n_total)
+_USED.flags.writeable = False
+_USED_BINS.flags.writeable = False
+
+# the read-only QPSK value of a pair of sign bits, _QPSK[real bit, imaginary
+# bit], by the arithmetic of (b_re + 1j * b_im) / sqrt(2) with b = 2 * bit
+# - 1 on a whole draw, so a lookup gives the same bits
+_QPSK = (np.array([[-1], [1]]) + 1j * np.array([-1, 1])) / np.sqrt(2.0)
+_QPSK.flags.writeable = False
+
+
 # ---------------------------------------------------------------------------
 # waveforms
 
@@ -128,32 +155,30 @@ def used_subcarriers(num: Numerology) -> np.ndarray:
 def _qpsk(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """(rows, n) unit-magnitude QPSK values from one draw of sign bits:
     row by row, the n real signs, then the n imaginary signs."""
-    bits = rng.integers(0, 2, size=(rows, 2, n)) * 2 - 1
-    return (bits[:, 0] + 1j * bits[:, 1]) / np.sqrt(2.0)
+    bits = rng.integers(0, 2, size=(rows, 2, n))
+    return _QPSK[bits[:, 0], bits[:, 1]]
 
 
-def _ofdm_useful(k_indices: np.ndarray, values: np.ndarray, num: Numerology) -> np.ndarray:
-    """Useful parts of OFDM symbols, one per row of values (rows, k):
-    the IFFT of the loaded bins, each row normalized to unit average power.
-    Every allocation is fixed and non-empty and every value unit-magnitude
-    QPSK, so no row has zero power."""
+def _ofdm_useful(bins: np.ndarray, values: np.ndarray, num: Numerology) -> np.ndarray:
+    """Useful parts of OFDM symbols, one per row of values (rows, k), whose
+    columns load the IFFT bins bins: the IFFT of each row, normalized to
+    unit average power.  Every allocation is fixed and non-empty and every
+    value unit-magnitude QPSK, so no row has zero power."""
     spec = np.zeros((values.shape[0], num.n_total), dtype=np.complex128)
-    spec[:, np.mod(k_indices, num.n_total)] = values
+    spec[:, bins] = values
     x = np.fft.ifft(spec, axis=-1)
     # np.mean's own sum and division, without its wrapper
     power = np.add.reduce(np.abs(x) ** 2, axis=-1, keepdims=True) / num.n_total
     return x / np.sqrt(power)
 
 
-def _windowed_blocks(useful: np.ndarray, num: Numerology) -> np.ndarray:
+def _windowed_blocks(useful: np.ndarray) -> np.ndarray:
     """[CP | useful | cyclic suffix] per row of useful parts (rows,
-    n_total), with raised-cosine ramps on both ends."""
-    blocks = np.concatenate(
-        [useful[:, -num.n_cp:], useful, useful[:, : num.n_win]], axis=-1
-    )
-    blocks[:, : num.n_win] *= _RAMP
-    blocks[:, -num.n_win:] *= _RAMP[::-1]
-    return blocks
+    n_total), with raised-cosine ramps on both ends: one take of the
+    block's columns, one product with _WINDOW.  A sample under the
+    window's ones comes back unchanged but for the sign of a zero part,
+    which the overlap-add into a zeroed output clears."""
+    return useful.take(_BLOCK_COLUMNS, axis=1) * _WINDOW
 
 
 def _overlap_add(out: np.ndarray, start: int, blocks: np.ndarray, num: Numerology) -> None:
@@ -180,15 +205,14 @@ def generate_preamble(num: Numerology, seed: int) -> np.ndarray:
     CP2), so the useful parts keep their exact L / 2L periodicity.
     """
     rng = np.random.default_rng(seed)
-    used = used_subcarriers(num)
     useful = np.concatenate(
         [
-            _ofdm_useful(occ, _qpsk(rng, 1, occ.size), num)
-            for occ in (used[used % 4 == 0], used[used % 2 == 0])
+            _ofdm_useful(bins, _qpsk(rng, 1, bins.size), num)
+            for bins in (_USED_BINS[_USED % 4 == 0], _USED_BINS[_USED % 2 == 0])
         ]
     )
     out = np.zeros(2 * num.n_symbol + num.n_win, dtype=np.complex128)
-    _overlap_add(out, 0, _windowed_blocks(useful, num), num)
+    _overlap_add(out, 0, _windowed_blocks(useful), num)
     return out
 
 
@@ -223,13 +247,11 @@ def build_frame(
         raise ValueError("lead_gap must be >= 0")
 
     rng = np.random.default_rng(seed)
-    used = used_subcarriers(num)
-
     total = lead_gap + (2 + n_payload_symbols) * num.n_symbol + num.n_win
     out = np.zeros(total, dtype=np.complex128)
     out[lead_gap : lead_gap + pre.size] += pre
-    useful = _ofdm_useful(used, _qpsk(rng, n_payload_symbols, used.size), num)
-    _overlap_add(out, lead_gap + 2 * num.n_symbol, _windowed_blocks(useful, num), num)
+    useful = _ofdm_useful(_USED_BINS, _qpsk(rng, n_payload_symbols, _USED_BINS.size), num)
+    _overlap_add(out, lead_gap + 2 * num.n_symbol, _windowed_blocks(useful), num)
     return out, lead_gap
 
 

@@ -41,7 +41,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import first_trigger, may_trigger, metric_arrays, xcr_window
+from ._kernels import (
+    _energy,
+    _energy_limit,
+    first_trigger,
+    may_trigger,
+    metric_arrays,
+    xcr_window,
+)
 from .sigmodel import Numerology
 
 
@@ -79,6 +86,10 @@ class SyncResult:
 # a campaign trial is a single push.
 _BLOCK = 1 << 14
 
+# the retained tail of a state before its first push
+_EMPTY = np.zeros(0, dtype=np.complex128)
+_EMPTY.flags.writeable = False
+
 
 # ---------------------------------------------------------------------------
 # inputs and metrics
@@ -93,19 +104,29 @@ def _as_stream(stream: Sequence[complex]) -> np.ndarray:
     return r
 
 
-def _check_finite(samples: np.ndarray) -> None:
-    if not np.isfinite(samples).all():
+def _check_energy(buf: np.ndarray, limit: float) -> None:
+    """Raise ValueError unless every sample of buf, the buffer the kernels
+    read, is finite and its energy at most limit, the template's
+    _energy_limit, within which no kernel value overflows."""
+    e = _energy(buf)
+    if e <= limit:
+        return
+    if not np.isfinite(buf).all():
         raise ValueError("stream contains non-finite samples")
+    raise ValueError(
+        f"stream energy {e:.4g} is beyond the kernels' float64 range: at most {limit:.4g}"
+    )
 
 
-def _as_template(template: np.ndarray, num: Numerology) -> np.ndarray:
-    """The template as float64; anything but num.d_template finite real
-    values in 1-D, as energy_template gives, raises ValueError."""
+def _as_template(template: np.ndarray, num: Numerology) -> tuple[np.ndarray, float]:
+    """The template as float64, and the _energy_limit of a stream buffer
+    under it; anything but num.d_template finite real values in 1-D, as
+    energy_template gives, raises ValueError."""
     a = np.asarray(template)
     a = a if a.dtype.kind == "c" else a.astype(np.float64, copy=False)
     if a.dtype != np.float64 or a.shape != (num.d_template,) or not np.isfinite(a).all():
         raise ValueError(f"template must be 1-D, {num.d_template} finite reals, got {a.dtype} {a.shape}")
-    return a
+    return a, _energy_limit(a)
 
 
 def metric_stream(
@@ -113,20 +134,21 @@ def metric_stream(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ac1, ac2, ene, xcr) arrays over the whole stream.
 
-    The stream must be 1-D and finite, checked block by block, and the
-    template SyncState's (ValueError otherwise).  The kernels run over each
+    The stream must be 1-D and finite, with an energy the kernels sum
+    without overflow, checked block by block, and the template SyncState's
+    (ValueError otherwise).  The kernels run over each
     view [num.lookback samples | _BLOCK samples] of the stream: xcr matches
     one pass over the whole stream bit for bit, ac1, ac2 and ene to rounding
     (their cumsums re-base per block).  Memory peaks at the outputs plus
     one block's work.
     """
-    a = _as_template(template, num)
+    a, limit = _as_template(template, num)
     r = _as_stream(stream)
     out = tuple(np.empty(r.size, t) for t in (np.complex128, np.complex128, float, float))
     for i in range(0, r.size, _BLOCK):
         k = min(i, num.lookback)
         buf = r[i - k : i + _BLOCK]
-        _check_finite(buf[k:])
+        _check_energy(buf, limit)
         ac1, ac2, ene = metric_arrays(buf)
         xcr = xcr_window(buf, a, k, buf.size)
         for arr, part in zip(out, (ac1[k:], ac2[k:], ene[k:], xcr)):
@@ -237,7 +259,8 @@ class SyncState:
 
     The template is checked once, when the state is built.  Every push is
     one step, _push, over [retained tail | chunk]: it proves the chunk
-    finite, runs the detection kernel (ac1, ac2, ene) over the buffer and
+    finite and the buffer's energy within the kernels' range, runs the
+    detection kernel (ac1, ac2, ene) over the buffer and
     first_trigger from the first index whose values are exact.  The
     tail is the kernels' look-back, num.lookback = D + 2L - 1 samples,
     before the earliest index an estimate can still read: the symbol-1 CFO
@@ -259,40 +282,45 @@ class SyncState:
     run synchronize's kernels; a screened noise block costs about a quarter
     of them.  A shorter push, such as a campaign frame, is never screened.
     A block the screen clears pays for the screen only: the screen sums the
-    buffer's energy first, and a finite energy proves every sample finite.
-    Every other push, after the estimate too, is checked for finiteness on
-    its own.
+    buffer's energy first, and an energy within the template's
+    _energy_limit proves every sample finite and the buffer in range.
+    Every other push, after the estimate too, has the energy of its buffer
+    checked on its own, by _check_energy.
     """
+
+    # offsets from the trigger to the earliest index the estimate reads
+    # (the symbol-1 CFO reading, one symbol span before the xcr peak) and
+    # to the end of its last read (the timing window, which holds the
+    # symbol-2 CFO reading at the peak); the numerology fixes both
+    _reach = timing_window(0, Numerology)[0] - Numerology.n_symbol
+    _horizon = timing_window(0, Numerology)[1]
 
     def __init__(self, num: Numerology, template: np.ndarray):
         self.num = num
-        self.template = _as_template(template, num)
+        self.template, self._limit = _as_template(template, num)
         self.result = SyncResult(detected=False)
         self.done = False
-        # offsets from the trigger to the earliest index the estimate reads
-        # (the symbol-1 CFO reading, one symbol span before the xcr peak)
-        # and to the end of its last read (the timing window, which holds
-        # the symbol-2 CFO reading at the peak)
-        lo, self._horizon = timing_window(0, num)
-        self._reach = lo - num.n_symbol
-        self._tail = np.zeros(0, dtype=np.complex128)
+        self._tail = _EMPTY
         self._n = 0  # samples pushed so far
 
     def push(self, chunk: Sequence[complex]) -> None:
         """Feed the next samples; the outcome so far is in result.
 
-        The chunk must be 1-D and finite (ValueError otherwise).
+        The chunk must be 1-D and finite, and the energy of the retained
+        tail and the chunk within the kernels' range (ValueError
+        otherwise).
         """
         self._push(np.concatenate((self._tail, _as_stream(chunk))), self._tail.size)
 
     def _push(self, buf: np.ndarray, k: int) -> None:
         """The one step, over buf = [retained tail | chunk], contiguous
-        complex128 with the tail in its first k samples; a non-finite chunk
-        raises ValueError and leaves the state as it was.
+        complex128 with the tail in its first k samples; a non-finite chunk,
+        or a buffer beyond the kernels' range, raises ValueError and leaves
+        the state as it was.
 
-        A block the screen clears is proven finite by the screen's energy
-        of the whole buffer (the tail was checked when it came in); every
-        other push is checked with _check_finite."""
+        A block the screen clears is proven finite and in range by the
+        screen's energy of the whole buffer; every other push is checked
+        with _check_energy."""
         num = self.num
         base = self._n - k  # stream index of buf[0]
         trig = self.result.trigger_index
@@ -301,9 +329,9 @@ class SyncState:
         start = num.lookback if base else num.ac_valid_from
         run = not self.done
         if searching and buf.size - k >= _BLOCK:
-            run = may_trigger(buf, start)  # False: buf is finite
+            run = may_trigger(buf, start, self._limit)  # False: buf is in range
         if run or self.done:
-            _check_finite(buf[k:])
+            _check_energy(buf, self._limit)
         self._n += buf.size - k
         if run:
             ac1, ac2, ene = metric_arrays(buf)

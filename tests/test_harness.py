@@ -25,6 +25,7 @@ from ldacs_sync import (
     write_trial_csv,
 )
 from ldacs_sync import harness as harness_module
+from ldacs_sync.channel import _entropy_words
 from ldacs_sync.harness import (
     CHANNEL_MODELS,
     CHANNELS,
@@ -211,6 +212,79 @@ class TestDrawTrial:
         # one call over both pairs gives what each pair gives alone
         assert [a, b] == [run_trial([pair], [1, 3, 5])[0] for pair in pairs]
         assert run_trial([], [1, 3, 5]) == []
+
+
+class TestEntropyWords:
+    """run_trial and the channel stages seed through _entropy_words: the
+    uint32 words numpy's SeedSequence makes of an int or a list of them,
+    so the pool, each spawned child and every state they generate are
+    those of SeedSequence(entropy)."""
+
+    @staticmethod
+    def _entropies():
+        rng = np.random.default_rng(5)
+        fixed = [
+            0,
+            7,
+            2**32 - 1,
+            2**32,
+            2**64 + 5,
+            np.int64(9),
+            [],
+            [0],
+            [1, 3, 17],
+            [2**32, 0, 2**64 + 5],
+            (4, 2**96 + 3),
+            [np.int64(7), np.uint32(3), np.uint64(2**63 + 1)],
+        ]
+        drawn = [
+            [
+                int(v) >> int(rng.integers(0, 63)) << int(rng.integers(0, 70))
+                for v in rng.integers(0, 2**63, size=int(rng.integers(1, 5)))
+            ]
+            for _ in range(300)
+        ]
+        return fixed + drawn
+
+    def test_same_pool_children_and_states(self):
+        for entropy in self._entropies():
+            words = _entropy_words(entropy)
+            assert words.dtype == np.uint32, entropy
+            a, b = np.random.SeedSequence(entropy), np.random.SeedSequence(words)
+            assert np.array_equal(a.pool, b.pool), entropy
+            assert np.array_equal(a.generate_state(2, np.uint64), b.generate_state(2, np.uint64))
+            for x, y in zip(a.spawn(3), b.spawn(3)):
+                assert np.array_equal(x.pool, y.pool), entropy
+                assert np.array_equal(x.generate_state(4), y.generate_state(4))
+
+    def test_multi_word_entropy_draws_the_same_trial(self, monkeypatch):
+        # run_trial through the words against run_trial through numpy's own
+        # parsing of the same entropy
+        pairs = [(_scenario(epsilon=1.5), 5.0), (_scenario(channel="TMA"), 10.0)]
+        for entropy in ([1, 0, 2**32], [2**64 + 5, 3, 17], 2**40 + 1):
+            got = run_trial(pairs, entropy)
+            with monkeypatch.context() as m:
+                m.setattr(harness_module, "_entropy_words", lambda e: e)
+                assert run_trial(pairs, entropy) == got
+
+    @pytest.mark.parametrize("entropy", [-1, [1, -2, 3], [np.int64(-3)]], ids=["int", "list", "np_int"])
+    def test_negative_still_raises(self, entropy):
+        assert _entropy_words(entropy) is entropy
+        with pytest.raises(ValueError):
+            run_trial([(_scenario(), 10.0)], entropy)
+
+    @pytest.mark.parametrize("entropy", [1.5, [1.0, 2], "12"], ids=["float", "float_list", "str"])
+    def test_other_entropy_left_to_numpy(self, entropy):
+        assert _entropy_words(entropy) is entropy
+        with pytest.raises(TypeError):
+            run_trial([(_scenario(), 10.0)], entropy)
+
+    def test_nested_entropy_left_to_numpy(self):
+        # SeedSequence flattens a nested list; the words leave it to do so
+        nested = [[1, 2], 3]
+        assert _entropy_words(nested) is nested
+        pairs = [(_scenario(), 10.0)]
+        assert run_trial(pairs, nested) == run_trial(pairs, [1, 2, 3])
 
 
 class TestCampaignOfSeveral:

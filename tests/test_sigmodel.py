@@ -13,7 +13,7 @@ from ldacs_sync import (
     read_iq,
     write_iq,
 )
-from ldacs_sync.sigmodel import used_subcarriers
+from ldacs_sync.sigmodel import _qpsk, used_subcarriers
 
 
 # A per-symbol builder: one draw, one IFFT and one windowed block per OFDM
@@ -182,6 +182,21 @@ class TestEnergyTemplate:
         t1 = energy_template(pre, num)
         t2 = energy_template(2.0 * pre, num)
         assert np.allclose(t2, 4.0 * t1, rtol=1e-12)
+
+
+class TestQpsk:
+    @pytest.mark.parametrize("rows, n", [(0, 5), (1, 0), (1, 13), (1, 25), (2, 50), (5, 50)])
+    def test_table_gives_the_arithmetic_bits(self, rows, n):
+        # _qpsk looks its values up; they are the bits of the arithmetic
+        # form on the same draw, and the generator moves on alike
+        for seed in range(40):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            bits = ref_rng.integers(0, 2, size=(rows, 2, n)) * 2 - 1
+            ref = (bits[:, 0] + 1j * bits[:, 1]) / np.sqrt(2.0)
+            got = _qpsk(rng, rows, n)
+            assert got.dtype == ref.dtype and got.shape == ref.shape == (rows, n)
+            assert got.tobytes() == ref.tobytes()
+            assert rng.random() == ref_rng.random()
 
 
 class TestFrame:

@@ -29,7 +29,15 @@ from ldacs_sync import sync as sync_module
 from conftest import full_rate_trigger
 from ldacs_sync.channel import _unit_noise
 from ldacs_sync.harness import CHANNEL_MODELS
-from ldacs_sync._kernels import may_trigger, metric_arrays, trigger_margins, xcr_window
+from ldacs_sync._kernels import (
+    _E_DETECT,
+    _energy,
+    _energy_limit,
+    may_trigger,
+    metric_arrays,
+    trigger_margins,
+    xcr_window,
+)
 from ldacs_sync.sync import _BLOCK, cfo_match_indices
 
 
@@ -359,13 +367,13 @@ class TestScreen:
     def _counting(monkeypatch, name="metric_arrays"):
         """The sizes of sync's calls to one of its globals: the pushes that
         run metric_arrays at full rate (the screen calls it at a stride
-        through _kernels, not through sync), or _check_finite."""
+        through _kernels, not through sync), or _check_energy."""
         calls = []
         fn = getattr(sync_module, name)
 
-        def counted(r):
+        def counted(r, *args):
             calls.append(r.size)
-            return fn(r)
+            return fn(r, *args)
 
         monkeypatch.setattr(sync_module, name, counted)
         return calls
@@ -420,10 +428,12 @@ class TestScreen:
             return screen(r, *args)
 
         monkeypatch.setattr(sync_module, "may_trigger", counted)
-        checks = self._counting(monkeypatch, "_check_finite")
+        checks = self._counting(monkeypatch, "_check_energy")
         assert synchronize(x, num, template).sto_estimate == 500
         assert calls == [_BLOCK] and screened == [_BLOCK]
-        assert checks == [_BLOCK] * 4
+        # each check reads the kernels' buffer: the block behind the tail,
+        # num.lookback samples once the estimate is final
+        assert checks == [_BLOCK] + [num.lookback + _BLOCK] * 3
         x[3 * _BLOCK + 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             synchronize(x, num, template)
@@ -451,13 +461,51 @@ class TestScreen:
         # pushes that run the full-rate kernels pay for the separate check
         x, n0 = self._capture(num, pre)
         calls = self._counting(monkeypatch)
-        checks = self._counting(monkeypatch, "_check_finite")
+        checks = self._counting(monkeypatch, "_check_energy")
         res = synchronize(x, num, template)
         assert res.sto_estimate == n0
-        assert len(checks) == len(calls) <= 2, (len(checks), len(calls))
+        assert checks == calls and len(calls) <= 2, (checks, calls)
         checks.clear()
         assert self._unscreened(x, num, template, monkeypatch) == res
-        assert checks == [_BLOCK] * (x.size // _BLOCK)
+        assert len(checks) == x.size // _BLOCK
+
+    def test_work_of_a_scan(self, monkeypatch, num, pre, template):
+        # the paper's split, counted over the 2 Mi capture: the screen reads
+        # every block, the full-rate detection kernels only the buffers it
+        # does not clear, and xcr only the delta_search indices of the one
+        # timing window; metric_stream, the comparison, takes xcr at every
+        # index
+        x, n0 = self._capture(num, pre)
+        full = self._counting(monkeypatch)
+        passed, cleared = [], []
+        screen = sync_module.may_trigger
+
+        def screened(r, *args):
+            ok = screen(r, *args)
+            (passed if ok else cleared).append(r.size)
+            return ok
+
+        spans = []
+        window = sync_module.xcr_window
+
+        def timed(r, a, lo, hi):
+            spans.append(hi - lo)
+            return window(r, a, lo, hi)
+
+        monkeypatch.setattr(sync_module, "may_trigger", screened)
+        monkeypatch.setattr(sync_module, "xcr_window", timed)
+        assert synchronize(x, num, template).sto_estimate == n0
+        assert spans == [num.delta_search]
+        assert len(passed) + len(cleared) == x.size // _BLOCK
+        assert full == passed and len(passed) <= 2, (full, passed)
+        spans.clear()
+        metric_stream(x, num, template)
+        assert sum(spans) == x.size
+        # a campaign frame is one push, never screened: one timing window
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=500, seed=3)
+        spans.clear()
+        assert synchronize(f, num, template).sto_estimate == 500
+        assert spans == [num.delta_search]
 
     def test_block_pushes_run_synchronize_kernels(self, monkeypatch, num, pre, template):
         # a receiver pushing the capture in _BLOCK chunks gets synchronize's
@@ -871,10 +919,15 @@ class TestInputContract:
         _assert_same_result(state.finish(), synchronize(x, num, template))
         assert state.result.sto_estimate == 500
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf_j"])
-    def test_bad_screened_block_rejected_and_state_kept(self, bad, num, pre, template):
-        # a noise block the screen clears, but for one non-finite sample
-        # mid-block: the push raises, and the state is as it was before it
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (complex(0.0, -np.inf), "non-finite"), (1e155, "range")],
+        ids=["nan", "inf", "-inf_j", "1e155"],
+    )
+    def test_bad_screened_block_rejected_and_state_kept(self, bad, match, num, pre, template):
+        # a noise block the screen clears, but for one non-finite sample, or
+        # one beyond the kernels' range, mid-block: the push raises, and the
+        # state is as it was before it
         x = TestScreen._stream("noise", num, pre)
         state = SyncState(num, template)
         state.push(x[:_BLOCK])
@@ -883,7 +936,7 @@ class TestInputContract:
         assert may_trigger(np.concatenate((kept, clean)), num.lookback) is False
         chunk = clean.copy()
         chunk[_BLOCK // 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=match):
             state.push(chunk)
         assert state._n == n and np.array_equal(state._tail, kept) and state.result == res
         for i in range(_BLOCK, x.size, _BLOCK):
@@ -926,6 +979,68 @@ class TestInputContract:
         x[at] = bad
         with pytest.raises(ValueError, match="non-finite"):
             fn(x, num, template)
+
+
+    @pytest.mark.parametrize("fn", ["synchronize", "metric_stream", "push"])
+    @pytest.mark.parametrize("bad", [1e155, (1 + 1j) * 1e154, 1e154], ids=["1e155", "1+1j_1e154", "1e154"])
+    @pytest.mark.parametrize("at", [1234, _BLOCK + 5, -1])
+    def test_beyond_the_range_rejected(self, fn, bad, at, num, template, rng):
+        # a finite sample whose energy takes a buffer past _energy_limit:
+        # a ValueError naming the range, and no overflow warning first
+        x = _noise(rng, 2 * _BLOCK + 2000)
+        x[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="range: at most"):
+                if fn == "push":
+                    _pushed(x, [_BLOCK] * 3, num, template)
+                else:
+                    getattr(sync_module, fn)(x, num, template)
+
+    def test_inside_the_range_no_overflow(self, num, pre, template, rng):
+        # a sample at 1e150 (energy 1e300), and noise under a template
+        # scaled by 1e300, stay inside the range: no kernel value overflows
+        x = _noise(rng, 2 * _BLOCK + 2000)
+        y = x.copy()
+        y[_BLOCK + 5] = 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r, tpl in ((y, template), (x, template * 1e300)):
+                assert all(np.isfinite(arr).all() for arr in metric_stream(r, num, tpl))
+                synchronize(r, num, tpl)
+
+    def test_range_narrows_with_the_template(self, num, template, rng):
+        # xcr weighs the stream by the template: a template scaled by 1e306
+        # leaves unit-power noise outside the range
+        x = _noise(rng, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="range: at most"):
+                synchronize(x, num, template * 1e306)
+
+    def test_loud_noise_beyond_the_range_is_not_screened_out(self, num, template, rng):
+        # noise loud enough that a block's energy lies between the
+        # template's limit and the detection kernels' own: the screen could
+        # clear it without overflow, but rejects it as every push does
+        x = _noise(rng, 3 * _BLOCK, power=2e303)
+        assert _energy_limit(template) < _energy(x[:_BLOCK]) < _E_DETECT
+        for run in (
+            lambda: synchronize(x, num, template),
+            lambda: _pushed(x, [_BLOCK] * 3, num, template),
+            lambda: metric_stream(x, num, template),
+        ):
+            with pytest.raises(ValueError, match="range: at most"):
+                run()
+
+    def test_range_is_the_buffer_the_kernels_read(self, num, template, rng):
+        # two samples, each in range alone, in one buffer: the second block
+        # reads the first one's last samples behind it
+        x = _noise(rng, 2 * _BLOCK)
+        x[_BLOCK - 5] = x[_BLOCK + 5] = 3.5e153
+        assert _energy(x[:_BLOCK]) < _energy_limit(template) < _energy(x[_BLOCK - 5 : _BLOCK + 6])
+        for fn in (synchronize, metric_stream):
+            with pytest.raises(ValueError, match="range: at most"):
+                fn(x, num, template)
 
 
 class TestBaselines:
