@@ -218,8 +218,10 @@ def _energy(r: np.ndarray) -> float:
 def _energy_limit(a: np.ndarray) -> float:
     """The largest energy of a buffer the kernels take with the finite
     template a, xcr_window's included, without overflow (the range
-    paragraph of trigger_margins); at most _E_DETECT."""
-    return _FMAX / (2.0 * max(2.0, float(np.abs(a).max())))
+    paragraph of trigger_margins); at most _E_DETECT.  It is > 0 exactly
+    when a is finite: np.abs(a).max() and np.maximum carry a NaN through,
+    and an inf makes the limit 0."""
+    return float(_FMAX / (2.0 * np.maximum(2.0, np.abs(a).max())))
 
 
 def _tol(n: int, e: float) -> float:

@@ -1,19 +1,24 @@
 """Channel impairments: CFO, AWGN, Rician multipath, DME pulses.
 
 The CFO and every multipath tap gain are sums of sinusoids by block angle
-addition (_blocks): a tone over n samples costs about 2*sqrt(n) complex
-exponentials, and one small matmul sums the tones of a tap (_tones).  The
-exponentials are cos + j*sin, written into one complex buffer (_expj),
-with the bits of np.exp(1j * theta): over TMA's 129 tones at 1732 samples,
-_blocks takes about 190 us against 250 us in the np.exp form, while the
-one tone of apply_cfo pays about 3 us more for the extra calls.
-apply_dme's carrier goes through _expj too.  apply_multipath takes the
-exponentials of all its tones in one _blocks call, then makes one product
-per tap: a 1732-sample TMA frame is one pass over its 129 tones, then nine
-products, (42x16) @ (16x42) for each scattered tap.  One batched np.matmul
-over the taps gave the same bits but took TMA from about 375 to 500 us
-per call (one BLAS thread); under default
-BLAS threads on a 2-CPU host, one (42x129) @ (129x42) product over all 129
+addition (_blocks): with m = i*b + r over blocks of b = ceil(sqrt(n))
+samples, a tone's factors exp(j*(w*i*b + ph)) and exp(j*w*r) are running
+products of three exponentials, exp(j*ph), exp(j*w*b) and exp(j*w), so a
+tone over n samples costs three exponentials and about 2*sqrt(n) complex
+multiplies, and one small matmul sums the tones of a tap (_tones).  The
+products agree with the exponentials of the exact angles to rounding, not
+bit for bit: factor i of angle theta within 4*(1 + i + |theta|)*eps
+(_blocks derives it).  The exponentials are cos + j*sin, written into one
+complex buffer (_expj), with the bits of np.exp(1j * theta).  Over TMA's
+129 tones at 1732 samples, _blocks takes about 80 us against 210 us with
+an exponential per angle, and apply_cfo's one tone about 16 against 21 us
+per call.  apply_dme's carrier goes through _expj too.  apply_multipath
+takes the factors of all its tones in one _blocks call, then makes one
+product per tap: a 1732-sample TMA frame is one pass over its 129 tones,
+then nine products, (42x16) @ (16x42) for each scattered tap.  One
+batched np.matmul over the taps gave the same bits but took TMA from
+about 375 to 500 us per call (one BLAS thread); under default BLAS
+threads on a 2-CPU host, one (42x129) @ (129x42) product over all 129
 TMA tones stalled for 24 ms or more in 1% of calls.
 
 The multipath model is a tapped delay line: a line-of-sight (LOS) tone at
@@ -242,13 +247,45 @@ def _expj(theta: np.ndarray) -> np.ndarray:
 
 def _blocks(omegas: np.ndarray, phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The angle addition of _tones for K float64 omegas and phases: the
-    (K, nb) per-block exponentials exp(j*(omegas*i*b + phases)) over the
+    (K, nb) per-block factors exp(j*(omegas*i*b + phases)) over the
     nb = ceil(n/b) blocks, and the (K, b) within-block ones exp(j*omegas*r)
-    over the b = ceil(sqrt(n)) offsets of a block, both through _expj."""
+    over the b = ceil(sqrt(n)) offsets of a block.
+
+    Both are running products along the block axis: one _expj call makes
+    the 3K base exponentials exp(j*phases), exp(j*omegas*b) and
+    exp(j*omegas), and one np.multiply.accumulate per stack steps from
+    exp(j*phases) and from exactly 1.  So outer[:, 0] is _expj(phases),
+    inner[:, 0] is 1 and inner[:, 1] is _expj(omegas), bit for bit.
+
+    Elsewhere the factors agree with the exponentials of the exact angles,
+    theta = w*i*b + ph and w*r, to rounding (u = eps/2, first order):
+    - each base exponential is off by about u, the one rounding of its
+      result, and exp(j*w*b) also by the rounding of w*b, u*|w*b|;
+    - a complex multiply adds at most sqrt(5)*u (Brent, Percival and
+      Zimmermann, Math. Comp. 2007), and block or offset i takes i of them,
+      so outer[:, i] lies within u*(1 + (1 + sqrt(5))*i + |w*i*b|) of
+      exp(j*theta) and inner[:, r] within u*(1 + sqrt(5))*r;
+    - the exact-angle form rounds theta itself, by up to u*(|w*i*b| +
+      |theta|), before its own exponential adds u.
+    Apart, then, by at most u*(2 + (1 + sqrt(5))*i + 2*|w*i*b| + |theta|)
+    in outer, where |w*i*b| <= |theta| + |ph|, and by u*(1 + (1 +
+    sqrt(5))*r + |theta|) in inner: within 4*(1 + i + |theta|)*eps, the
+    bound TestBlocks holds every factor to, in inner throughout and in
+    outer from block 2 on for phases in [0, 2*pi).  The errors do not all
+    fall one way: on TestBlocks' grid the largest reads a third of it."""
     b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
     nb = -(-n // b)
-    outer = _expj(omegas[:, None] * (np.arange(nb) * float(b)) + phases[:, None])
-    inner = _expj(omegas[:, None] * np.arange(b, dtype=np.float64))
+    k = omegas.size
+    base = _expj(np.concatenate((phases, omegas * float(b), omegas)))
+    outer = np.empty((k, nb), dtype=np.complex128)
+    # slices, not outer[:, 0], so that n = 0 (nb = 0) assigns nothing
+    outer[:, :1] = base[:k, None]
+    outer[:, 1:] = base[k : 2 * k, None]
+    np.multiply.accumulate(outer, axis=1, out=outer)
+    inner = np.empty((k, b), dtype=np.complex128)
+    inner[:, 0] = 1.0
+    inner[:, 1:] = base[2 * k :, None]
+    np.multiply.accumulate(inner, axis=1, out=inner)
     return outer, inner
 
 
@@ -258,12 +295,17 @@ def _tones(omegas, phases, n: int) -> np.ndarray:
 
     Angle addition over nb = ceil(n/b) blocks of b = ceil(sqrt(n))
     samples (_blocks): with m = i*b + r, exp(j*(w*m + ph)) =
-    exp(j*(w*i*b + ph)) * exp(j*w*r), so each tone costs about 2*sqrt(n)
-    exponentials, and the sum over tones is one (nb, K) @ (K, b) matmul
-    whose rows are the blocks.  Beyond the output, memory is O(K*sqrt(n)).
-    apply_multipath makes the exponentials of all its tones in one _blocks
-    call and the product per tap (see the module docstring).  omegas and
-    phases must have one length; ValueError otherwise.
+    exp(j*(w*i*b + ph)) * exp(j*w*r), each factor a running product, so
+    each tone costs three exponentials and about 2*sqrt(n) complex
+    multiplies, and the sum over tones is one (nb, K) @ (K, b) matmul
+    whose rows are the blocks.  A term is then off by its two factors'
+    errors (_blocks) and one more multiply: to first order at most about
+    (2 + 1.62*(i + r) + |w*i*b|/2)*eps from the exponential of its exact
+    angle, with i + r < 2*sqrt(n), and the sum adds these over the tones.
+    Beyond the output, memory is O(K*sqrt(n)).  apply_multipath makes the
+    factors of all its tones in one _blocks call and the product per tap
+    (see the module docstring).  omegas and phases must have one length;
+    ValueError otherwise.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)

@@ -124,9 +124,11 @@ def _as_template(template: np.ndarray, num: Numerology) -> tuple[np.ndarray, flo
     energy_template gives, raises ValueError."""
     a = np.asarray(template)
     a = a if a.dtype.kind == "c" else a.astype(np.float64, copy=False)
-    if a.dtype != np.float64 or a.shape != (num.d_template,) or not np.isfinite(a).all():
+    # one pass over the values: the limit is > 0 exactly when they are finite
+    limit = _energy_limit(a) if a.dtype == np.float64 and a.shape == (num.d_template,) else 0.0
+    if not limit > 0.0:
         raise ValueError(f"template must be 1-D, {num.d_template} finite reals, got {a.dtype} {a.shape}")
-    return a, _energy_limit(a)
+    return a, limit
 
 
 def metric_stream(

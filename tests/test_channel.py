@@ -28,6 +28,7 @@ from ldacs_sync.channel import (
     LOS_DOPPLER_FRACTION,
     N_SINUSOIDS,
     _blocks,
+    _expj,
     _tones,
     _unit_noise,
     pulse_pair_times,
@@ -190,12 +191,26 @@ class TestTones:
         rng = np.random.default_rng(1000 * k + n % 1000)
         omegas = rng.uniform(-np.pi, np.pi, k)
         phases = rng.uniform(0.0, 2.0 * np.pi, k)
+        # at 2**20 the sum runs over every 7th sample: 7 is coprime to the
+        # 1024-sample block, so this still visits every block and offset
+        self._check_direct_sum(omegas, phases, n, 7 if n > 4096 else 1)
+
+    # Doppler-sized tones, as a TMA draw's 129: each block and offset
+    # factor is a running product, whose rounding does not shrink with
+    # |w|; 11 is coprime to the 1449-sample block of 2**21 samples
+    @pytest.mark.parametrize("n, stride", [(1732, 1), (2**21, 11)])
+    def test_doppler_tones_match_direct_sum(self, n, stride):
+        rng = np.random.default_rng(n)
+        omegas = rng.uniform(-0.05, 0.05, 129)
+        phases = rng.uniform(0.0, 2.0 * np.pi, 129)
+        self._check_direct_sum(omegas, phases, n, stride)
+
+    @staticmethod
+    def _check_direct_sum(omegas, phases, n, stride):
+        k = omegas.size
         g = _tones(omegas, phases, n)
         assert g.shape == (n,)
         assert g.dtype == np.complex128
-        # at 2**20 the sum runs over every 7th sample: 7 is coprime to the
-        # 1024-sample block, so this still visits every block and offset
-        stride = 7 if n > 4096 else 1
         m = np.arange(0, n, stride, dtype=np.float64)
         direct = np.zeros(m.size, dtype=np.complex128)
         for w, ph in zip(omegas, phases):
@@ -225,34 +240,69 @@ class TestTones:
 
 
 def _blocks_reference(omegas, phases, n):
-    """_blocks in its np.exp(1j * theta) form, verbatim."""
+    """_blocks in its exact-angle form, np.exp(1j * theta) of each factor's
+    own angle: the (K, nb) outer and (K, b) inner stacks, and their angles."""
     b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
     nb = -(-n // b)
-    outer = np.exp(1j * (omegas[:, None] * (np.arange(nb) * float(b)) + phases[:, None]))
-    inner = np.exp(1j * (omegas[:, None] * np.arange(b, dtype=np.float64)))
-    return outer, inner
+    theta_outer = omegas[:, None] * (np.arange(nb) * float(b)) + phases[:, None]
+    theta_inner = omegas[:, None] * np.arange(b, dtype=np.float64)
+    return (np.exp(1j * theta_outer), np.exp(1j * theta_inner)), (theta_outer, theta_inner)
 
 
 class TestBlocks:
-    """_blocks' cos + j*sin exponentials against the np.exp(1j * theta)
-    form, byte for byte.  _multipath_reference sums its tones through
-    _tones, hence through _blocks, so only this test sees a drift here."""
+    """_blocks' running products against the exact-angle np.exp(1j * theta)
+    form: byte for byte in the columns made without a multiply, and within
+    the rounding bound of _blocks' docstring everywhere.
+    _multipath_reference sums its tones through _tones, hence through
+    _blocks, so TestMultipath cannot see a drift here; this test and
+    TestTones' direct sums can."""
 
     # 1681 = 41**2 and 1682 are the block-length edges, 2032 the longest
-    # sweep frame; K = 1 is apply_cfo, 33 an ENR draw, 129 a TMA draw
+    # sweep frame; K = 1 is apply_cfo, 33 an ENR draw, 129 a TMA draw; up
+    # to the largest CFO tone, 2*pi*2/256 rad/sample, and a negative omega
+    # makes the within-block angle at offset 0 a -0.0
+    @staticmethod
+    def _draw(sign, k, n):
+        rng = np.random.default_rng([k, n])
+        omegas = sign * rng.uniform(0.0, 0.05, k)
+        phases = rng.uniform(0.0, 2.0 * np.pi, k)
+        return omegas, phases
+
     @pytest.mark.parametrize("n", [0, 1, 2, 1681, 1682, 2032, 2331])
     @pytest.mark.parametrize("k", [1, 33, 129])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_bytes_match_the_exp_form(self, sign, k, n):
-        rng = np.random.default_rng([k, n])
-        # up to the largest CFO tone, 2*pi*2/256 rad/sample; a negative
-        # omega makes the within-block angle at offset 0 a -0.0
-        omegas = sign * rng.uniform(0.0, 0.05, k)
-        phases = rng.uniform(0.0, 2.0 * np.pi, k)
-        for got, want in zip(_blocks(omegas, phases, n), _blocks_reference(omegas, phases, n)):
-            assert got.shape == want.shape
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        # where a factor takes no multiply: block 0 is exp(j*phases), the
+        # offsets 0 and 1 are exactly 1 and 1 * exp(j*omegas), whose bytes
+        # are _expj's and so np.exp's
+        omegas, phases = self._draw(sign, k, n)
+        got = _blocks(omegas, phases, n)
+        want, _ = _blocks_reference(omegas, phases, n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.dtype == w.dtype
+        outer, inner = got
+        assert outer[:, :1].tobytes() == want[0][:, :1].tobytes()
+        assert inner[:, 0].tobytes() == np.ones(k, dtype=np.complex128).tobytes()
+        assert inner[:, 1:2].tobytes() == want[1][:, 1:2].tobytes()
+        if inner.shape[1] > 1:
+            assert inner[:, 1].tobytes() == _expj(omegas).tobytes()
+
+    # 2**21 samples take b = 1449, the longest recurrence a 2 Mi-sample
+    # capture's CFO runs
+    @pytest.mark.parametrize("n", [0, 1, 2, 1681, 1682, 2032, 2331, 2**21])
+    @pytest.mark.parametrize("k", [1, 33, 129])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_within_the_rounding_bound(self, sign, k, n):
+        # factor i (a block or an offset) of angle theta is within
+        # 4 * (1 + i + |theta|) * eps of exp(j*theta)
+        omegas, phases = self._draw(sign, k, n)
+        eps = np.finfo(np.float64).eps
+        want, thetas = _blocks_reference(omegas, phases, n)
+        for got, w, theta in zip(_blocks(omegas, phases, n), want, thetas):
+            i = np.arange(theta.shape[1])
+            bound = 4.0 * (1.0 + i + np.abs(theta)) * eps
+            assert np.all(np.abs(got - w) <= bound)
 
 
 def _multipath_reference(x, profile, num, rng):

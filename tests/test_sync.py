@@ -876,9 +876,10 @@ class TestInputContract:
             lambda t: np.concatenate([t, t[:10]]),  # 266 values
             lambda t: t.reshape(16, 16),
             lambda t: np.where(np.arange(t.size) == 100, np.nan, t),
+            lambda t: np.where(np.arange(t.size) == 100, -np.inf, t),
             lambda t: t + 1j,
         ],
-        ids=["10", "266", "16x16", "nan", "complex"],
+        ids=["10", "266", "16x16", "nan", "inf", "complex"],
     )
     @pytest.mark.parametrize(
         "make",
