@@ -8,11 +8,9 @@ tone over n samples costs three exponentials and about 2*sqrt(n) complex
 multiplies, and one small matmul sums the tones of a tap (_tones).  The
 products agree with the exponentials of the exact angles to rounding, not
 bit for bit: factor i of angle theta within 4*(1 + i + |theta|)*eps
-(_blocks derives it).  The exponentials are cos + j*sin, written into one
-complex buffer (_expj), with the bits of np.exp(1j * theta).  Over TMA's
-129 tones at 1732 samples, _blocks takes about 80 us against 210 us with
-an exponential per angle, and apply_cfo's one tone about 16 against 21 us
-per call.  apply_dme's carrier goes through _expj too.  apply_multipath
+(_blocks derives it).  Over TMA's 129 tones at 1732 samples, _blocks
+takes about 80 us against 210 us with an exponential per angle, and
+apply_cfo's one tone about 16 against 21 us per call.  apply_multipath
 takes the factors of all its tones in one _blocks call, then makes one
 product per tap: a 1732-sample TMA frame is one pass over its 129 tones,
 then nine products, (42x16) @ (16x42) for each scattered tap.  One
@@ -228,34 +226,18 @@ def _unit_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return unit
 
 
-def _expj(theta: np.ndarray) -> np.ndarray:
-    """exp(j*theta) for float64 theta, as cos(theta) + j*sin(theta) written
-    into one complex buffer.  These are the bits of np.exp(1j * theta)
-    wherever numpy's float64 cos and sin agree with its complex exp, as
-    TestBlocks checks: the argument 1j * theta is (+-0.0, theta), and
-    exp(+-0.0) is 1 exactly.  Where theta is -0.0 (a negative tone at
-    offset 0), 1j * theta has a +0.0 imaginary part, so the sine gets
-    + 0.0, which turns -0.0 into +0.0 and leaves every other value as it
-    is."""
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    im = out.imag
-    np.sin(theta, out=im)
-    im += 0.0
-    return out
-
-
 def _blocks(omegas: np.ndarray, phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The angle addition of _tones for K float64 omegas and phases: the
     (K, nb) per-block factors exp(j*(omegas*i*b + phases)) over the
     nb = ceil(n/b) blocks, and the (K, b) within-block ones exp(j*omegas*r)
     over the b = ceil(sqrt(n)) offsets of a block.
 
-    Both are running products along the block axis: one _expj call makes
+    Both are running products along the block axis: one np.exp call makes
     the 3K base exponentials exp(j*phases), exp(j*omegas*b) and
     exp(j*omegas), and one np.multiply.accumulate per stack steps from
-    exp(j*phases) and from exactly 1.  So outer[:, 0] is _expj(phases),
-    inner[:, 0] is 1 and inner[:, 1] is _expj(omegas), bit for bit.
+    exp(j*phases) and from exactly 1.  So outer[:, 0] is
+    np.exp(1j * phases), inner[:, 0] is 1 and inner[:, 1] is
+    np.exp(1j * omegas), bit for bit.
 
     Elsewhere the factors agree with the exponentials of the exact angles,
     theta = w*i*b + ph and w*r, to rounding (u = eps/2, first order):
@@ -276,7 +258,7 @@ def _blocks(omegas: np.ndarray, phases: np.ndarray, n: int) -> tuple[np.ndarray,
     b = math.isqrt(n - 1) + 1 if n > 0 else 1  # ceil(sqrt(n))
     nb = -(-n // b)
     k = omegas.size
-    base = _expj(np.concatenate((phases, omegas * float(b), omegas)))
+    base = np.exp(1j * np.concatenate((phases, omegas * float(b), omegas)))
     outer = np.empty((k, nb), dtype=np.complex128)
     # slices, not outer[:, 0], so that n = 0 (nb = 0) assigns nothing
     outer[:, :1] = base[:k, None]
@@ -393,7 +375,7 @@ def apply_dme(
     t = k / fs - tp[pulse]
     pair = pulse // 2
     env = amp[pair] * np.exp(-(t**2) / (2.0 * alpha**2))
-    carrier = _expj(omega[pair] * t + phases[pair])
+    carrier = np.exp(1j * (omega[pair] * t + phases[pair]))
     out = np.zeros(n, dtype=np.complex128)
     # unbuffered and in order, so overlapping pulses add as a per-pulse loop would
     np.add.at(out, k, env * carrier)

@@ -25,7 +25,9 @@ the lag-L reading gives a coarse estimate eps1 = 2*phi1/pi covering
 whose integer ambiguity k in {-1, 0, +1} is resolved against eps1 (the
 nearest candidate; equivalent to the usual three-branch rule on phi1 but
 well-behaved when phi1 sits numerically on a branch boundary).  Readings at
-n1 and n2 are summed coherently before taking the angle.
+n1 and n2 are summed coherently before taking the angle.  Each reading is
+the direct sum of its 2L lag products (_reading), metrics_direct's
+definition, so it does not depend on how a stream was split into pushes.
 
 SyncState runs this chain over a stream fed in chunks of any size, one
 step per push, and keeps the outcome in state.result; synchronize pushes
@@ -42,6 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import (
+    _L,
     _energy,
     _energy_limit,
     first_trigger,
@@ -174,9 +177,8 @@ def metrics_direct(
     if r.size <= num.lookback:
         raise ValueError("window too short for direct metric evaluation")
 
+    ac1, ac2 = _reading(r, n, L), _reading(r, n, w)
     tail = r[n - w + 1 : n + 1]
-    ac1 = complex(np.vdot(tail, r[n - w + 1 - L : n + 1 - L]))
-    ac2 = complex(np.vdot(tail, r[n - w + 1 - w : n + 1 - w]))
     ene = float(np.sum(tail.real**2 + tail.imag**2))
 
     seg = r[n - d + 1 : n + 1]
@@ -186,6 +188,15 @@ def metrics_direct(
     xcr = float(np.dot(vmag, a_rev))
 
     return MetricSnapshot(n=n, ac1=ac1, ac2=ac2, ene=ene, xcr=xcr)
+
+
+def _reading(r: np.ndarray, i: int, lag: int) -> complex:
+    """The correlator reading at index i of r for one lag: one np.vdot
+    over the 2L products conj(r[j]) * r[j-lag], j = i-2L+1..i, with zeros
+    before r[0].  It is ac1 (lag L) and ac2 (lag 2L) for the oracle and
+    for the estimate."""
+    lo = max(i - 2 * _L + 1, lag)
+    return complex(np.vdot(r[lo : i + 1], r[lo - lag : i + 1 - lag]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +272,24 @@ class SyncState:
 
     The template is checked once, when the state is built.  Every push is
     one step, _push, over [retained tail | chunk]: it proves the chunk
-    finite and the buffer's energy within the kernels' range, runs the
-    detection kernel (ac1, ac2, ene) over the buffer and
-    first_trigger from the first index whose values are exact.  The
+    finite and the buffer's energy within the kernels' range and, while
+    searching, runs the detection kernel (ac1, ac2, ene) over the buffer
+    and first_trigger from the first index whose values are exact.  The
     tail is the kernels' look-back, num.lookback = D + 2L - 1 samples,
     before the earliest index an estimate can still read: the symbol-1 CFO
     reading, trigger + _reach (_reach = -44), with the stream end n in place
     of the trigger while searching (the 44 samples also hold the m_consec -
-    1 a trigger run may straddle), and n itself once done.  Trigger and STO
-    thus match one pass over the whole stream exactly, the CFO to rounding
-    (the cumsums re-base per push).  An empty chunk changes nothing.
+    1 a trigger run may straddle), and n itself once done.  Trigger, STO
+    and CFO thus match one pass over the whole stream exactly: the CFO
+    readings are direct sums over the buffer (_reading), which no split
+    moves.  An empty chunk changes nothing.
 
     result carries the trigger once it fires.  STO and CFO are estimated
     once, on the push that brings the stream to trigger + horizon, where
     the timing window and both CFO readings are complete (done turns True);
     timing reads xcr through xcr_window over the timing window only.
 
-    The step runs the kernels only while the estimate is open, and on a
+    The step runs the detection kernel only while searching, and on a
     searching push of at least _BLOCK new samples only if may_trigger (the
     detection kernel at a stride of m_consec) finds that a trigger can fall
     in it; otherwise only the tail moves on.  Pushes of _BLOCK samples thus
@@ -322,29 +334,28 @@ class SyncState:
 
         A block the screen clears is proven finite and in range by the
         screen's energy of the whole buffer; every other push is checked
-        with _check_energy."""
+        with _check_energy.  The detection kernel and first_trigger run on
+        a searching push the screen did not clear, and the estimate on the
+        push that completes it, whether or not they ran there."""
         num = self.num
         base = self._n - k  # stream index of buf[0]
         trig = self.result.trigger_index
         searching = trig is None and not self.done
         # past the stream start, values are exact from num.lookback on
         start = num.lookback if base else num.ac_valid_from
-        run = not self.done
-        if searching and buf.size - k >= _BLOCK:
-            run = may_trigger(buf, start, self._limit)  # False: buf is in range
-        if run or self.done:
+        # a cleared block is in range: may_trigger summed its energy
+        screened = searching and buf.size - k >= _BLOCK and not may_trigger(buf, start, self._limit)
+        if not screened:
             _check_energy(buf, self._limit)
         self._n += buf.size - k
-        if run:
-            ac1, ac2, ene = metric_arrays(buf)
-            if searching:
-                found = first_trigger(ac1, ac2, ene, num.m_consec, start)
-                if found >= 0:
-                    trig = base + found
-                    self.result = SyncResult(detected=True, trigger_index=trig)
-            if trig is not None and self._n >= trig + self._horizon:
-                self.result = self._estimate(buf, base, ac1, ac2)
-                self.done = True
+        if searching and not screened:
+            found = first_trigger(*metric_arrays(buf), num.m_consec, start)
+            if found >= 0:
+                trig = base + found
+                self.result = SyncResult(detected=True, trigger_index=trig)
+        if trig is not None and not self.done and self._n >= trig + self._horizon:
+            self.result = self._estimate(buf, base)
+            self.done = True
 
         if self.done:
             earliest = self._n
@@ -358,10 +369,12 @@ class SyncState:
         self.done = True
         return self.result
 
-    def _estimate(self, buf: np.ndarray, base: int, ac1, ac2) -> SyncResult:
-        """Timing and CFO from one push's buffer and detection arrays, which
-        start at stream index base and cover the whole timing window and
-        both CFO readings.  xcr is computed over the timing window only."""
+    def _estimate(self, buf: np.ndarray, base: int) -> SyncResult:
+        """Timing and CFO from one push's buffer, which starts at stream
+        index base and covers the whole timing window and both CFO readings
+        with the look-back before them.  xcr is computed over the timing
+        window only, and each CFO reading is _reading's direct sum, the
+        same bits at any split of the stream."""
         num, trig = self.num, self.result.trigger_index
         lo, hi = timing_window(trig, num)
         xcr = xcr_window(buf, self.template, lo - base, hi - base)
@@ -369,13 +382,14 @@ class SyncState:
         n_hat = lo + int(xcr.argmax()) - num.anchor
 
         i1, i2 = cfo_match_indices(n_hat - base, num)  # in buf
-        a1 = ac1[i1]
+        a1 = _reading(buf, i1, _L)
         cfo = cfo1 = cfo2 = None
         if abs(a1) > 0.0:
             # both symbols' lag-2L readings summed, symbol 1 first, and
             # symbol 1's alone; the sum is np.sum's but for the sign of a
             # zero part, which _angles' + 0j clears
-            a2, a2_1 = ac2[i1] + ac2[i2], ac2[i1]
+            a2_1 = _reading(buf, i1, 2 * _L)
+            a2 = a2_1 + _reading(buf, i2, 2 * _L)
             arg1, arg2, arg2_1 = _angles((a1, a2, a2_1))
             coarse = _coarse_cfo(arg1)
             cfo1 = float(_wrap_eps(coarse))

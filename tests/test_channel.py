@@ -28,7 +28,6 @@ from ldacs_sync.channel import (
     LOS_DOPPLER_FRACTION,
     N_SINUSOIDS,
     _blocks,
-    _expj,
     _tones,
     _unit_noise,
     pulse_pair_times,
@@ -273,8 +272,7 @@ class TestBlocks:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_bytes_match_the_exp_form(self, sign, k, n):
         # where a factor takes no multiply: block 0 is exp(j*phases), the
-        # offsets 0 and 1 are exactly 1 and 1 * exp(j*omegas), whose bytes
-        # are _expj's and so np.exp's
+        # offsets 0 and 1 are exactly 1 and 1 * exp(j*omegas)
         omegas, phases = self._draw(sign, k, n)
         got = _blocks(omegas, phases, n)
         want, _ = _blocks_reference(omegas, phases, n)
@@ -286,7 +284,7 @@ class TestBlocks:
         assert inner[:, 0].tobytes() == np.ones(k, dtype=np.complex128).tobytes()
         assert inner[:, 1:2].tobytes() == want[1][:, 1:2].tobytes()
         if inner.shape[1] > 1:
-            assert inner[:, 1].tobytes() == _expj(omegas).tobytes()
+            assert inner[:, 1].tobytes() == np.exp(1j * omegas).tobytes()
 
     # 2**21 samples take b = 1449, the longest recurrence a 2 Mi-sample
     # capture's CFO runs

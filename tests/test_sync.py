@@ -74,17 +74,8 @@ def _pushed(x, sizes, num, template):
 
 
 def _assert_same_result(res, ref):
-    """Trigger and STO equal; each CFO field within 1e-9, None where ref's is."""
-    assert (res.detected, res.trigger_index, res.sto_estimate) == (
-        ref.detected,
-        ref.trigger_index,
-        ref.sto_estimate,
-    )
-    for field in ("cfo_estimate", "cfo_estimate_ac1", "cfo_estimate_ac2"):
-        a, b = getattr(res, field), getattr(ref, field)
-        assert (a is None) == (b is None)
-        if b is not None:
-            assert abs(a - b) < 1e-9
+    """Every field equal, the CFO fields bit for bit."""
+    assert res == ref
 
 
 class TestStreamingMetrics:
@@ -227,8 +218,6 @@ class TestChunkInvariance:
         sizes = [x.size] if chunk is None else [chunk] * -(-x.size // chunk)
         ref = synchronize(x, num, template)
         assert ref.detected == (kind != "noise")
-        # the detection cumsums re-base on every push, so the CFO agrees to
-        # rounding; trigger and STO are exact
         _assert_same_result(_pushed(x, sizes, num, template), ref)
 
     @staticmethod
@@ -438,6 +427,22 @@ class TestScreen:
         with pytest.raises(ValueError, match="non-finite"):
             synchronize(x, num, template)
 
+    def test_no_kernels_after_the_trigger_push(self, monkeypatch, num, pre, template):
+        # the trigger fires in block 0 and the estimate completes in block
+        # 1: the estimate reads its CFO sums from the buffer, so block 1
+        # runs no detection kernel, and the result is one push's
+        rng = np.random.default_rng(37)
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=3)
+        lead = _noise(rng, _BLOCK - 450, 10**-1.5)
+        x = np.concatenate([lead, apply_cfo(f, -0.7, num)])
+        calls = self._counting(monkeypatch)
+        checks = self._counting(monkeypatch, "_check_energy")
+        res = synchronize(x, num, template)
+        assert res.trigger_index < _BLOCK <= res.trigger_index + SyncState._horizon
+        assert res.sto_estimate == lead.size
+        assert calls == [_BLOCK] and len(checks) == 2, (calls, checks)
+        assert res == _pushed(x, [x.size], num, template)
+
     @staticmethod
     def _capture(num, pre):
         """2 Mi samples of noise with a frame 3000 samples before the end."""
@@ -572,8 +577,9 @@ class TestWindowedTiming:
 
     @staticmethod
     def _reference(x, num, template):
-        """Trigger rule, argmax over [s0, s0 + delta_search) and the CFO
-        readings at both symbols, all read from metric_stream's arrays."""
+        """Trigger rule and argmax over [s0, s0 + delta_search), read from
+        metric_stream's arrays, and the CFO readings at both symbols from
+        metrics_direct, the definition the estimate reads."""
         ac1, ac2, ene, xcr = metric_stream(x, num, template)
         trig = full_rate_trigger((np.abs(ac1) + np.abs(ac2)) > ene, num.m_consec, num.ac_valid_from)
         assert trig >= 0
@@ -581,13 +587,14 @@ class TestWindowedTiming:
         n_hat = s0 + int(np.argmax(xcr[s0 : s0 + num.delta_search])) - num.anchor
         i2 = n_hat + num.anchor
         i1 = i2 - num.n_symbol
+        s1, s2 = (metrics_direct(x[: i + 1], num, template) for i in (i1, i2))
         return SyncResult(
             detected=True,
             trigger_index=trig,
             sto_estimate=n_hat,
-            cfo_estimate=estimate_cfo(ac1[i1], np.sum(ac2[[i1, i2]])),
-            cfo_estimate_ac1=float(2.0 * -np.angle(ac1[i1]) / np.pi),
-            cfo_estimate_ac2=estimate_cfo(ac1[i1], ac2[i1]),
+            cfo_estimate=estimate_cfo(s1.ac1, s1.ac2 + s2.ac2),
+            cfo_estimate_ac1=float(2.0 * -np.angle(s1.ac1) / np.pi),
+            cfo_estimate_ac2=estimate_cfo(s1.ac1, s1.ac2),
         )
 
     @pytest.mark.parametrize("channel", ["AWGN", "TMA", "ENR_DME"])
@@ -601,6 +608,30 @@ class TestWindowedTiming:
         assert res.cfo_estimate_ac1 == pytest.approx(ref.cfo_estimate_ac1, abs=1e-12)
         ref.cfo_estimate_ac1 = res.cfo_estimate_ac1
         assert res == ref
+
+    def test_cfo_reads_direct_sums_behind_a_burst(self, num, pre, template):
+        # a noise burst at 60 dB above the frame, its power halving every L
+        # samples down to a floor 20 dB below it, so that it never
+        # triggers; one push's cumsums carry the burst's running sum into
+        # the frame's readings, the direct sums do not
+        rng = np.random.default_rng(41)
+        L = num.l_quarter
+        f, _ = build_frame(num, pre, n_payload_symbols=2, lead_gap=0, seed=7)
+        f = apply_awgn(apply_cfo(f, 0.7, num), 15.0, _unit_noise(f.size, rng))
+        power = np.concatenate([np.full(2000, 1e6), 1e6 * 2.0 ** (-np.arange(27 * L) / L), np.full(2000, 1e-2)])
+        lead = _noise(rng, power.size) * np.sqrt(np.maximum(power, 1e-2))
+        x = np.concatenate([lead, f])
+        assert x.size < _BLOCK
+        res = synchronize(x, num, template)
+        assert res.sto_estimate == lead.size
+        i1, i2 = cfo_match_indices(res.sto_estimate, num)
+        s1, s2 = (metrics_direct(x[: i + 1], num, template) for i in (i1, i2))
+        coarse = sync_module._wrap_eps(2.0 * -np.angle(s1.ac1 + 0j) / np.pi)
+        assert (res.cfo_estimate, res.cfo_estimate_ac1, res.cfo_estimate_ac2) == (
+            estimate_cfo(s1.ac1, s1.ac2 + s2.ac2),
+            float(coarse),
+            estimate_cfo(s1.ac1, s1.ac2),
+        )
 
     def test_scan_asks_for_one_timing_window(self, monkeypatch, num, pre, template):
         asked = []
