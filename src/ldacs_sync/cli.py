@@ -21,15 +21,15 @@ import sys
 
 import numpy as np
 
-from .channel import ImpairmentConfig, run_pipeline
+from .channel import run_pipeline
 from .harness import (
-    CHANNEL_MODELS,
     CHANNELS,
     Scenario,
     _check_int,
     _parse_snr_list,
     _snr_ok,
     fmt,
+    impairments,
     link,
     load_scenario,
     run_campaign,
@@ -63,15 +63,7 @@ def cmd_trace(args) -> int:
     frame, n0 = build_frame(num, pre, 0, lead, seed=args.seed + 1)
     frame = np.concatenate([frame, np.zeros(300, dtype=np.complex128)])
 
-    profile, dme = CHANNEL_MODELS[args.channel]
-    cfg = ImpairmentConfig(
-        epsilon=args.epsilon,
-        snr_db=snr,
-        profile=profile,
-        dme=dme,
-        seed=args.seed,
-    )
-    r = run_pipeline(frame, cfg, num)
+    r = run_pipeline(frame, impairments(args.channel, args.epsilon, snr, args.seed), num)
 
     ac1, ac2, ene, xcr = metric_stream(r, num, template)
     xsig = baseline_xsig(r, pre, num)

@@ -77,6 +77,15 @@ CHANNEL_MODELS = {
 }
 CHANNELS = tuple(CHANNEL_MODELS)
 
+
+def impairments(channel: str, epsilon: float, snr_db: float, seed) -> ImpairmentConfig:
+    """The ImpairmentConfig of a bundled channel at one CFO and SNR."""
+    profile, dme = CHANNEL_MODELS[channel]
+    return ImpairmentConfig(
+        epsilon=epsilon, snr_db=float(snr_db), profile=profile, dme=dme, seed=seed
+    )
+
+
 # the trial protocol
 LEAD_GAP_RANGE = (200, 800)  # frame start, drawn uniformly per trial (inclusive)
 N_PAYLOAD_SYMBOLS = 2  # data symbols after the preamble
@@ -209,18 +218,7 @@ def run_trial(pairs, rng_seed) -> list[TrialRecord]:
     frame, n0 = build_frame(num, pre, N_PAYLOAD_SYMBOLS, lead_gap, seed=child_payload)
     frame.flags.writeable = False
     pairs = list(pairs)
-    cfgs = []
-    for scenario, snr_db in pairs:
-        profile, dme = CHANNEL_MODELS[scenario.channel]
-        cfgs.append(
-            ImpairmentConfig(
-                epsilon=scenario.epsilon,
-                snr_db=float(snr_db),
-                profile=profile,
-                dme=dme,
-                seed=channel_seed,
-            )
-        )
+    cfgs = [impairments(sc.channel, sc.epsilon, snr_db, channel_seed) for sc, snr_db in pairs]
     records = []
     for (scenario, snr_db), r in zip(pairs, run_pipeline(frame, cfgs, num)):
         res = synchronize(r, num, template)

@@ -204,9 +204,14 @@ class TestTones:
         phases = rng.uniform(0.0, 2.0 * np.pi, 129)
         self._check_direct_sum(omegas, phases, n, stride)
 
+    def test_slow_tone_matches_direct_sum(self):
+        # apply_multipath draws such tones (the cosine of a uniform angle
+        # can be near 0): over 2**20 samples the running products' rounding
+        # reads about 223 eps, while the phase spans only 10.5 rad
+        self._check_direct_sum(np.array([1e-5]), np.array([1.0]), 2**20, 7)
+
     @staticmethod
     def _check_direct_sum(omegas, phases, n, stride):
-        k = omegas.size
         g = _tones(omegas, phases, n)
         assert g.shape == (n,)
         assert g.dtype == np.complex128
@@ -214,9 +219,13 @@ class TestTones:
         direct = np.zeros(m.size, dtype=np.complex128)
         for w, ph in zip(omegas, phases):
             direct += np.exp(1j * (w * m + ph))
-        # both sides round a phase of up to |w|*n, each by up to ~eps*|w|*n
+        # _tones' docstring bounds a term by (2 + 1.62*(i + r) + |w*i*b|/2)*eps
+        # with i + r <= (nb - 1) + (b - 1) and i*b < n; doubled, as the
+        # direct sum rounds each angle too, and summed over the tones
+        b = math.isqrt(n - 1) + 1 if n > 0 else 1
+        nb = -(-n // b)
         eps = np.finfo(np.float64).eps
-        tol = 4.0 * k * (1.0 + np.max(np.abs(omegas)) * n) * eps
+        tol = np.sum(2.0 * (2.0 + 1.62 * (nb - 1 + b - 1) + np.abs(omegas) * n / 2.0)) * eps
         assert np.max(np.abs(g[::stride] - direct), initial=0.0) <= tol
 
     @pytest.mark.parametrize("omegas, phases", [((0.1, 0.2), (0.0,)), ((0.1,), (0.0, 1.0))])
