@@ -13,7 +13,12 @@ takes about 80 us against 210 us with an exponential per angle, and
 apply_cfo's one tone about 16 against 21 us per call.  apply_multipath
 takes the factors of all its tones in one _blocks call, then makes one
 product per tap: a 1732-sample TMA frame is one pass over its 129 tones,
-then nine products, (42x16) @ (16x42) for each scattered tap.  One
+then nine products, (42x16) @ (16x42) for each scattered tap.  A faded
+config's CFO rides those tones (apply_multipath's epsilon), so it costs
+no tone pass and no product of its own: at 1732 samples and epsilon 0.5,
+TMA's fading and CFO take about 215 against 244 us as apply_cfo after
+apply_multipath, and ENR's 85 against 112 us (one process, one BLAS
+thread, 2-CPU Xeon VM).  One
 batched np.matmul over the taps gave the same bits but took TMA from
 about 375 to 500 us per call (one BLAS thread); under default BLAS
 threads on a 2-CPU host, one (42x129) @ (129x42) product over all 129
@@ -29,7 +34,9 @@ Every tone has a random phase, and every tap draws its angles and phases
 even at zero power, so the generator stream does not depend on K.
 Scattered tap delays are given in seconds; a profile rounds them to whole
 samples and checks, when it is built, that each lies from 1 sample behind
-the LOS tone to the end of the cyclic prefix.
+the LOS tone to the end of the cyclic prefix.  It also derives then what
+apply_multipath reads per tap: the delay in samples and the scale
+sqrt(p/K) of the tap's K tones.
 
 A DME environment is a tuple of DmeInterferers; the empty tuple is no DME.
 Each interferer emits Gaussian-envelope X-mode pulse pairs: Poisson pair
@@ -46,17 +53,21 @@ all interferers in one pass.
 run_pipeline applies: multipath -> CFO -> DME -> AWGN, each stage drawing
 from its own child generator so that enabling one stage never shifts
 another stage's random stream.  A child generator is made only for a stage
-that runs.  One call takes one input and one config or several; what its
-configs would compute alike, it computes once: the fading and CFO of one
-(seed, profile, epsilon), and the unit noise of one seed, which apply_awgn
-scales to each config's SNR.  Each output has the bits of its config run
-alone, and nothing is kept from one call to the next.
+that runs.  With a profile, the CFO rides the fading tones in
+apply_multipath, which matches apply_cfo after the fading to rounding
+(within _blocks' bound for the folded angle, and bit for bit at n <= 1);
+apply_cfo runs only for a config without a profile.  One call takes one
+input and one config or several; what its configs would compute alike, it
+computes once: the fading and CFO of one (seed, profile, epsilon), and the
+unit noise of one seed, which apply_awgn scales to each config's SNR.  Each
+output has the bits of its config run alone, and nothing is kept from one
+call to the next.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,6 +101,11 @@ class ChannelProfile:
     rician_k_db: float
     max_doppler_hz: float
 
+    # derived when the profile is built, per tap, the LOS tone first: its
+    # delay in whole samples and the scale sqrt(p/K) of its K tones' sum
+    _delays: tuple = field(init=False, repr=False, compare=False)
+    _scales: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         delays = [t.delay_s for t in self.taps]
         # the range checks below fail on NaN too
@@ -97,8 +113,8 @@ class ChannelProfile:
             raise ValueError("tap delays must be finite and > 0")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be strictly increasing")
-        for d in delays:
-            samples = round(d * Numerology.sample_rate_hz)
+        delays_samples = [round(d * Numerology.sample_rate_hz) for d in delays]
+        for d, samples in zip(delays, delays_samples):
             if samples < 1:
                 raise ValueError(
                     f"tap delay {d} s rounds to {samples} samples: a scattered "
@@ -115,6 +131,11 @@ class ChannelProfile:
             raise ValueError("rician_k_db must not be NaN")
         if not 0.0 <= self.max_doppler_hz < math.inf:
             raise ValueError("max_doppler_hz must be finite and >= 0")
+        tones = (1,) + (N_SINUSOIDS,) * len(self.taps)
+        object.__setattr__(self, "_delays", (0, *delays_samples))
+        object.__setattr__(
+            self, "_scales", tuple(math.sqrt(p / k) for p, k in zip(self.linear_powers(), tones))
+        )
 
     def linear_powers(self) -> np.ndarray:
         """The LOS power, then each scattered tap's; they sum to 1."""
@@ -186,12 +207,18 @@ def pulse_pair_times(duration_s: float, rate_pps: float, rng: np.random.Generato
 # elementary impairments
 
 
+def _cfo_omega(epsilon: float, num: Numerology) -> float:
+    """A carrier offset of epsilon subcarrier spacings in rad/sample;
+    ValueError unless epsilon is finite."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    return 2.0 * np.pi * epsilon / num.n_total
+
+
 def apply_cfo(x: np.ndarray, epsilon: float, num: Numerology) -> np.ndarray:
     """Rotate by a carrier offset of epsilon subcarrier spacings."""
     x = np.asarray(x, dtype=np.complex128)
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
-    return x * _tones((2.0 * np.pi * epsilon / num.n_total,), (0.0,), x.size)
+    return x * _tones((_cfo_omega(epsilon, num),), (0.0,), x.size)
 
 
 def apply_awgn(
@@ -301,19 +328,33 @@ def _tones(omegas, phases, n: int) -> np.ndarray:
 
 
 def apply_multipath(
-    x: np.ndarray, profile: ChannelProfile, num: Numerology, rng: np.random.Generator
+    x: np.ndarray,
+    profile: ChannelProfile,
+    num: Numerology,
+    rng: np.random.Generator,
+    epsilon: float = 0.0,
 ) -> np.ndarray:
     """Tapped-delay-line fading channel: the LOS tone, then the scattered
-    taps at their delays in whole samples.
+    taps at their delays in whole samples, then a carrier offset of
+    epsilon subcarrier spacings.
 
     The generator draws the LOS tone's phase, then tap by tap a scattered
     tap's N_SINUSOIDS angles and its N_SINUSOIDS phases, all in one call:
     uniform doubles come in sequence, so one draw of the total is the same
     stream as one draw per tap.  Each tap's gain is _tones over its own
     tones, from one _blocks call over all of them.
+
+    The offset rides the tones: a CFO of w_c rad/sample turns each tone
+    exp(j*(w*m + ph)) into exp(j*((w + w_c)*m + ph)), so every tone's
+    omega gains w_c before the one _blocks call, and no second pass over
+    the output is made.  This is apply_cfo after apply_multipath to
+    rounding (the folded angle's running products, _blocks), and bit for
+    bit at n <= 1.  epsilon = 0 leaves the omegas untouched, and epsilon
+    takes no draw, so the generator ends in the same state for any value.
+    A non-finite epsilon raises apply_cfo's ValueError before any draw.
     """
     x = np.asarray(x, dtype=np.complex128)
-    fs = num.sample_rate_hz
+    omega_c = _cfo_omega(epsilon, num)
     n = x.size
     u = rng.uniform(0.0, 2.0 * np.pi, 1 + 2 * N_SINUSOIDS * len(profile.taps))
     # the LOS tone's phase, then per scattered tap its angles and its phases
@@ -322,15 +363,16 @@ def apply_multipath(
     # a fraction of the maximum, and its phase
     fractions = np.concatenate(([LOS_DOPPLER_FRACTION], np.cos(scattered[:, 0]).ravel()))
     phases = np.concatenate((los_phase, scattered[:, 1].ravel()))
-    omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / fs
+    omegas = 2.0 * np.pi * profile.max_doppler_hz * fractions / num.sample_rate_hz
+    if omega_c != 0.0:
+        omegas += omega_c
     outer, inner = _blocks(omegas, phases, n)
-    delays = [0] + [round(tap.delay_s * fs) for tap in profile.taps]
     y = np.zeros_like(x)
     lo = 0  # the tap's first row
-    for d, p in zip(delays, profile.linear_powers()):
+    for d, scale in zip(profile._delays, profile._scales):
         k = 1 if lo == 0 else N_SINUSOIDS
         gain = (outer[lo : lo + k].T @ inner[lo : lo + k]).ravel()[:n]
-        gain *= math.sqrt(p / k)
+        gain *= scale
         # out of place: writing the product into gain (out=gain[d:]) moves
         # the bits at n = 1, where numpy takes another complex-multiply loop
         y[d:] += gain[d:] * x[: max(n - d, 0)]
@@ -431,7 +473,9 @@ def run_pipeline(
     x: np.ndarray, cfg: ImpairmentConfig | Sequence[ImpairmentConfig], num: Numerology
 ) -> np.ndarray | list[np.ndarray]:
     """multipath -> CFO -> DME -> AWGN over one input, for one
-    ImpairmentConfig or a sequence of them.
+    ImpairmentConfig or a sequence of them.  A config with a profile
+    passes its epsilon to apply_multipath, whose tones carry the CFO;
+    apply_cfo runs only for a config without one.
 
     One config gives one array; a sequence gives a list with one array per
     config, in order, each the bits that config gives alone.  Each stage
@@ -458,11 +502,12 @@ def run_pipeline(
         key = (c.seed, c.profile, c.epsilon)
         y = faded.get(key)
         if y is None:
-            y = x
             if c.profile is not None:
-                y = apply_multipath(y, c.profile, num, _stage_rng(c.seed, 0))
-            if c.epsilon != 0.0:
-                y = apply_cfo(y, c.epsilon, num)
+                y = apply_multipath(x, c.profile, num, _stage_rng(c.seed, 0), c.epsilon)
+            elif c.epsilon != 0.0:
+                y = apply_cfo(x, c.epsilon, num)
+            else:
+                y = x
             faded[key] = y
         if c.dme:
             y = apply_dme(y, c.dme, num, _stage_rng(c.seed, 2))

@@ -149,7 +149,10 @@ def _print_stats(stats) -> None:
 
 def cmd_campaign(args) -> int:
     scen = _scenario_from_args(args)  # main() reports a ValueError, exit 2
-    stats, records = run_campaign(scen, return_records=True)
+    if args.per_trial:
+        stats, records = run_campaign(scen, return_records=True)
+    else:
+        stats = run_campaign(scen)  # keeps no TrialRecord
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{scen.name}.csv")

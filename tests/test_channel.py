@@ -445,6 +445,82 @@ class TestMultipath:
         assert np.flatnonzero(np.abs(y) > 1e-12).tolist() == [44]
 
 
+class TestCfoOnTheTones:
+    """apply_multipath's epsilon: a faded config's CFO rides its fading
+    tones, the channel of apply_cfo after apply_multipath to the rounding
+    of the folded angle's running products."""
+
+    # 1681 = 41**2 and 1682 are the block-length edges, 2032 the longest
+    # sweep frame, 2331 a longer one
+    @pytest.mark.parametrize("n", [0, 1, 2, 1681, 1682, 2032, 2331])
+    @pytest.mark.parametrize("epsilon", [-1.9, 0.5, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "channel", [name for name, (profile, _) in CHANNEL_MODELS.items() if profile is not None]
+    )
+    def test_pipeline_matches_cfo_after_multipath(self, channel, epsilon, n, num):
+        profile, dme = CHANNEL_MODELS[channel]
+        seed = 31
+        x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
+        got = run_pipeline(x, ImpairmentConfig(epsilon=epsilon, profile=profile, dme=dme, seed=seed), num)
+        rng_mp, _, rng_dme, _ = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+        )
+        faded = apply_cfo(apply_multipath(x, profile, num, rng_mp), epsilon, num)
+        want = apply_dme(faded, dme, num, rng_dme)
+        if n <= 1:
+            # m = 0 carries no CFO, and the block factors there take no multiply
+            assert got.tobytes() == want.tobytes()
+            return
+        # _tones' docstring (from _blocks') bounds a tone's term by
+        # (2 + 1.62*(i + r) + |w*i*b|/2)*eps, with i + r <= (nb - 1) + (b - 1)
+        # and i*b < n.  The folded term exp(j*((w + w_c)*m + ph)) is within
+        # that bound at |w + w_c| of its exact value, and the composition's
+        # exp(j*(w*m + ph)) * exp(j*w_c*m) within the bounds at |w| and |w_c|.
+        # Per tone, the sum over a tap's K tones, the scale sqrt(p/K), the
+        # product with x and the sum over taps add at most (K + 8)*eps; the
+        # DME pulses, added to both, add eps*|want|
+        eps = np.finfo(np.float64).eps
+        b = math.isqrt(n - 1) + 1
+        nb = -(-n // b)
+
+        def term(w):
+            return (2.0 + 1.62 * (nb - 1 + b - 1) + w * n / 2.0) * eps
+
+        w_d = 2.0 * np.pi * profile.max_doppler_hz / num.sample_rate_hz  # |w| <= w_d
+        w_c = abs(2.0 * np.pi * epsilon / num.n_total)
+        k = np.array([1] + [N_SINUSOIDS] * len(profile.taps))
+        per_tone = term(w_d) + term(w_d + w_c) + term(w_c) + (k + 8) * eps
+        tol = np.max(np.abs(x)) * np.sum(np.sqrt(profile.linear_powers() * k) * per_tone)
+        assert np.all(np.abs(got - want) <= tol + eps * np.abs(want))
+
+    def test_generator_state_independent_of_epsilon(self, num):
+        x = np.random.default_rng(12).normal(size=(100, 2)) @ [1.0, 1j]
+        default = apply_multipath(x, make_tma_profile(), num, np.random.default_rng(11))
+        states = []
+        for epsilon in (0.0, 0.5, -1.9, 2.0):
+            rng = np.random.default_rng(11)
+            y = apply_multipath(x, make_tma_profile(), num, rng, epsilon)
+            states.append(rng.bit_generator.state)
+            if epsilon == 0.0:
+                assert y.tobytes() == default.tobytes()
+        assert all(state == states[0] for state in states)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon, num):
+        x = np.ones(8, dtype=complex)
+        with pytest.raises(ValueError) as cfo_error:
+            apply_cfo(x, epsilon, num)
+        cfg = ImpairmentConfig(epsilon=epsilon, profile=make_enr_profile())
+        with pytest.raises(ValueError) as error:
+            run_pipeline(x, cfg, num)
+        assert str(error.value) == str(cfo_error.value)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^epsilon must be finite"):
+            apply_multipath(x, make_enr_profile(), num, rng, epsilon)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
+
 def _dme_reference(n, interferers, num, rng):
     """Per-pair, per-pulse loop over the X-mode pulse pairs: the reference
     apply_dme must match bit for bit."""
@@ -587,7 +663,8 @@ class TestPipeline:
     ):
         # the hand-made composition takes multipath, DME and AWGN from
         # children 0, 2 and 3 of SeedSequence(seed).spawn(4); a stage on the
-        # wrong child differs
+        # wrong child differs.  A faded config's CFO rides its tones
+        # (apply_multipath's epsilon); apply_cfo runs only without fading
         x = rng.normal(size=500) + 1j * rng.normal(size=500)
         seed = 2024
         cfg = ImpairmentConfig(
@@ -602,8 +679,8 @@ class TestPipeline:
         )
         y = x
         if multipath:
-            y = apply_multipath(y, cfg.profile, num, rng_mp)
-        if cfo:
+            y = apply_multipath(y, cfg.profile, num, rng_mp, cfg.epsilon)
+        elif cfo:
             y = apply_cfo(y, cfg.epsilon, num)
         if dme:
             y = apply_dme(y, cfg.dme, num, rng_dme)
